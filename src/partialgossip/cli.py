@@ -64,6 +64,8 @@ def _cmd_pvalue(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    if args.k < 2:
+        raise ValidationError(f"k must be >= 2, got {args.k}")
     if args.n_min > args.n_max:
         raise ValidationError(f"empty range: n_min={args.n_min} > n_max={args.n_max}")
     boundary = (1 << (args.k - 1)) - 1
@@ -130,6 +132,8 @@ def _cmd_verify(args) -> int:
     except OSError as e:
         raise ValidationError(f"cannot read {args.file}: {e}") from e
     aug = schedule_from_json(text)
+    if not 1 <= args.k <= aug.n:
+        raise ValidationError(f"k={args.k} out of range [1, n={aug.n}]")
     state = apply_preliminary(aug)
     aw = state.awareness()
     informing = min(aw) >= args.k

@@ -210,6 +210,11 @@ def schedule_to_json(obj: "Schedule | AugmentedSchedule", *, indent: int | None 
     return json.dumps(doc, indent=indent)
 
 
+def _is_json_int(x) -> bool:
+    """A JSON integer; true and false parse to bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def schedule_from_json(text: str) -> AugmentedSchedule:
     """Parse the interchange format; malformed documents raise ValidationError."""
     try:
@@ -221,13 +226,13 @@ def schedule_from_json(text: str) -> AugmentedSchedule:
     if "n" not in doc or "calls" not in doc:
         raise ValidationError('schedule document needs "n" and "calls" keys')
     n = doc["n"]
-    if not isinstance(n, int):
+    if not _is_json_int(n):
         raise ValidationError('"n" must be an integer')
     raw_calls = doc["calls"]
     raw_pre = doc.get("preliminary", [])
     for name, raw in (("calls", raw_calls), ("preliminary", raw_pre)):
         if not isinstance(raw, list) or not all(
-            isinstance(c, list) and len(c) == 2 and all(isinstance(x, int) for x in c)
+            isinstance(c, list) and len(c) == 2 and all(_is_json_int(x) for x in c)
             for c in raw
         ):
             raise ValidationError(f'"{name}" must be a list of [a,b] integer pairs')

@@ -251,14 +251,15 @@ def _check_l2(params: LemmaParams) -> LemmaReport:
                 for ell in (1, 2):
                     for prelim in itertools.product(pairs, repeat=ell):
                         run(n, base, prelim)
-    # sampled larger instances
-    for _ in range(params.samples):
-        n = rng.randrange(5, params.max_sampled_n + 1)
-        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        base = [pairs[rng.randrange(len(pairs))] for _ in range(rng.randrange(0, 9))]
-        ell = rng.randrange(1, params.max_prelim + 1)
-        prelim = [pairs[rng.randrange(len(pairs))] for _ in range(ell)]
-        run(n, base, prelim)
+    # sampled larger instances; they need n >= 5 and at least one preliminary call
+    if params.max_sampled_n >= 5 and params.max_prelim >= 1:
+        for _ in range(params.samples):
+            n = rng.randrange(5, params.max_sampled_n + 1)
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            base = [pairs[rng.randrange(len(pairs))] for _ in range(rng.randrange(0, 9))]
+            ell = rng.randrange(1, params.max_prelim + 1)
+            prelim = [pairs[rng.randrange(len(pairs))] for _ in range(ell)]
+            run(n, base, prelim)
     return LemmaReport("L2", checked, violations)
 
 

@@ -10,7 +10,12 @@ knowledge states.  Soundness levers:
 * symmetry: persons are interchangeable only under a joint relabeling that
   permutes person indices and gossip bits together.  States equal under
   such a relabeling have identical reachable awareness profiles, so failure
-  depths are memoized per canonical form;
+  depths are memoized per canonical form.  The form is the smallest
+  relabeling that keeps refined color cells in order.  Twins (two persons
+  whose transposition is an automorphism of the state) are interchangeable
+  without changing the relabeled state, so only arrangements of twin
+  classes are tried; a state with more than _CANON_PERM_CAP arrangements
+  gets one deterministic relabeling instead;
 * an admissible lower bound on remaining calls (each call informs at most
   two persons, and the maximum awareness can at most double per call).
 
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -32,10 +38,10 @@ FOUND = "found"
 TIMEOUT = "timeout"
 DEPTH_EXHAUSTED = "depth-exhausted"
 
-# States whose symmetry class admits more relabelings than this are keyed by
-# a single deterministic relabeling instead of the true minimum; that only
-# costs memo hits, never correctness (any relabeling of a state identifies
-# its equivalence class member).
+# States whose color cells admit more twin-class arrangements than this are
+# keyed by a single deterministic relabeling instead of the true minimum;
+# that only costs memo hits, never correctness (any relabeling of a state
+# identifies its equivalence class member).
 _CANON_PERM_CAP = 1024
 
 
@@ -62,6 +68,9 @@ class SearchResult:
     refuted_depth: int          # no schedule with <= this many calls exists (proven)
     nodes: int
     elapsed: float
+    # per-search counters: memo_hits (states cut by the memo), memo_stores
+    # (refuted states memoized) and lb_prunes (states cut by the lower bound)
+    stats: dict[str, int] = field(default_factory=dict)
 
     @property
     def timed_out(self) -> bool:
@@ -76,50 +85,100 @@ class _BudgetExceeded(Exception):
 # canonical forms under joint person/gossip relabeling
 # ---------------------------------------------------------------------------
 
-def _refine_colors(state: tuple[int, ...], n: int) -> list[int]:
+def _bits(x: int) -> list[int]:
+    """Indices of the set bits of x, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def _refine_colors(known: list[list[int]], knowers: list[list[int]]) -> list[int]:
     """Partition persons by iterated structural signatures.
 
-    The signature of p combines how much p knows, how widely p's gossip is
-    known, and (iterated) the signatures of the gossips p knows and of the
-    persons who know p.  Signatures are converted to ranks by sorting, so
-    the resulting color vector is invariant under joint relabeling.
+    ``known[p]`` lists the gossips p knows and ``knowers[p]`` the persons who
+    know p's gossip.  The signature of p starts as how much p knows and how
+    widely p's gossip is known, then (iterated) adds the colors of the
+    gossips p knows and of the persons who know p.  Signatures are converted
+    to ranks by sorting, so the resulting color vector is invariant under
+    joint relabeling.  Refinement stops once a round splits no cell or every
+    cell is a single person.
     """
-    col = [0] * n
-    for row in state:
-        x = row
-        while x:
-            col[(x & -x).bit_length() - 1] += 1
-            x &= x - 1
-    sigs: list = [(state[p].bit_count(), col[p]) for p in range(n)]
+    n = len(known)
+    sigs: list = [(len(known[p]), len(knowers[p])) for p in range(n)]
     ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
     colors = [ranking[s] for s in sigs]
-    while True:
-        sigs = []
-        for p in range(n):
-            known = []
-            x = state[p]
-            while x:
-                known.append(colors[(x & -x).bit_length() - 1])
-                x &= x - 1
-            knowers = [colors[q] for q in range(n) if (state[q] >> p) & 1]
-            sigs.append((colors[p], tuple(sorted(known)), tuple(sorted(knowers))))
+    cells = len(ranking)
+    while cells < n:
+        sigs = [
+            (colors[p],
+             tuple(sorted([colors[g] for g in known[p]])),
+             tuple(sorted([colors[q] for q in knowers[p]])))
+            for p in range(n)
+        ]
         ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        new = [ranking[s] for s in sigs]
-        if len(set(new)) == len(set(colors)):
-            return new
-        colors = new
+        if len(ranking) == cells:
+            break
+        colors = [ranking[s] for s in sigs]
+        cells = len(ranking)
+    return colors
 
 
-def _relabel(state: tuple[int, ...], perm: list[int], n: int) -> tuple[int, ...]:
+def _twin_classes(cell: list[int], state: tuple[int, ...], col: list[int]) -> list[list[int]]:
+    """Split a color cell into classes of twins.
+
+    p and q are twins iff the transposition (p q) is an automorphism of the
+    state: every other person knows both gossips or neither (the column
+    test), and p's row with bits p and q swapped is q's row.  Twinhood is an
+    equivalence relation, so comparing with each class's first member is
+    enough.
+    """
+    classes: list[list[int]] = []
+    for p in cell:
+        row = state[p]
+        for cls in classes:
+            q = cls[0]
+            pq = (1 << p) | (1 << q)
+            if (col[p] ^ col[q]) & ~pq:
+                continue
+            swapped = row ^ pq if ((row >> p) ^ (row >> q)) & 1 else row
+            if swapped == state[q]:
+                cls.append(p)
+                break
+        else:
+            classes.append([p])
+    return classes
+
+
+def _placements(
+    classes: list[list[int]], positions: list[int]
+) -> Iterator[list[tuple[int, int]]]:
+    """Every way to give each twin class its own subset of the positions.
+
+    Yields (person, position) pairs; members of a class take their subset in
+    ascending order, since the order among twins does not change the key.
+    """
+    first, rest = classes[0], classes[1:]
+    if not rest:
+        yield list(zip(first, positions))
+        return
+    for chosen in itertools.combinations(positions, len(first)):
+        left = [x for x in positions if x not in chosen]
+        head = list(zip(first, chosen))
+        for tail in _placements(rest, left):
+            yield head + tail
+
+
+def _relabel(known: list[list[int]], perm: list[int]) -> tuple[int, ...]:
     """Apply person permutation perm (old -> new) to indices and gossip bits."""
-    out = [0] * n
-    for p in range(n):
-        x = state[p]
+    bit = [1 << q for q in perm]
+    out = [0] * len(perm)
+    for p, gs in enumerate(known):
         y = 0
-        while x:
-            g = (x & -x).bit_length() - 1
-            y |= 1 << perm[g]
-            x &= x - 1
+        for g in gs:
+            y |= bit[g]
         out[perm[p]] = y
     return tuple(out)
 
@@ -127,47 +186,54 @@ def _relabel(state: tuple[int, ...], perm: list[int], n: int) -> tuple[int, ...]
 def canonical_key(state: tuple[int, ...], n: int) -> tuple[int, ...]:
     """A representative of the state's joint-relabeling equivalence class.
 
-    Exact (the lexicographic minimum over class-respecting relabelings)
-    whenever the symmetry classes admit at most _CANON_PERM_CAP relabelings;
-    beyond that a single deterministic relabeling is used.
+    The key is the lexicographic minimum over all relabelings that map each
+    refined color cell onto its block of positions.  Relabelings that differ
+    only by permuting twins give the same state, so only the arrangements of
+    twin classes within each cell are tried.  The key is exact whenever
+    there are at most _CANON_PERM_CAP such arrangements; beyond that a
+    single deterministic relabeling is used.
     """
-    colors = _refine_colors(state, n)
-    groups: dict[int, list[int]] = {}
+    known = [_bits(row) for row in state]
+    knowers: list[list[int]] = [[] for _ in range(n)]
+    col = [0] * n  # col[g]: the persons who know gossip g, as a bitmask
+    for p, gs in enumerate(known):
+        bit = 1 << p
+        for g in gs:
+            knowers[g].append(p)
+            col[g] |= bit
+    colors = _refine_colors(known, knowers)
+    cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
     for p in range(n):
-        groups.setdefault(colors[p], []).append(p)
-    ordered = [groups[c] for c in sorted(groups)]
-    total = 1
-    for g in ordered:
-        total *= _factorial(len(g))
-        if total > _CANON_PERM_CAP:
-            break
-    if total > _CANON_PERM_CAP:
-        perm = [0] * n
-        pos = 0
-        for g in ordered:
-            for p in g:
-                perm[p] = pos
-                pos += 1
-        return _relabel(state, perm, n)
+        cells[colors[p]].append(p)
+    perm = [0] * n
+    free = []  # (twin classes, positions) of cells with more than one class
+    arrangements = 1
+    pos = 0
+    for cell in cells:
+        positions = list(range(pos, pos + len(cell)))
+        for p, q in zip(cell, positions):
+            perm[p] = q
+        pos += len(cell)
+        if len(cell) == 1 or arrangements > _CANON_PERM_CAP:
+            continue
+        classes = _twin_classes(cell, state, col)
+        if len(classes) > 1:
+            free.append((classes, positions))
+            count = math.factorial(len(cell))
+            for cls in classes:
+                count //= math.factorial(len(cls))
+            arrangements *= count
+    if not free or arrangements > _CANON_PERM_CAP:
+        return _relabel(known, perm)
     best: tuple[int, ...] | None = None
-    for pieces in itertools.product(*(itertools.permutations(g) for g in ordered)):
-        perm = [0] * n
-        pos = 0
-        for piece in pieces:
-            for p in piece:
-                perm[p] = pos
-                pos += 1
-        cand = _relabel(state, perm, n)
+    for choice in itertools.product(*(_placements(c, ps) for c, ps in free)):
+        for placement in choice:
+            for p, q in placement:
+                perm[p] = q
+        cand = _relabel(known, perm)
         if best is None or cand < best:
             best = cand
     return best  # type: ignore[return-value]
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for j in range(2, m + 1):
-        out *= j
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -213,38 +279,23 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     initial = tuple(1 << p for p in range(n))
     memo: dict[tuple[int, ...], int] = {}
-    nodes = 0
+    nodes = memo_hits = memo_stores = lb_prunes = 0
 
     def dfs(state: tuple[int, ...], remaining: int) -> list[tuple[int, int]] | None:
         """Suffix of calls completing the goal within ``remaining``, or None."""
-        nonlocal nodes
+        nonlocal nodes, memo_hits, memo_stores, lb_prunes
         nodes += 1
         if nodes % 4096 == 0 and time.monotonic() > deadline:
             raise _BudgetExceeded
-        below = 0
-        best = 0
-        for x in state:
-            c = x.bit_count()
-            if c < k:
-                below += 1
-            if c > best:
-                best = c
-        if below == 0:
+        lb = _lower_bound(state, k)
+        if lb == 0:
             return []
-        if remaining == 0:
-            return None
-        if best >= k:
-            lb = (below + 1) // 2
-        else:
-            lb = max(0, (below - 1) // 2)
-            reach = best
-            while reach < k:
-                reach *= 2
-                lb += 1
         if lb > remaining:
+            lb_prunes += 1
             return None
         key = canonical_key(state, n) if cfg.canonicalize else state
         if memo.get(key, -1) >= remaining:
+            memo_hits += 1
             return None
         for a, b in pairs:
             sa, sb = state[a], state[b]
@@ -257,7 +308,19 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
                 return [(a, b)] + tail
         if len(memo) < cfg.memo_limit:
             memo[key] = remaining
+            memo_stores += 1
         return None
+
+    def result(status: str, found: list[tuple[int, int]] | None = None) -> SearchResult:
+        return SearchResult(
+            status,
+            len(found) if found is not None else None,
+            Schedule(n, found) if found is not None else None,
+            refuted,
+            nodes,
+            time.monotonic() - start_time,
+            {"memo_hits": memo_hits, "memo_stores": memo_stores, "lb_prunes": lb_prunes},
+        )
 
     depth = _lower_bound(initial, k)
     refuted = depth - 1
@@ -265,15 +328,12 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
         while depth <= cfg.max_depth:
             found = dfs(initial, depth)
             if found is not None:
-                return SearchResult(
-                    FOUND, len(found), Schedule(n, found), refuted,
-                    nodes, time.monotonic() - start_time,
-                )
+                return result(FOUND, found)
             refuted = depth
             depth += 1
     except _BudgetExceeded:
-        return SearchResult(TIMEOUT, None, None, refuted, nodes, time.monotonic() - start_time)
-    return SearchResult(DEPTH_EXHAUSTED, None, None, refuted, nodes, time.monotonic() - start_time)
+        return result(TIMEOUT)
+    return result(DEPTH_EXHAUSTED)
 
 
 def max_informing_level(s: Schedule) -> int:
@@ -341,7 +401,7 @@ def enumerate_tree_schemes(n: int, limit: int | None = None, seed: int = 0) -> S
     if not 2 <= n <= 8:
         raise ValidationError(f"tree enumeration supports 2 <= n <= 8, got n={n}")
     if n <= EXHAUSTIVE_TREE_LIMIT and limit is None:
-        expected = n ** (n - 2) * _factorial(n - 1)
+        expected = n ** (n - 2) * math.factorial(n - 1)
 
         def gen_all() -> Iterator[Schedule]:
             for edges in labeled_trees(n):

@@ -67,6 +67,13 @@ class TestTable:
         code, _, err = run(capsys, "table", "4", "10", "4")
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("k", ["0", "1", "-3"])
+    def test_k_below_two_rejected(self, capsys, k):
+        code, out, err = run(capsys, "table", k, "1", "5")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestSynthAndVerify:
     def test_round_trip_passes(self, capsys, tmp_path):
@@ -109,6 +116,15 @@ class TestSynthAndVerify:
         f.write_text("{broken")
         code, _, err = run(capsys, "verify", str(f), "4")
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("k", ["0", "9"])
+    def test_verify_k_outside_one_to_n_exits_one(self, capsys, tmp_path, hub_tree_8, k):
+        f = tmp_path / "hub.json"
+        f.write_text(schedule_to_json(hub_tree_8))
+        code, out, err = run(capsys, "verify", str(f), k)
+        assert code == EXIT_VALIDATION
+        assert "PASS" not in out
+        assert err.startswith("error:")
 
     def test_verify_missing_file_exits_one(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "nope.json"), "4")
@@ -155,6 +171,12 @@ class TestOracleCommand:
         code, _, _ = run(capsys, "oracle", "3", "9")
         assert code == EXIT_VALIDATION
 
+    def test_json_golden(self, capsys):
+        code, out, _ = run(capsys, "oracle", "5", "4", "--format", "json")
+        assert code == EXIT_OK
+        assert out == ('{"n":5,"k":4,"status":"found","min_calls":5,"refuted_depth":4,'
+                       '"nodes":32,"witness":[[0,1],[0,2],[0,3],[0,1],[2,4]]}\n')
+
 
 class TestCheckLemmaCommand:
     def test_clean_suite_exits_zero(self, capsys):
@@ -172,3 +194,13 @@ class TestCheckLemmaCommand:
         assert code == EXIT_VIOLATION
         doc = json.loads(out)
         assert len(doc["violations"]) >= 1
+
+    @pytest.mark.parametrize("flag,value", [("--max-n", "4"), ("--prelim-max", "0")])
+    def test_l2_without_sampled_range_runs_exhaustive_box(self, capsys, flag, value):
+        # the sampled phase needs n >= 5 and at least one preliminary call
+        code, out, err = run(capsys, "check-lemma", "L2", flag, value, "--format", "json")
+        assert code == EXIT_OK
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["violations"] == []
+        assert doc["checked"] > 0

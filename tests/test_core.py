@@ -179,6 +179,9 @@ class TestScheduleJson:
             '{"n": 2, "calls": [[0, 2]]}',
             '{"n": 2, "calls": [[0, 0]]}',
             '{"n": 2, "calls": [[0, 1]], "preliminary": [[0, "x"]]}',
+            '{"n": true, "calls": []}',
+            '{"n": 3, "calls": [[true, 2]]}',
+            '{"n": 3, "calls": [], "preliminary": [[0, false]]}',
         ],
     )
     def test_malformed_documents_rejected(self, text):

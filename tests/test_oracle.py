@@ -1,6 +1,8 @@
 """Search engine soundness, canonicalization and the scheme enumerators."""
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 import pytest
@@ -18,6 +20,7 @@ from partialgossip import (
     p_min_calls,
 )
 from partialgossip.graph import full_graph, classify_components, ComponentKind
+from partialgossip import oracle
 from partialgossip.oracle import FOUND, TIMEOUT, _lower_bound
 
 
@@ -48,9 +51,11 @@ class TestMinCalls:
         assert is_k_informing(r.witness, 4)
 
     def test_no_canonicalization_agrees(self):
-        for n, k in [(4, 3), (4, 4), (5, 3), (5, 5)]:
-            plain = min_calls_bruteforce(n, k, SearchConfig(canonicalize=False))
-            assert plain.min_calls == p_min_calls(n, k)
+        for n in range(2, 7):
+            for k in range(2, n + 1):
+                plain = min_calls_bruteforce(n, k, SearchConfig(canonicalize=False))
+                canonical = min_calls_bruteforce(n, k)
+                assert plain.min_calls == canonical.min_calls == p_min_calls(n, k)
 
     def test_timeout_yields_no_number(self):
         r = min_calls_bruteforce(8, 8, SearchConfig(time_budget=0.05))
@@ -58,6 +63,14 @@ class TestMinCalls:
         assert r.min_calls is None
         assert r.witness is None
         assert r.refuted_depth < 12  # true answer; budget is far too small to prove it
+
+    def test_stats_counted_per_search(self):
+        r = min_calls_bruteforce(6, 6)
+        assert set(r.stats) == {"memo_hits", "memo_stores", "lb_prunes"}
+        assert r.stats["memo_hits"] > 0 and r.stats["lb_prunes"] > 0
+        # goals and the nodes on the witness path are neither pruned nor stored
+        assert r.stats["memo_hits"] + r.stats["memo_stores"] + r.stats["lb_prunes"] < r.nodes
+        assert min_calls_bruteforce(6, 6).stats == r.stats
 
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
@@ -80,10 +93,10 @@ class TestLowerBound:
         assert _lower_bound(state, 2) == 0
 
 
-def _random_state(rng: random.Random, n: int) -> tuple[int, ...]:
+def _random_state(rng: random.Random, n: int, max_calls: int = 5) -> tuple[int, ...]:
     calls = [
         tuple(rng.sample(range(n), 2))
-        for _ in range(rng.randrange(0, 6))
+        for _ in range(rng.randrange(0, max_calls + 1))
     ]
     know = [1 << p for p in range(n)]
     for a, b in calls:
@@ -105,6 +118,91 @@ def _apply_person_permutation(state: tuple[int, ...], perm: list[int]) -> tuple[
     return tuple(out)
 
 
+def _reachable_states(n: int, max_calls: int | None = None) -> set[tuple[int, ...]]:
+    """Every state reachable from the initial one within max_calls calls."""
+    initial = tuple(1 << p for p in range(n))
+    seen = {initial}
+    frontier = [initial]
+    calls = 0
+    while frontier and (max_calls is None or calls < max_calls):
+        nxt = []
+        for st_ in frontier:
+            for a in range(n):
+                for b in range(a + 1, n):
+                    u = st_[a] | st_[b]
+                    child = st_[:a] + (u,) + st_[a + 1 : b] + (u,) + st_[b + 1 :]
+                    if child not in seen:
+                        seen.add(child)
+                        nxt.append(child)
+        frontier = nxt
+        calls += 1
+    return seen
+
+
+# Reference copy of the canonical form before twin reduction: the minimum over
+# every permutation that maps each refined color cell onto its positions.
+
+
+def _reference_refine_colors(state: tuple[int, ...], n: int) -> list[int]:
+    col = [0] * n
+    for row in state:
+        x = row
+        while x:
+            col[(x & -x).bit_length() - 1] += 1
+            x &= x - 1
+    sigs: list = [(state[p].bit_count(), col[p]) for p in range(n)]
+    ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
+    colors = [ranking[s] for s in sigs]
+    while True:
+        sigs = []
+        for p in range(n):
+            known = []
+            x = state[p]
+            while x:
+                known.append(colors[(x & -x).bit_length() - 1])
+                x &= x - 1
+            knowers = [colors[q] for q in range(n) if (state[q] >> p) & 1]
+            sigs.append((colors[p], tuple(sorted(known)), tuple(sorted(knowers))))
+        ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        new = [ranking[s] for s in sigs]
+        if len(set(new)) == len(set(colors)):
+            return new
+        colors = new
+
+
+def _reference_key(state: tuple[int, ...], n: int) -> tuple[int, ...]:
+    colors = _reference_refine_colors(state, n)
+    groups: dict[int, list[int]] = {}
+    for p in range(n):
+        groups.setdefault(colors[p], []).append(p)
+    ordered = [groups[c] for c in sorted(groups)]
+    best = None
+    for pieces in itertools.product(*(itertools.permutations(g) for g in ordered)):
+        perm = [p for piece in pieces for p in piece]
+        inverse = [0] * n
+        for pos, p in enumerate(perm):
+            inverse[p] = pos
+        cand = _apply_person_permutation(state, inverse)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def _twin_arrangements(state: tuple[int, ...], n: int) -> int:
+    """Twin-class arrangements that canonical_key has to try for this state."""
+    known = [[g for g in range(n) if (state[p] >> g) & 1] for p in range(n)]
+    knowers = [[q for q in range(n) if (state[q] >> g) & 1] for g in range(n)]
+    col = [sum(1 << q for q in knowers[g]) for g in range(n)]
+    colors = oracle._refine_colors(known, knowers)
+    count = 1
+    for c in set(colors):
+        cell = [p for p in range(n) if colors[p] == c]
+        count *= math.factorial(len(cell))
+        for cls in oracle._twin_classes(cell, state, col):
+            count //= math.factorial(len(cls))
+    return count
+
+
 class TestCanonicalKey:
     def test_invariant_under_joint_relabeling(self):
         rng = random.Random(7)
@@ -115,6 +213,42 @@ class TestCanonicalKey:
             rng.shuffle(perm)
             relabeled = _apply_person_permutation(state, perm)
             assert canonical_key(state, n) == canonical_key(relabeled, n)
+        # larger n, where cells can exceed the cap before twin reduction
+        in_cap = 0
+        for _ in range(3000):
+            n = rng.randrange(7, 11)
+            state = _random_state(rng, n, max_calls=2 * n)
+            if _twin_arrangements(state, n) > oracle._CANON_PERM_CAP:
+                continue
+            in_cap += 1
+            perm = list(range(n))
+            rng.shuffle(perm)
+            relabeled = _apply_person_permutation(state, perm)
+            assert canonical_key(state, n) == canonical_key(relabeled, n)
+        assert in_cap > 2900
+
+    def test_matches_reference_on_small_states(self):
+        # n <= 6 keeps every cell within the cap, so the reference key is exact
+        for n in range(1, 7):
+            for state in _reachable_states(n, max_calls=4):
+                assert canonical_key(state, n) == _reference_key(state, n)
+
+    def test_keys_separate_exactly_the_relabeling_classes(self):
+        for n in range(2, 6):
+            states = _reachable_states(n)
+            key_of = {state: canonical_key(state, n) for state in states}
+            perms = list(itertools.permutations(range(n)))
+            class_of_key: dict = {}
+            unvisited = set(states)
+            while unvisited:
+                state = unvisited.pop()
+                orbit = {_apply_person_permutation(state, list(perm)) for perm in perms}
+                unvisited -= orbit
+                keys = {key_of[member] for member in orbit}
+                assert len(keys) == 1  # equivalent states share a key
+                (key,) = keys
+                assert key not in class_of_key  # inequivalent states do not
+                class_of_key[key] = state
 
     def test_key_is_a_relabeling_of_its_state(self):
         rng = random.Random(11)
