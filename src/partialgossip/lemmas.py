@@ -12,13 +12,20 @@ Documented instance ranges (defaults in LemmaParams):
   alone: L1a, L1b and the exact-tree filter of L3), uniformly sampled for
   n in {6, 7, 8};
 * unicyclic schemes: exhaustive for n <= 4, sampled for n in {5, ..., 8};
-* preliminary-call counts: up to 3; single calls and disjoint-edge
-  matchings are enumerated, denser preliminary graphs are sampled;
+* preliminary-call counts: up to 3.  Unions of disjoint edges (single
+  calls included) are listed in full while a given (n, size) has at most
+  48 of them; above that, 48 are sampled per tree.  Denser preliminary
+  lists are sampled: 10 per call, 5 in L5b;
+* L2: an exhaustive box over n in {3, 4}, up to 4 base calls and
+  ell <= min(2, max_prelim) preliminary calls (only ell = 0 when
+  max_prelim is 0), plus ``samples`` random instances on 5..max_sampled_n
+  persons when max_sampled_n >= 5 and max_prelim >= 1;
 * call-sequence suites: exhaustive while the sequence space is small,
   sampled beyond.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -45,6 +52,8 @@ class LemmaReport:
     lemma_id: str
     instances_checked: int
     violations: list[Violation]
+    # candidates evaluated before the hypothesis filter; not part of the JSON
+    generated: int = 0
 
     @property
     def ok(self) -> bool:
@@ -85,6 +94,12 @@ def check_lemma(lemma_id: str, params: LemmaParams | None = None) -> LemmaReport
     if lemma_id not in LEMMA_IDS:
         raise ValidationError(f"unknown lemma id {lemma_id!r}; valid: {', '.join(LEMMA_IDS)}")
     params = params or LemmaParams()
+    if params.samples < 0:
+        raise ValidationError(f"samples must be >= 0, got {params.samples}")
+    if params.max_prelim < 0:
+        raise ValidationError(f"max_prelim must be >= 0, got {params.max_prelim}")
+    if params.max_sampled_n < 2:
+        raise ValidationError(f"max_sampled_n must be >= 2, got {params.max_sampled_n}")
     return _CHECKERS[lemma_id](params)
 
 
@@ -129,10 +144,11 @@ def _unicyclic_schemes(params: LemmaParams, exhaustive_to: int = 4):
             yield n, [(c.a, c.b) for c in s.calls]
 
 
-def _matchings(n: int, size: int, rng: random.Random, cap: int = 48):
-    """Preliminary graphs that are unions of ``size`` disjoint edges.
+@functools.lru_cache(maxsize=None)
+def _all_matchings(n: int, size: int) -> tuple:
+    """Every union of ``size`` disjoint edges on n persons, as tuples of pairs.
 
-    Exhaustive while there are at most ``cap`` of them, else ``cap`` sampled.
+    The order is that of ``itertools.combinations`` over the sorted pairs.
     """
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     found = []
@@ -145,12 +161,24 @@ def _matchings(n: int, size: int, rng: random.Random, cap: int = 48):
                 break
             used.update((a, b))
         if ok:
-            found.append(list(combo))
+            found.append(combo)
+    return tuple(found)
+
+
+def _matchings(n: int, size: int, rng: random.Random, cap: int = 48):
+    """Preliminary graphs that are unions of ``size`` disjoint edges.
+
+    Exhaustive while there are at most ``cap`` of them, else ``cap`` sampled.
+    The enumeration is cached per (n, size); each call still makes the same
+    single ``rng.sample`` draw, so the seeded stream, and hence every
+    suite's instances, do not depend on the cache.
+    """
+    found = _all_matchings(n, size)
     if len(found) <= cap:
-        yield from found
+        yield from map(list, found)
     else:
         for idx in rng.sample(range(len(found)), cap):
-            yield found[idx]
+            yield list(found[idx])
 
 
 def _prelim_lists(n: int, size: int, rng: random.Random, general_samples: int = 10):
@@ -188,15 +216,16 @@ def _check_l1a(params: LemmaParams) -> LemmaReport:
         checked += 1
         if n < bound:
             violations.append(Violation(_describe(n, pairs, k=kmax), bound, n))
-    return LemmaReport("L1a", checked, violations)
+    return LemmaReport("L1a", checked, violations, generated=checked)
 
 
 def _check_l1b(params: LemmaParams) -> LemmaReport:
     """Tree with one kp-informed person and the rest k-informed: size bound."""
-    checked = 0
+    checked = generated = 0
     violations = []
     exhaustive_to = params.max_exhaustive_n or 6
     for n, pairs in _tree_schemes(params, exhaustive_to):
+        generated += 1
         if n < 2:
             continue
         aw = _aw(n, pairs)
@@ -207,14 +236,15 @@ def _check_l1b(params: LemmaParams) -> LemmaReport:
         checked += 1
         if n < bound:
             violations.append(Violation(_describe(n, pairs, k=k, kp=kp), bound, n))
-    return LemmaReport("L1b", checked, violations)
+    return LemmaReport("L1b", checked, violations, generated)
 
 
 def _check_l1c(params: LemmaParams) -> LemmaReport:
     """Unicyclic k-informing scheme (k >= 4) has at least 2^(k-2) vertices."""
-    checked = 0
+    checked = generated = 0
     violations = []
     for n, pairs in _unicyclic_schemes(params):
+        generated += 1
         kmax = min(_aw(n, pairs))
         if kmax < 4:
             continue
@@ -222,7 +252,7 @@ def _check_l1c(params: LemmaParams) -> LemmaReport:
         checked += 1
         if n < bound:
             violations.append(Violation(_describe(n, pairs, k=kmax), bound, n))
-    return LemmaReport("L1c", checked, violations)
+    return LemmaReport("L1c", checked, violations, generated)
 
 
 def _check_l2(params: LemmaParams) -> LemmaReport:
@@ -243,12 +273,14 @@ def _check_l2(params: LemmaParams) -> LemmaReport:
                 Violation(_describe(n, base, prelim, max_gain=gain), allowed, gain)
             )
 
-    # exhaustive small box: every schedule and every preliminary list
+    # exhaustive small box: every schedule and every preliminary list of up
+    # to min(2, max_prelim) calls; with max_prelim = 0 only the empty list
+    ells = range(1, min(2, params.max_prelim) + 1) if params.max_prelim else (0,)
     for n, max_len in ((3, 4), (4, 4)):
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
         for length in range(0, max_len + 1):
             for base in itertools.product(pairs, repeat=length):
-                for ell in (1, 2):
+                for ell in ells:
                     for prelim in itertools.product(pairs, repeat=ell):
                         run(n, base, prelim)
     # sampled larger instances; they need n >= 5 and at least one preliminary call
@@ -260,7 +292,7 @@ def _check_l2(params: LemmaParams) -> LemmaReport:
             ell = rng.randrange(1, params.max_prelim + 1)
             prelim = [pairs[rng.randrange(len(pairs))] for _ in range(ell)]
             run(n, base, prelim)
-    return LemmaReport("L2", checked, violations)
+    return LemmaReport("L2", checked, violations, generated=checked)
 
 
 def _exact_k_trees(params: LemmaParams, exhaustive_to: int = 6):
@@ -277,12 +309,13 @@ def _exact_k_trees(params: LemmaParams, exhaustive_to: int = 6):
 
 def _check_l3(params: LemmaParams) -> LemmaReport:
     """Exact k-informing tree lifted to all (k+ell)-informed: n >= 2^(k-1)+ell-1."""
-    checked = 0
+    checked = generated = 0
     violations = []
     rng = params.rng()
     for n, k, base in _exact_k_trees(params, params.max_exhaustive_n or 6):
         for ell in range(1, params.max_prelim + 1):
             for prelim in _prelim_lists(n, ell, rng):
+                generated += 1
                 if min(_aw(n, list(prelim) + list(base))) < k + ell:
                     continue  # hypothesis not satisfied
                 bound = (1 << (k - 1)) + ell - 1 + params.bound_slack
@@ -291,7 +324,7 @@ def _check_l3(params: LemmaParams) -> LemmaReport:
                     violations.append(
                         Violation(_describe(n, base, prelim, k=k, ell=ell), bound, n)
                     )
-    return LemmaReport("L3", checked, violations)
+    return LemmaReport("L3", checked, violations, generated)
 
 
 def _enlarged_tree_instances(params: LemmaParams, outsiders: int):
@@ -326,10 +359,11 @@ def _check_l4(params: LemmaParams, lemma_id: str) -> LemmaReport:
     them touch outsiders and only requires the tree's own vertices to end
     k-informed, counting outsiders in n.
     """
-    checked = 0
+    checked = generated = 0
     violations = []
     outsiders = 0 if lemma_id == "L4a" else 2
     for universe, n_total, m, tree, prelim in _enlarged_tree_instances(params, outsiders):
+        generated += 1
         aw = _aw(universe, list(prelim) + list(tree))
         k = min(aw[:m])
         i = len(prelim)
@@ -341,14 +375,15 @@ def _check_l4(params: LemmaParams, lemma_id: str) -> LemmaReport:
             violations.append(
                 Violation(_describe(m, tree, prelim, k=k, i=i), bound, n_total)
             )
-    return LemmaReport(lemma_id, checked, violations)
+    return LemmaReport(lemma_id, checked, violations, generated)
 
 
 def _check_l5a(params: LemmaParams) -> LemmaReport:
     """Tree whose vertices, except one, end k-informed after i prelims: n >= t_i(k)."""
-    checked = 0
+    checked = generated = 0
     violations = []
     for universe, n_total, m, tree, prelim in _enlarged_tree_instances(params, outsiders=1):
+        generated += 1
         if len(tree) < 1 or m < 2:
             continue
         aw = _aw(universe, list(prelim) + list(tree))
@@ -364,17 +399,18 @@ def _check_l5a(params: LemmaParams) -> LemmaReport:
             violations.append(
                 Violation(_describe(m, tree, prelim, k=k, i=i), bound, n_total)
             )
-    return LemmaReport("L5a", checked, violations)
+    return LemmaReport("L5a", checked, violations, generated)
 
 
 def _check_l5b(params: LemmaParams) -> LemmaReport:
     """Unicyclic scheme whose vertices all end k-informed after i prelims: n >= t_i(k)."""
-    checked = 0
+    checked = generated = 0
     violations = []
     rng = params.rng()
     for m, pairs in _unicyclic_schemes(params):
         for i in range(0, params.max_prelim + 1):
             for prelim in _prelim_lists(m, i, rng, general_samples=5):
+                generated += 1
                 k = min(_aw(m, list(prelim) + list(pairs)))
                 if k < 4 or i > k - 4:
                     continue
@@ -384,7 +420,7 @@ def _check_l5b(params: LemmaParams) -> LemmaReport:
                     violations.append(
                         Violation(_describe(m, pairs, prelim, k=k, i=i), bound, m)
                     )
-    return LemmaReport("L5b", checked, violations)
+    return LemmaReport("L5b", checked, violations, generated)
 
 
 def _check_l6s1(params: LemmaParams) -> LemmaReport:
@@ -420,7 +456,7 @@ def _check_l6s1(params: LemmaParams) -> LemmaReport:
                                     informed,
                                 )
                             )
-    return LemmaReport("L6s1", checked, violations)
+    return LemmaReport("L6s1", checked, violations, generated=checked)
 
 
 _CHECKERS = {

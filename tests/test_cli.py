@@ -204,3 +204,15 @@ class TestCheckLemmaCommand:
         doc = json.loads(out)
         assert doc["violations"] == []
         assert doc["checked"] > 0
+
+    @pytest.mark.parametrize("lemma,flag,value", [
+        ("L3", "--samples", "-1"),
+        ("L5b", "--prelim-max", "-2"),
+        ("L1a", "--max-n", "-3"),
+    ])
+    def test_out_of_range_parameter_exits_one(self, capsys, lemma, flag, value):
+        code, out, err = run(capsys, "check-lemma", lemma, flag, value)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1

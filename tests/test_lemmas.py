@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import random
 
 import pytest
 
@@ -16,6 +18,7 @@ from partialgossip import (
     LemmaParams,
     simulate,
 )
+from partialgossip import lemmas
 from partialgossip.lemmas import LEMMA_IDS
 
 # small ranges so the whole file stays fast; the acceptance suite runs the
@@ -27,6 +30,7 @@ FAST = dict(max_sampled_n=5, samples=40, max_prelim=2)
 def test_no_violations_on_valid_instances(lemma_id):
     report = check_lemma(lemma_id, LemmaParams(**FAST))
     assert report.instances_checked > 0
+    assert report.generated >= report.instances_checked
     assert report.violations == []
 
 
@@ -94,3 +98,74 @@ def test_two_preliminary_lift_needs_nine_vertices(
     for prelim in itertools.combinations(pairs, 2):
         lifted = awareness(apply_preliminary(AugmentedSchedule(list(prelim), hub_tree_8)))
         assert min(lifted) < 6
+
+
+@pytest.mark.parametrize("max_prelim,expected", [(0, 121 + 1555), (1, 121 * 3 + 1555 * 6)])
+def test_l2_box_respects_max_prelim(max_prelim, expected):
+    """The exhaustive L2 box uses exactly max_prelim preliminary calls here.
+
+    A slack of max_prelim + 1 makes every instance a violation, so the
+    reports list the whole box: 121 (n = 3) and 1,555 (n = 4) base
+    schedules of up to 4 calls, times the preliminary lists.
+    """
+    report = check_lemma("L2", LemmaParams(max_sampled_n=4, max_prelim=max_prelim,
+                                           bound_slack=max_prelim + 1))
+    assert report.instances_checked == expected
+    assert len(report.violations) == expected
+    assert {len(v.instance["preliminary"]) for v in report.violations} == {max_prelim}
+
+
+def _reference_matchings(n, size, rng, cap=48):
+    """The uncached enumeration, kept as the reference for lemmas._matchings."""
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    found = []
+    for combo in itertools.combinations(pairs, size):
+        used = set()
+        ok = True
+        for a, b in combo:
+            if a in used or b in used:
+                ok = False
+                break
+            used.update((a, b))
+        if ok:
+            found.append(list(combo))
+    if len(found) <= cap:
+        yield from found
+    else:
+        for idx in rng.sample(range(len(found)), cap):
+            yield found[idx]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_cached_matchings_match_reference(seed):
+    ours, ref = random.Random(seed), random.Random(seed)
+    for _ in range(2):  # the second round reads the cache
+        for n in range(1, 11):
+            for size in range(0, 4):
+                assert list(lemmas._matchings(n, size, ours)) == list(
+                    _reference_matchings(n, size, ref)
+                ), (n, size)
+                assert ours.getstate() == ref.getstate(), (n, size)
+
+
+def test_all_matchings_count():
+    for n in range(1, 11):
+        for s in range(0, 4):
+            expected = (
+                math.factorial(n) // (2**s * math.factorial(s) * math.factorial(n - 2 * s))
+                if 2 * s <= n else 0
+            )
+            assert len(lemmas._all_matchings(n, s)) == expected, (n, s)
+
+
+@pytest.mark.parametrize("bound_slack", [0, 1])
+@pytest.mark.parametrize("lemma_id", ["L3", "L4a", "L4b", "L5a", "L5b"])
+def test_suites_unchanged_by_matching_cache(monkeypatch, lemma_id, bound_slack):
+    params = LemmaParams(**FAST, bound_slack=bound_slack)
+    ours = check_lemma(lemma_id, params)
+    monkeypatch.setattr(lemmas, "_matchings", _reference_matchings)
+    ref = check_lemma(lemma_id, params)
+    assert ours.to_json_dict() == ref.to_json_dict()
+    assert ours.generated == ref.generated
+    if lemma_id == "L4b":
+        assert ours.generated == 283_365
