@@ -43,13 +43,21 @@ def t_value(i: int, k: int) -> int:
 def classify_regime(n: int, k: int) -> TRegime:
     """Classify (n,k) with n >= k >= 2 into its P(n,k) regime."""
     _check_nk(n, k)
-    if n >= (1 << (k - 1)) - 1:
+    # n >= 2^(k-1) - 1 exactly when n + 1 has at least k binary digits
+    if (n + 1).bit_length() >= k:
         return TRegime(REGIME_CEIL_FRACTION)
-    # here k >= 4 (for k in {2,3}, n >= k already implies the branch above)
-    for i in range(0, k - 3):
-        if t_value(i, k) <= n < t_value(i - 1, k):
-            return TRegime(REGIME_BAND, i)
-    raise AssertionError(f"no band found for n={n}, k={k}")  # t_{k-4}(k)=k makes this unreachable
+    # here k >= 4 (for k in {2,3}, n >= k already implies the branch above).
+    # t_i(k) decreases in i and t_{k-4}(k) = k <= n, so the band is the
+    # smallest i with t_i(k) <= n, found by bisection.  t_i(k) <= n means
+    # 2^(k-i-2) <= n - i, tested on bit lengths without building 2^(k-i-2).
+    lo, hi = 0, k - 4
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if k - mid - 2 < (n - mid).bit_length():
+            hi = mid
+        else:
+            lo = mid + 1
+    return TRegime(REGIME_BAND, lo)
 
 
 def p_min_calls(n: int, k: int) -> int:

@@ -8,9 +8,15 @@ is able to fail.
 
 Documented instance ranges (defaults in LemmaParams):
 
-* tree schemes: exhaustive for n <= 5 (n <= 6 for the suites over trees
-  alone: L1a, L1b and the exact-tree filter of L3), uniformly sampled for
-  n in {6, 7, 8};
+* tree schemes for L1a, L1b and the exact-tree filter of L3: exhaustive for
+  n <= 6, uniformly sampled for n in {7, 8};
+* tree schemes for L4a, L4b and L5a: every class of tree schemes on m
+  persons, up to joint relabeling of the final state, that leaves everyone
+  (L4a, L4b: m in {2, ..., 10}) or everyone but one person (L5a: m in
+  {2, ..., 9}) knowing at least 4 gossips; no other tree can meet their
+  hypotheses (see _enlarged_tree_instances).  That is 1, 4 and 25 classes
+  for m = 8, 9, 10 and 1, 4, 17, 67 and 257 for m = 5, ..., 9, and none
+  below.  ``max_exhaustive_n`` moves the upper end, to at most 11;
 * unicyclic schemes: exhaustive for n <= 4, sampled for n in {5, ..., 8};
 * preliminary-call counts: up to 3.  Unions of disjoint edges (single
   calls included) are listed in full while a given (n, size) has at most
@@ -27,13 +33,20 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 from .core import ValidationError
 from .constructions import minimal_informing_tree
 from .formulas import lemma1b_bound, t_value
-from .oracle import enumerate_tree_schemes, enumerate_unicyclic_schemes, labeled_trees
+from .oracle import (
+    enumerate_tree_schemes,
+    enumerate_unicyclic_schemes,
+    informing_tree_classes,
+    labeled_trees,
+)
 
 LEMMA_IDS = (
     "L1a", "L1b", "L1c", "L2", "L3", "L4a", "L4b", "L5a", "L5b", "L6s1",
@@ -54,6 +67,10 @@ class LemmaReport:
     violations: list[Violation]
     # candidates evaluated before the hypothesis filter; not part of the JSON
     generated: int = 0
+    # checked instances per (n, k, i): persons, the k the instance was
+    # checked at and its preliminary calls (0 without any); empty for L2,
+    # whose hypothesis names no k; not part of the JSON
+    coverage: Counter = field(default_factory=Counter)
 
     @property
     def ok(self) -> bool:
@@ -148,37 +165,85 @@ def _unicyclic_schemes(params: LemmaParams, exhaustive_to: int = 4):
 def _all_matchings(n: int, size: int) -> tuple:
     """Every union of ``size`` disjoint edges on n persons, as tuples of pairs.
 
-    The order is that of ``itertools.combinations`` over the sorted pairs.
+    The order is that of ``itertools.combinations`` over the sorted pairs:
+    the pairs of a matching have distinct smaller ends, so a depth-first
+    walk that picks them by increasing smaller end, skipping used persons,
+    lists the matchings in that lexicographic order.  A branch stops once
+    too few free persons are left above it, so the cost follows the output.
     """
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     found = []
-    for combo in itertools.combinations(pairs, size):
-        used: set[int] = set()
-        ok = True
-        for a, b in combo:
-            if a in used or b in used:
-                ok = False
-                break
-            used.update((a, b))
-        if ok:
-            found.append(combo)
+    chosen: list[tuple[int, int]] = []
+
+    def extend(start: int, used: int) -> None:
+        need = size - len(chosen)
+        if need == 0:
+            found.append(tuple(chosen))
+            return
+        for a in range(start, n):
+            if n - a - (used >> a).bit_count() < 2 * need:
+                break  # free persons from a upwards only get fewer
+            if used >> a & 1:
+                continue
+            for b in range(a + 1, n):
+                if not used >> b & 1:
+                    chosen.append((a, b))
+                    extend(a + 1, used | 1 << a | 1 << b)
+                    chosen.pop()
+
+    extend(0, 0)
     return tuple(found)
+
+
+def _matching_count(n: int, size: int) -> int:
+    """How many unions of ``size`` disjoint edges n persons have."""
+    if 2 * size > n:
+        return 0
+    return math.factorial(n) // (
+        2**size * math.factorial(size) * math.factorial(n - 2 * size)
+    )
+
+
+def _matching_at(n: int, size: int, idx: int) -> tuple:
+    """``_all_matchings(n, size)[idx]``, found without listing the others.
+
+    A matching whose first pair is (a, b) uses only persons above a apart
+    from b in its other pairs, so each (a, b) heads a block of
+    ``_matching_count(persons above a - 1, size - 1)`` matchings.  Skipping
+    whole blocks and recursing on the persons left unranks idx.
+    """
+    free = list(range(n))
+    out = []
+    for left in range(size, 0, -1):
+        x = 0
+        while True:
+            rest = len(free) - x - 2  # persons above free[x], apart from its partner
+            block = _matching_count(rest, left - 1)
+            if idx < (rest + 1) * block:
+                break
+            idx -= (rest + 1) * block
+            x += 1
+        y = x + 1 + idx // block
+        idx %= block
+        out.append((free[x], free[y]))
+        free = free[x + 1 : y] + free[y + 1 :]
+    return tuple(out)
 
 
 def _matchings(n: int, size: int, rng: random.Random, cap: int = 48):
     """Preliminary graphs that are unions of ``size`` disjoint edges.
 
-    Exhaustive while there are at most ``cap`` of them, else ``cap`` sampled.
-    The enumeration is cached per (n, size); each call still makes the same
-    single ``rng.sample`` draw, so the seeded stream, and hence every
-    suite's instances, do not depend on the cache.
+    Exhaustive while there are at most ``cap`` of them, else ``cap`` sampled
+    by index in the order of ``_all_matchings``, so larger sets are never
+    listed.  Each call makes one ``rng.sample`` draw over the whole index
+    range, so the seeded stream, and hence every suite's instances, match
+    an enumeration that lists every matching and samples from the list.
     """
-    found = _all_matchings(n, size)
-    if len(found) <= cap:
-        yield from map(list, found)
+    count = _matching_count(n, size)
+    if count <= cap:
+        yield from map(list, _all_matchings(n, size))
     else:
-        for idx in rng.sample(range(len(found)), cap):
-            yield list(found[idx])
+        for idx in rng.sample(range(count), cap):
+            yield list(_matching_at(n, size, idx))
 
 
 def _prelim_lists(n: int, size: int, rng: random.Random, general_samples: int = 10):
@@ -207,22 +272,23 @@ def _describe(n: int, pairs, prelim=None, **extra) -> dict:
 
 def _check_l1a(params: LemmaParams) -> LemmaReport:
     """k-informing tree on n persons implies n >= 2^(k-1)."""
-    checked = 0
     violations = []
+    coverage = Counter()
     exhaustive_to = params.max_exhaustive_n or 6
     for n, pairs in _tree_schemes(params, exhaustive_to):
         kmax = min(_aw(n, pairs))
         bound = (1 << (kmax - 1)) + params.bound_slack
-        checked += 1
+        coverage[n, kmax, 0] += 1
         if n < bound:
             violations.append(Violation(_describe(n, pairs, k=kmax), bound, n))
-    return LemmaReport("L1a", checked, violations, generated=checked)
+    return LemmaReport("L1a", coverage.total(), violations, coverage.total(), coverage)
 
 
 def _check_l1b(params: LemmaParams) -> LemmaReport:
     """Tree with one kp-informed person and the rest k-informed: size bound."""
-    checked = generated = 0
+    generated = 0
     violations = []
+    coverage = Counter()
     exhaustive_to = params.max_exhaustive_n or 6
     for n, pairs in _tree_schemes(params, exhaustive_to):
         generated += 1
@@ -233,26 +299,27 @@ def _check_l1b(params: LemmaParams) -> LemmaReport:
         weakest = aw.index(kp)
         k = min(a for p, a in enumerate(aw) if p != weakest)
         bound = lemma1b_bound(k, kp) + params.bound_slack
-        checked += 1
+        coverage[n, k, 0] += 1
         if n < bound:
             violations.append(Violation(_describe(n, pairs, k=k, kp=kp), bound, n))
-    return LemmaReport("L1b", checked, violations, generated)
+    return LemmaReport("L1b", coverage.total(), violations, generated, coverage)
 
 
 def _check_l1c(params: LemmaParams) -> LemmaReport:
     """Unicyclic k-informing scheme (k >= 4) has at least 2^(k-2) vertices."""
-    checked = generated = 0
+    generated = 0
     violations = []
+    coverage = Counter()
     for n, pairs in _unicyclic_schemes(params):
         generated += 1
         kmax = min(_aw(n, pairs))
         if kmax < 4:
             continue
         bound = (1 << (kmax - 2)) + params.bound_slack
-        checked += 1
+        coverage[n, kmax, 0] += 1
         if n < bound:
             violations.append(Violation(_describe(n, pairs, k=kmax), bound, n))
-    return LemmaReport("L1c", checked, violations, generated)
+    return LemmaReport("L1c", coverage.total(), violations, generated, coverage)
 
 
 def _check_l2(params: LemmaParams) -> LemmaReport:
@@ -309,8 +376,9 @@ def _exact_k_trees(params: LemmaParams, exhaustive_to: int = 6):
 
 def _check_l3(params: LemmaParams) -> LemmaReport:
     """Exact k-informing tree lifted to all (k+ell)-informed: n >= 2^(k-1)+ell-1."""
-    checked = generated = 0
+    generated = 0
     violations = []
+    coverage = Counter()
     rng = params.rng()
     for n, k, base in _exact_k_trees(params, params.max_exhaustive_n or 6):
         for ell in range(1, params.max_prelim + 1):
@@ -319,16 +387,31 @@ def _check_l3(params: LemmaParams) -> LemmaReport:
                 if min(_aw(n, list(prelim) + list(base))) < k + ell:
                     continue  # hypothesis not satisfied
                 bound = (1 << (k - 1)) + ell - 1 + params.bound_slack
-                checked += 1
+                coverage[n, k + ell, ell] += 1
                 if n < bound:
                     violations.append(
                         Violation(_describe(n, base, prelim, k=k, ell=ell), bound, n)
                     )
-    return LemmaReport("L3", checked, violations, generated)
+    return LemmaReport("L3", coverage.total(), violations, generated, coverage)
 
 
-def _enlarged_tree_instances(params: LemmaParams, outsiders: int):
+def _enlarged_tree_instances(params: LemmaParams, outsiders: int, spare: int, top: int):
     """(universe, n_total, m, tree_pairs, prelims): trees with prepended calls.
+
+    The trees are one scheme per class of ``informing_tree_classes(m, 4,
+    spare)`` for m from 2 to ``max_exhaustive_n`` (default ``top``).  No
+    tree outside those classes can meet the hypotheses, and no class member
+    would add a different instance:
+
+    1. The tree's calls run after the preliminary calls, so person v ends
+       with the OR of P[u] over the gossips u in T[v], where P is the state
+       after the preliminary calls and T the tree's own final state.  The
+       outcome therefore depends only on T, and relabeling T jointly with
+       the preliminary calls relabels the outcome.
+    2. i preliminary calls raise nobody's awareness by more than i (the L2
+       component argument).  So a tree whose own minimum awareness (with
+       ``spare`` = 1, its second smallest) is below 4 can never end with
+       k >= 4 + i.
 
     The tree lives on persons [0, m); preliminary calls may touch up to
     ``outsiders`` extra persons and must use exactly the allotted number so
@@ -336,20 +419,17 @@ def _enlarged_tree_instances(params: LemmaParams, outsiders: int):
     the outsiders actually appearing in preliminary calls.
     """
     rng = params.rng()
-    exhaustive_to = params.max_exhaustive_n or 5
-    trees = list(_tree_schemes(params, exhaustive_to))
-    s = minimal_informing_tree(4)
-    trees.append((s.n, tuple((c.a, c.b) for c in s.calls)))
-    for m, pairs in trees:
-        for o in range(0, outsiders + 1):
-            universe = m + o
-            for ell in range(max(1, o), params.max_prelim + 1):
-                for prelim in _prelim_lists(universe, ell, rng):
-                    extra = {v for p in prelim for v in p if v >= m}
-                    if len(extra) != o:
-                        continue
-                    yield universe, m + o, m, pairs, prelim
-        yield m, m, m, pairs, []  # the i = 0 case
+    for m in range(2, (params.max_exhaustive_n or top) + 1):
+        for pairs in informing_tree_classes(m, 4, spare):
+            for o in range(0, outsiders + 1):
+                universe = m + o
+                for ell in range(max(1, o), params.max_prelim + 1):
+                    for prelim in _prelim_lists(universe, ell, rng):
+                        extra = {v for p in prelim for v in p if v >= m}
+                        if len(extra) != o:
+                            continue
+                        yield universe, m + o, m, pairs, prelim
+            yield m, m, m, pairs, []  # the i = 0 case
 
 
 def _check_l4(params: LemmaParams, lemma_id: str) -> LemmaReport:
@@ -359,10 +439,12 @@ def _check_l4(params: LemmaParams, lemma_id: str) -> LemmaReport:
     them touch outsiders and only requires the tree's own vertices to end
     k-informed, counting outsiders in n.
     """
-    checked = generated = 0
+    generated = 0
     violations = []
+    coverage = Counter()
     outsiders = 0 if lemma_id == "L4a" else 2
-    for universe, n_total, m, tree, prelim in _enlarged_tree_instances(params, outsiders):
+    instances = _enlarged_tree_instances(params, outsiders, spare=0, top=10)
+    for universe, n_total, m, tree, prelim in instances:
         generated += 1
         aw = _aw(universe, list(prelim) + list(tree))
         k = min(aw[:m])
@@ -370,22 +452,22 @@ def _check_l4(params: LemmaParams, lemma_id: str) -> LemmaReport:
         if k < 4 or i > k - 4 or n_total < k:
             continue
         bound = t_value(i - 1, k) + params.bound_slack
-        checked += 1
+        coverage[n_total, k, i] += 1
         if n_total < bound:
             violations.append(
                 Violation(_describe(m, tree, prelim, k=k, i=i), bound, n_total)
             )
-    return LemmaReport(lemma_id, checked, violations, generated)
+    return LemmaReport(lemma_id, coverage.total(), violations, generated, coverage)
 
 
 def _check_l5a(params: LemmaParams) -> LemmaReport:
     """Tree whose vertices, except one, end k-informed after i prelims: n >= t_i(k)."""
-    checked = generated = 0
+    generated = 0
     violations = []
-    for universe, n_total, m, tree, prelim in _enlarged_tree_instances(params, outsiders=1):
+    coverage = Counter()
+    instances = _enlarged_tree_instances(params, outsiders=1, spare=1, top=9)
+    for universe, n_total, m, tree, prelim in instances:
         generated += 1
-        if len(tree) < 1 or m < 2:
-            continue
         aw = _aw(universe, list(prelim) + list(tree))
         tree_aw = aw[:m]
         weakest = tree_aw.index(min(tree_aw))
@@ -394,39 +476,42 @@ def _check_l5a(params: LemmaParams) -> LemmaReport:
         if k < 4 or i > k - 4 or n_total < k:
             continue
         bound = t_value(i, k) + params.bound_slack
-        checked += 1
+        coverage[n_total, k, i] += 1
         if n_total < bound:
             violations.append(
                 Violation(_describe(m, tree, prelim, k=k, i=i), bound, n_total)
             )
-    return LemmaReport("L5a", checked, violations, generated)
+    return LemmaReport("L5a", coverage.total(), violations, generated, coverage)
 
 
 def _check_l5b(params: LemmaParams) -> LemmaReport:
     """Unicyclic scheme whose vertices all end k-informed after i prelims: n >= t_i(k)."""
-    checked = generated = 0
+    generated = 0
     violations = []
+    coverage = Counter()
     rng = params.rng()
     for m, pairs in _unicyclic_schemes(params):
         for i in range(0, params.max_prelim + 1):
             for prelim in _prelim_lists(m, i, rng, general_samples=5):
                 generated += 1
+                if i > m - 4:
+                    continue  # k <= m, so i > k - 4; the list is still drawn
                 k = min(_aw(m, list(prelim) + list(pairs)))
                 if k < 4 or i > k - 4:
                     continue
                 bound = t_value(i, k) + params.bound_slack
-                checked += 1
+                coverage[m, k, i] += 1
                 if m < bound:
                     violations.append(
                         Violation(_describe(m, pairs, prelim, k=k, i=i), bound, m)
                     )
-    return LemmaReport("L5b", checked, violations, generated)
+    return LemmaReport("L5b", coverage.total(), violations, generated, coverage)
 
 
 def _check_l6s1(params: LemmaParams) -> LemmaReport:
     """With n <= t_{i-1}(k)-1, any i+j calls leave at most j persons k-informed."""
-    checked = 0
     violations = []
+    coverage = Counter()
     rng = params.rng()
     exhaustive_cap = 70_000
     for k in (4, 5, 6):
@@ -447,7 +532,7 @@ def _check_l6s1(params: LemmaParams) -> LemmaReport:
                     for seq in seqs:
                         informed = sum(1 for a in _aw(n, seq) if a >= k)
                         allowed = j - params.bound_slack
-                        checked += 1
+                        coverage[n, k, i] += 1
                         if informed > allowed:
                             violations.append(
                                 Violation(
@@ -456,7 +541,7 @@ def _check_l6s1(params: LemmaParams) -> LemmaReport:
                                     informed,
                                 )
                             )
-    return LemmaReport("L6s1", checked, violations, generated=checked)
+    return LemmaReport("L6s1", coverage.total(), violations, coverage.total(), coverage)
 
 
 _CHECKERS = {

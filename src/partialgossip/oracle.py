@@ -17,13 +17,16 @@ knowledge states.  Soundness levers:
   classes are tried; a state with more than _CANON_PERM_CAP arrangements
   gets one deterministic relabeling instead;
 * an admissible lower bound on remaining calls (each call informs at most
-  two persons, and the maximum awareness can at most double per call).
+  two persons, and the maximum awareness can at most double per call).  A
+  child's bound follows from its parent's counts and the two merged rows,
+  so it is tested before the child state is built.
 
 Exceeding the time budget yields a Timeout-style result carrying how far
 the refutation got; it never yields a wrong number.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -242,14 +245,12 @@ def canonical_key(state: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 def _lower_bound(state: tuple[int, ...], k: int) -> int:
     """Admissible bound on calls still needed to make everyone k-informed."""
-    below = 0
-    best = 0
-    for x in state:
-        c = x.bit_count()
-        if c < k:
-            below += 1
-        if c > best:
-            best = c
+    counts = [x.bit_count() for x in state]
+    return _bound(sum(1 for c in counts if c < k), max(counts), k)
+
+
+def _bound(below: int, best: int, k: int) -> int:
+    """_lower_bound of a state with ``below`` persons under k and maximum awareness ``best``."""
     if below == 0:
         return 0
     if best >= k:
@@ -280,28 +281,42 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
     initial = tuple(1 << p for p in range(n))
     memo: dict[tuple[int, ...], int] = {}
     nodes = memo_hits = memo_stores = lb_prunes = 0
+    next_clock_check = 4096
 
     def dfs(state: tuple[int, ...], remaining: int) -> list[tuple[int, int]] | None:
-        """Suffix of calls completing the goal within ``remaining``, or None."""
-        nonlocal nodes, memo_hits, memo_stores, lb_prunes
+        """Suffix of calls completing the goal within ``remaining``, or None.
+
+        The caller has checked that the state's lower bound is at most
+        ``remaining``.  A child whose bound exceeds what is left is cut in
+        the loop, before it is built; it still counts as one node and one
+        lower-bound prune, as if it had been entered.
+        """
+        nonlocal nodes, memo_hits, memo_stores, lb_prunes, next_clock_check
         nodes += 1
-        if nodes % 4096 == 0 and time.monotonic() > deadline:
-            raise _BudgetExceeded
-        lb = _lower_bound(state, k)
-        if lb == 0:
+        if nodes >= next_clock_check:
+            next_clock_check = nodes + 4096
+            if time.monotonic() > deadline:
+                raise _BudgetExceeded
+        counts = [x.bit_count() for x in state]
+        below = sum(1 for c in counts if c < k)
+        if below == 0:
             return []
-        if lb > remaining:
-            lb_prunes += 1
-            return None
         key = canonical_key(state, n) if cfg.canonicalize else state
         if memo.get(key, -1) >= remaining:
             memo_hits += 1
             return None
+        best = max(counts)
         for a, b in pairs:
             sa, sb = state[a], state[b]
             if cfg.prune_noop_calls and sa == sb:
                 continue
             u = sa | sb
+            c = u.bit_count()
+            child_below = below + 2 * (c < k) - (counts[a] < k) - (counts[b] < k)
+            if _bound(child_below, max(best, c), k) >= remaining:
+                nodes += 1
+                lb_prunes += 1
+                continue
             child = state[:a] + (u,) + state[a + 1 : b] + (u,) + state[b + 1 :]
             tail = dfs(child, remaining - 1)
             if tail is not None:
@@ -420,6 +435,62 @@ def enumerate_tree_schemes(n: int, limit: int | None = None, seed: int = 0) -> S
             yield Schedule(n, edges)
 
     return SchemeStream(n, False, count, gen_sampled())
+
+
+INFORMING_TREE_CLASS_LIMIT = 11  # m = 11, k = 4 takes a few seconds
+
+
+@functools.lru_cache(maxsize=None)
+def informing_tree_classes(m: int, k: int, spare: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """One call list per class of m-person tree schemes leaving <= ``spare`` persons below k.
+
+    A person is below k while knowing fewer than k gossips.  Two schemes
+    are in one class when their final states are equal under a joint
+    relabeling of persons and gossips.  The enumeration is isomorph-free in
+    the manner of McKay (*Isomorph-free exhaustive generation*, J.
+    Algorithms 26, 1998): it grows the schemes one call at a time, each call
+    joining two different components (the state determines the components,
+    and a relabeled state has relabeled extensions), and keeps one state
+    per ``canonical_key`` in every layer.  A state is dropped once more
+    persons are below k, beyond ``spare``, than the calls still to come can
+    reach, two per call.  Each class is listed once as long as
+    canonical_key is exact on its states (it is for every class tested); an
+    inexact key could only list a class twice, never omit one.
+    """
+    if not 1 <= m <= INFORMING_TREE_CLASS_LIMIT:
+        raise ValidationError(
+            f"tree classes are enumerated for 1 <= m <= {INFORMING_TREE_CLASS_LIMIT}, got m={m}"
+        )
+    if k < 1 or spare < 0:
+        raise ValidationError(f"need k >= 1 and spare >= 0, got k={k}, spare={spare}")
+
+    def hopeless(state: tuple[int, ...], calls_left: int) -> bool:
+        below = sum(1 for x in state if x.bit_count() < k)
+        return below - spare > 2 * calls_left
+
+    initial = tuple(1 << p for p in range(m))
+    if hopeless(initial, m - 1):
+        return ()
+    layer = {canonical_key(initial, m): (initial, ())}
+    for calls_left in range(m - 2, -1, -1):
+        grown: dict[tuple[int, ...], tuple] = {}
+        for state, calls in layer.values():
+            comp = [1 << p for p in range(m)]  # comp[p]: p's component, as a bitmask
+            for a, b in calls:
+                joined = comp[a] | comp[b]
+                for p in _bits(joined):
+                    comp[p] = joined
+            for a in range(m):
+                for b in range(a + 1, m):
+                    if comp[a] >> b & 1:
+                        continue
+                    u = state[a] | state[b]
+                    child = state[:a] + (u,) + state[a + 1 : b] + (u,) + state[b + 1 :]
+                    if hopeless(child, calls_left):
+                        continue
+                    grown.setdefault(canonical_key(child, m), (child, calls + ((a, b),)))
+        layer = grown
+    return tuple(calls for _, calls in layer.values())
 
 
 def enumerate_unicyclic_schemes(n: int, limit: int | None = None, seed: int = 0) -> SchemeStream:

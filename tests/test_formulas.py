@@ -1,11 +1,14 @@
 """Threshold sequence, regime classification and the closed form for P(n,k)."""
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from partialgossip import (
     REGIME_BAND,
     REGIME_CEIL_FRACTION,
+    TRegime,
     ValidationError,
     classify_regime,
     lemma1b_bound,
@@ -91,6 +94,30 @@ class TestClassifyRegime:
                     assert t_value(regime.i, k) <= n < t_value(regime.i - 1, k)
                 else:
                     assert n >= (1 << (k - 1)) - 1
+
+    @pytest.mark.parametrize("k", range(2, 65))
+    def test_matches_linear_scan_at_every_boundary(self, k):
+        ns = {k, k + 1, (1 << (k - 1)) - 2, (1 << (k - 1)) - 1, 1 << (k - 1)}
+        for i in range(-1, k - 3):
+            t = t_value(i, k)
+            ns.update((t - 1, t, t + 1))
+        for n in sorted(x for x in ns if x >= k):
+            assert classify_regime(n, k) == _linear_scan_regime(n, k), (n, k)
+
+    def test_huge_k_is_cheap(self):
+        start = time.perf_counter()
+        assert p_min_calls(10**6, 5 * 10**5) == 10**6 + 5 * 10**5 - 20
+        assert time.perf_counter() - start < 0.5
+
+
+def _linear_scan_regime(n, k):
+    """The band scan classify_regime replaced, kept as its reference."""
+    if n >= (1 << (k - 1)) - 1:
+        return TRegime(REGIME_CEIL_FRACTION)
+    for i in range(0, k - 3):
+        if t_value(i, k) <= n < t_value(i - 1, k):
+            return TRegime(REGIME_BAND, i)
+    raise AssertionError(f"no band for n={n}, k={k}")
 
 
 class TestPMinCalls:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from partialgossip import (
     ValidationError,
     apply_preliminary,
     awareness,
+    canonical_key,
     check_lemma,
     enumerate_tree_schemes,
     lemma1b_bound,
@@ -31,6 +33,8 @@ def test_no_violations_on_valid_instances(lemma_id):
     report = check_lemma(lemma_id, LemmaParams(**FAST))
     assert report.instances_checked > 0
     assert report.generated >= report.instances_checked
+    if lemma_id != "L2":
+        assert sum(report.coverage.values()) == report.instances_checked
     assert report.violations == []
 
 
@@ -115,8 +119,8 @@ def test_l2_box_respects_max_prelim(max_prelim, expected):
     assert {len(v.instance["preliminary"]) for v in report.violations} == {max_prelim}
 
 
-def _reference_matchings(n, size, rng, cap=48):
-    """The uncached enumeration, kept as the reference for lemmas._matchings."""
+def _reference_all_matchings(n, size):
+    """Disjoint-edge unions by filtering every combination of pairs."""
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     found = []
     for combo in itertools.combinations(pairs, size):
@@ -128,7 +132,13 @@ def _reference_matchings(n, size, rng, cap=48):
                 break
             used.update((a, b))
         if ok:
-            found.append(list(combo))
+            found.append(combo)
+    return tuple(found)
+
+
+def _reference_matchings(n, size, rng, cap=48):
+    """The uncached enumeration, kept as the reference for lemmas._matchings."""
+    found = [list(combo) for combo in _reference_all_matchings(n, size)]
     if len(found) <= cap:
         yield from found
     else:
@@ -140,12 +150,35 @@ def _reference_matchings(n, size, rng, cap=48):
 def test_cached_matchings_match_reference(seed):
     ours, ref = random.Random(seed), random.Random(seed)
     for _ in range(2):  # the second round reads the cache
-        for n in range(1, 11):
+        for n in range(1, 13):
             for size in range(0, 4):
                 assert list(lemmas._matchings(n, size, ours)) == list(
                     _reference_matchings(n, size, ref)
                 ), (n, size)
                 assert ours.getstate() == ref.getstate(), (n, size)
+
+
+def test_all_matchings_match_reference():
+    for n in range(0, 11):
+        for size in range(0, 5):
+            assert lemmas._all_matchings(n, size) == _reference_all_matchings(n, size), (n, size)
+
+
+def test_matching_at_unranks_the_listed_order():
+    for n in range(0, 11):
+        for size in range(0, 5):
+            listed = lemmas._all_matchings(n, size)
+            assert lemmas._matching_count(n, size) == len(listed), (n, size)
+            assert [lemmas._matching_at(n, size, i) for i in range(len(listed))] == list(listed)
+
+
+def test_all_matchings_cost_follows_output():
+    """No matching of 6 edges fits on 10 persons; the reference takes seconds."""
+    lemmas._all_matchings.cache_clear()
+    start = time.perf_counter()
+    assert lemmas._all_matchings(10, 6) == ()
+    assert len(lemmas._all_matchings(10, 5)) == 945
+    assert time.perf_counter() - start < 1.0
 
 
 def test_all_matchings_count():
@@ -168,4 +201,54 @@ def test_suites_unchanged_by_matching_cache(monkeypatch, lemma_id, bound_slack):
     assert ours.to_json_dict() == ref.to_json_dict()
     assert ours.generated == ref.generated
     if lemma_id == "L4b":
-        assert ours.generated == 283_365
+        assert ours.generated == 4_104
+
+
+def _reference_check_l5b(params):
+    """L5b as it was before candidates with i > m - 4 skipped simulation."""
+    checked = generated = 0
+    violations = []
+    rng = params.rng()
+    for m, pairs in lemmas._unicyclic_schemes(params):
+        for i in range(0, params.max_prelim + 1):
+            for prelim in lemmas._prelim_lists(m, i, rng, general_samples=5):
+                generated += 1
+                k = min(lemmas._aw(m, list(prelim) + list(pairs)))
+                if k < 4 or i > k - 4:
+                    continue
+                bound = lemmas.t_value(i, k) + params.bound_slack
+                checked += 1
+                if m < bound:
+                    violations.append(lemmas.Violation(
+                        lemmas._describe(m, pairs, prelim, k=k, i=i), bound, m))
+    return lemmas.LemmaReport("L5b", checked, violations, generated)
+
+
+@pytest.mark.parametrize("bound_slack", [0, 1])
+def test_l5b_unchanged_by_skipping_small_universes(bound_slack):
+    params = LemmaParams(**FAST, bound_slack=bound_slack)
+    ours, ref = check_lemma("L5b", params), _reference_check_l5b(params)
+    assert ours.to_json_dict() == ref.to_json_dict()
+    assert ours.generated == ref.generated
+
+
+def _tree_class(instance):
+    """Relabeling class of the tree's own final state in a reported instance."""
+    m = instance["n"]
+    return canonical_key(tuple(lemmas._sim(m, instance["calls"])), m)
+
+
+@pytest.mark.parametrize("params", [LemmaParams(), LemmaParams(**FAST)], ids=["default", "fast"])
+@pytest.mark.parametrize("lemma_id", ["L4a", "L4b", "L5a"])
+def test_tree_suites_cover_k_at_least_four(lemma_id, params):
+    """At least 20 instances at k >= 4, from at least 20 tree classes.
+
+    A slack no instance can meet turns every checked instance into a
+    reported violation, which names its tree.
+    """
+    params.bound_slack = 10**6
+    report = check_lemma(lemma_id, params)
+    at_four = sum(c for (n, k, i), c in report.coverage.items() if k >= 4)
+    assert at_four == report.instances_checked >= 20
+    assert len(report.violations) == report.instances_checked
+    assert len({_tree_class(v.instance) for v in report.violations}) >= 20

@@ -14,9 +14,11 @@ from partialgossip import (
     canonical_key,
     enumerate_tree_schemes,
     enumerate_unicyclic_schemes,
+    informing_tree_classes,
     is_k_informing,
     max_informing_level,
     min_calls_bruteforce,
+    minimal_informing_tree,
     p_min_calls,
 )
 from partialgossip.graph import full_graph, classify_components, ComponentKind
@@ -72,6 +74,13 @@ class TestMinCalls:
         assert r.stats["memo_hits"] + r.stats["memo_stores"] + r.stats["lb_prunes"] < r.nodes
         assert min_calls_bruteforce(6, 6).stats == r.stats
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_reference_search(self, n):
+        """Cutting children on their bound before the splice changes no count."""
+        for k in range(2, n + 1):
+            r = min_calls_bruteforce(n, k)
+            assert (r.min_calls, r.witness.calls, r.nodes, r.stats) == _reference_search(n, k)
+
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
             min_calls_bruteforce(3, 1)
@@ -79,6 +88,48 @@ class TestMinCalls:
             min_calls_bruteforce(2, 3)
         with pytest.raises(ValidationError):
             SearchConfig(time_budget=0)
+
+
+def _reference_search(n: int, k: int):
+    """The search as it was before children were bounded in the parent's loop.
+
+    Returns (min_calls, witness calls, nodes, stats); no time budget.
+    """
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    memo = {}
+    stats = {"memo_hits": 0, "memo_stores": 0, "lb_prunes": 0}
+    nodes = 0
+
+    def dfs(state, remaining):
+        nonlocal nodes
+        nodes += 1
+        lb = _lower_bound(state, k)
+        if lb == 0:
+            return []
+        if lb > remaining:
+            stats["lb_prunes"] += 1
+            return None
+        key = canonical_key(state, n)
+        if memo.get(key, -1) >= remaining:
+            stats["memo_hits"] += 1
+            return None
+        for a, b in pairs:
+            if state[a] == state[b]:
+                continue
+            u = state[a] | state[b]
+            child = state[:a] + (u,) + state[a + 1 : b] + (u,) + state[b + 1 :]
+            tail = dfs(child, remaining - 1)
+            if tail is not None:
+                return [(a, b)] + tail
+        memo[key] = remaining
+        stats["memo_stores"] += 1
+        return None
+
+    initial = tuple(1 << p for p in range(n))
+    depth = _lower_bound(initial, k)
+    while (found := dfs(initial, depth)) is None:
+        depth += 1
+    return len(found), Schedule(n, found).calls, nodes, stats
 
 
 class TestLowerBound:
@@ -353,3 +404,81 @@ class TestUnicyclicEnumeration:
         for s in enumerate_unicyclic_schemes(6, limit=40, seed=1).schedules:
             comps = classify_components(full_graph(s))
             assert comps == [(frozenset(range(6)), ComponentKind.UNICYCLIC)]
+
+
+def _final_state(m: int, calls) -> tuple[int, ...]:
+    know = [1 << p for p in range(m)]
+    for a, b in calls:
+        u = know[a] | know[b]
+        know[a] = u
+        know[b] = u
+    return tuple(know)
+
+
+def _orbit(state: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Every joint relabeling of the state, by brute force over all permutations."""
+    return {
+        _apply_person_permutation(state, list(perm))
+        for perm in itertools.permutations(range(len(state)))
+    }
+
+
+def _meets(state: tuple[int, ...], k: int, spare: int) -> bool:
+    return sum(1 for x in state if x.bit_count() < k) <= spare
+
+
+class TestInformingTreeClasses:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_equals_brute_force_isomorphism_classes(self, m):
+        """Labeled trees x call orders, split into exact relabeling classes."""
+        finals = {
+            _final_state(m, order)
+            for edges in oracle.labeled_trees(m)
+            for order in itertools.permutations(edges)
+        }
+        classes = []  # the smallest member of each class
+        while finals:
+            orbit = _orbit(finals.pop())
+            finals -= orbit
+            classes.append(min(orbit))
+        for k in range(1, 5):
+            for spare in range(0, 3):
+                listed = [min(_orbit(_final_state(m, calls)))
+                          for calls in informing_tree_classes(m, k, spare)]
+                assert len(listed) == len(set(listed)), (m, k, spare)  # no class twice
+                assert set(listed) == {c for c in classes if _meets(c, k, spare)}, (m, k, spare)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_prune_drops_no_class(self, m):
+        """k = 1 never prunes; filtering its classes gives the pruned enumeration."""
+        unpruned = [_final_state(m, calls) for calls in informing_tree_classes(m, 1, 0)]
+        for k in range(2, 6):
+            for spare in (0, 1):
+                want = {canonical_key(st, m) for st in unpruned if _meets(st, k, spare)}
+                got = [canonical_key(_final_state(m, calls), m)
+                       for calls in informing_tree_classes(m, k, spare)]
+                assert len(got) == len(set(got)) and set(got) == want, (m, k, spare)
+
+    def test_schemes_are_trees_meeting_the_goal(self):
+        for m, spare in ((9, 0), (8, 1)):
+            for calls in informing_tree_classes(m, 4, spare):
+                comps = classify_components(full_graph(Schedule(m, calls)))
+                assert comps == [(frozenset(range(m)), ComponentKind.TREE)]
+                assert _meets(_final_state(m, calls), 4, spare)
+
+    def test_class_counts(self):
+        assert [len(informing_tree_classes(m, 4, 0)) for m in range(2, 11)] == [
+            0, 0, 0, 0, 0, 0, 1, 4, 25]
+        assert [len(informing_tree_classes(m, 4, 1)) for m in range(2, 10)] == [
+            0, 0, 0, 1, 4, 17, 67, 257]
+
+    def test_only_four_informing_class_on_eight_is_the_minimal_tree(self):
+        (calls,) = informing_tree_classes(8, 4, 0)
+        s = minimal_informing_tree(4)
+        assert canonical_key(_final_state(8, calls), 8) == canonical_key(
+            _final_state(8, [(c.a, c.b) for c in s.calls]), 8)
+
+    @pytest.mark.parametrize("m,k,spare", [(0, 4, 0), (12, 4, 0), (5, 0, 0), (5, 4, -1)])
+    def test_out_of_range(self, m, k, spare):
+        with pytest.raises(ValidationError):
+            informing_tree_classes(m, k, spare)
