@@ -59,7 +59,6 @@ from .oracle import (
     canonical_key,
     enumerate_tree_schemes,
     enumerate_unicyclic_schemes,
-    informing_tree_classes,
     max_informing_level,
     min_calls_bruteforce,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "enumerate_unicyclic_schemes",
     "first_call_split",
     "full_graph",
-    "informing_tree_classes",
     "is_exact_k_informing",
     "is_k_informing",
     "is_spanning_tree",

@@ -265,8 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-lemma", help="run one lemma verification suite")
     p.add_argument("lemma", choices=LEMMA_IDS)
-    p.add_argument("--max-n", type=int, default=8, help="largest sampled scheme size")
-    p.add_argument("--samples", type=int, default=400)
+    p.add_argument("--max-n", type=int, default=8,
+                   help="largest sampled scheme size (L4a, L4b and L5a ignore it)")
+    p.add_argument("--samples", type=int, default=400,
+                   help="random instances per sampled size (L4a, L4b and L5a ignore it)")
     p.add_argument("--prelim-max", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound-slack", type=int, default=0,

@@ -16,7 +16,8 @@ Documented instance ranges (defaults in LemmaParams):
   {2, ..., 9}) knowing at least 4 gossips; no other tree can meet their
   hypotheses (see _enlarged_tree_instances).  That is 1, 4 and 25 classes
   for m = 8, 9, 10 and 1, 4, 17, 67 and 257 for m = 5, ..., 9, and none
-  below.  ``max_exhaustive_n`` moves the upper end, to at most 11;
+  below.  ``max_exhaustive_n`` moves the upper end, within 8..11 (L4a,
+  L4b) or 5..11 (L5a); ``max_sampled_n`` and ``samples`` do not apply;
 * unicyclic schemes: exhaustive for n <= 4, sampled for n in {5, ..., 8};
 * preliminary-call counts: up to 3.  Unions of disjoint edges (single
   calls included) are listed in full while a given (n, size) has at most
@@ -42,6 +43,7 @@ from .core import ValidationError
 from .constructions import minimal_informing_tree
 from .formulas import lemma1b_bound, t_value
 from .oracle import (
+    INFORMING_TREE_CLASS_LIMIT,
     enumerate_tree_schemes,
     enumerate_unicyclic_schemes,
     informing_tree_classes,
@@ -51,6 +53,11 @@ from .oracle import (
 LEMMA_IDS = (
     "L1a", "L1b", "L1c", "L2", "L3", "L4a", "L4b", "L5a", "L5b", "L6s1",
 )
+
+# fewest tree persons that can meet the hypotheses of the tree-class suites:
+# a tree leaving everyone 4-informed has at least 2^3 persons (L1a), one
+# leaving all but one person 4-informed at least 5
+_SMALLEST_TREE = {"L4a": 8, "L4b": 8, "L5a": 5}
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,11 @@ class LemmaReport:
 
 @dataclass
 class LemmaParams:
-    """Instance-generation ranges; defaults are the documented ranges."""
+    """Instance-generation ranges; defaults are the documented ranges.
+
+    L4a, L4b and L5a enumerate tree classes on up to ``max_exhaustive_n``
+    persons and ignore ``max_sampled_n`` and ``samples``.
+    """
 
     max_exhaustive_n: int | None = None  # per-lemma default when None
     max_sampled_n: int = 8
@@ -117,6 +128,15 @@ def check_lemma(lemma_id: str, params: LemmaParams | None = None) -> LemmaReport
         raise ValidationError(f"max_prelim must be >= 0, got {params.max_prelim}")
     if params.max_sampled_n < 2:
         raise ValidationError(f"max_sampled_n must be >= 2, got {params.max_sampled_n}")
+    top = params.max_exhaustive_n
+    if lemma_id in _SMALLEST_TREE and top is not None:
+        low = _SMALLEST_TREE[lemma_id]
+        if not low <= top <= INFORMING_TREE_CLASS_LIMIT:
+            # below low the suite would check nothing and still report ok
+            raise ValidationError(
+                f"{lemma_id} needs {low} <= max_exhaustive_n <= "
+                f"{INFORMING_TREE_CLASS_LIMIT}, got {top}"
+            )
     return _CHECKERS[lemma_id](params)
 
 
@@ -161,39 +181,6 @@ def _unicyclic_schemes(params: LemmaParams, exhaustive_to: int = 4):
             yield n, [(c.a, c.b) for c in s.calls]
 
 
-@functools.lru_cache(maxsize=None)
-def _all_matchings(n: int, size: int) -> tuple:
-    """Every union of ``size`` disjoint edges on n persons, as tuples of pairs.
-
-    The order is that of ``itertools.combinations`` over the sorted pairs:
-    the pairs of a matching have distinct smaller ends, so a depth-first
-    walk that picks them by increasing smaller end, skipping used persons,
-    lists the matchings in that lexicographic order.  A branch stops once
-    too few free persons are left above it, so the cost follows the output.
-    """
-    found = []
-    chosen: list[tuple[int, int]] = []
-
-    def extend(start: int, used: int) -> None:
-        need = size - len(chosen)
-        if need == 0:
-            found.append(tuple(chosen))
-            return
-        for a in range(start, n):
-            if n - a - (used >> a).bit_count() < 2 * need:
-                break  # free persons from a upwards only get fewer
-            if used >> a & 1:
-                continue
-            for b in range(a + 1, n):
-                if not used >> b & 1:
-                    chosen.append((a, b))
-                    extend(a + 1, used | 1 << a | 1 << b)
-                    chosen.pop()
-
-    extend(0, 0)
-    return tuple(found)
-
-
 def _matching_count(n: int, size: int) -> int:
     """How many unions of ``size`` disjoint edges n persons have."""
     if 2 * size > n:
@@ -204,10 +191,12 @@ def _matching_count(n: int, size: int) -> int:
 
 
 def _matching_at(n: int, size: int, idx: int) -> tuple:
-    """``_all_matchings(n, size)[idx]``, found without listing the others.
+    """The idx-th union of ``size`` disjoint edges on n persons.
 
-    A matching whose first pair is (a, b) uses only persons above a apart
-    from b in its other pairs, so each (a, b) heads a block of
+    Matchings are ordered as ``itertools.combinations`` orders them over the
+    sorted pairs.  The pairs of a matching have distinct smaller ends, and a
+    matching whose first pair is (a, b) uses only persons above a apart
+    from b in its other pairs.  Each (a, b) thus heads a block of
     ``_matching_count(persons above a - 1, size - 1)`` matchings.  Skipping
     whole blocks and recursing on the persons left unranks idx.
     """
@@ -227,6 +216,16 @@ def _matching_at(n: int, size: int, idx: int) -> tuple:
         out.append((free[x], free[y]))
         free = free[x + 1 : y] + free[y + 1 :]
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _all_matchings(n: int, size: int) -> tuple:
+    """Every union of ``size`` disjoint edges on n persons, as tuples of pairs.
+
+    The order is that of ``itertools.combinations`` over the sorted pairs,
+    listed by unranking each index in turn, so the cost follows the output.
+    """
+    return tuple(_matching_at(n, size, i) for i in range(_matching_count(n, size)))
 
 
 def _matchings(n: int, size: int, rng: random.Random, cap: int = 48):

@@ -1,7 +1,7 @@
 """Threshold sequence, regime classification and the closed form for P(n,k)."""
 from __future__ import annotations
 
-import time
+import sys
 
 import pytest
 
@@ -105,9 +105,32 @@ class TestClassifyRegime:
             assert classify_regime(n, k) == _linear_scan_regime(n, k), (n, k)
 
     def test_huge_k_is_cheap(self):
-        start = time.perf_counter()
-        assert p_min_calls(10**6, 5 * 10**5) == 10**6 + 5 * 10**5 - 20
-        assert time.perf_counter() - start < 0.5
+        """Bisection runs O(log k) lines; the linear scan ran k - 3 steps on 2^k-sized ints."""
+        k = 5 * 10**5
+        regime, lines = _lines_run(classify_regime, 10**6, k)
+        assert regime == TRegime(REGIME_BAND, k - 20)
+        assert lines <= 8 * k.bit_length()
+        assert p_min_calls(10**6, k) == 10**6 + k - 20
+
+
+def _lines_run(fn, *args):
+    """fn(*args) and the number of lines of fn's own body it ran: a clock-free cost."""
+    code = fn.__code__
+    lines = 0
+
+    def count(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code is code else None)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+    return result, lines
 
 
 def _linear_scan_regime(n, k):

@@ -4,7 +4,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import time
 
 import pytest
 
@@ -47,6 +46,21 @@ def test_negative_control_detects_falsified_bound(lemma_id):
 def test_unknown_lemma_id_rejected():
     with pytest.raises(ValidationError):
         check_lemma("L99")
+
+
+@pytest.mark.parametrize("lemma_id,top", [
+    ("L4a", 0), ("L4a", 5), ("L4a", 7), ("L4b", 6), ("L5a", 4), ("L5a", 12), ("L4b", 12),
+])
+def test_tree_class_suites_reject_ranges_without_instances(lemma_id, top):
+    """Too few tree persons would check nothing and report ok; too many do not run."""
+    with pytest.raises(ValidationError):
+        check_lemma(lemma_id, LemmaParams(max_exhaustive_n=top))
+
+
+@pytest.mark.parametrize("lemma_id,top", [("L4a", 8), ("L4b", 8), ("L5a", 5)])
+def test_tree_class_suites_check_instances_at_smallest_range(lemma_id, top):
+    report = check_lemma(lemma_id, LemmaParams(max_exhaustive_n=top))
+    assert report.instances_checked > 0 and report.ok
 
 
 def test_report_json_shape():
@@ -172,13 +186,25 @@ def test_matching_at_unranks_the_listed_order():
             assert [lemmas._matching_at(n, size, i) for i in range(len(listed))] == list(listed)
 
 
-def test_all_matchings_cost_follows_output():
-    """No matching of 6 edges fits on 10 persons; the reference takes seconds."""
+def test_all_matchings_cost_follows_output(monkeypatch):
+    """One unranking per listed matching; filtering combinations takes seconds on (10, 6)."""
+    unranked = 0
+    matching_at = lemmas._matching_at
+
+    def counting(n, size, idx):
+        nonlocal unranked
+        unranked += 1
+        return matching_at(n, size, idx)
+
+    monkeypatch.setattr(lemmas, "_matching_at", counting)
     lemmas._all_matchings.cache_clear()
-    start = time.perf_counter()
-    assert lemmas._all_matchings(10, 6) == ()
-    assert len(lemmas._all_matchings(10, 5)) == 945
-    assert time.perf_counter() - start < 1.0
+    try:
+        assert lemmas._all_matchings(10, 6) == ()
+        assert unranked == 0
+        assert len(lemmas._all_matchings(10, 5)) == 945
+        assert unranked == 945
+    finally:
+        lemmas._all_matchings.cache_clear()
 
 
 def test_all_matchings_count():

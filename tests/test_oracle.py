@@ -14,7 +14,6 @@ from partialgossip import (
     canonical_key,
     enumerate_tree_schemes,
     enumerate_unicyclic_schemes,
-    informing_tree_classes,
     is_k_informing,
     max_informing_level,
     min_calls_bruteforce,
@@ -23,7 +22,7 @@ from partialgossip import (
 )
 from partialgossip.graph import full_graph, classify_components, ComponentKind
 from partialgossip import oracle
-from partialgossip.oracle import FOUND, TIMEOUT, _lower_bound
+from partialgossip.oracle import FOUND, TIMEOUT, _lower_bound, informing_tree_classes
 
 
 class TestMinCalls:
