@@ -11,7 +11,6 @@ exhaustive search and property testing.
 __version__ = "0.1.0"
 
 from .core import (
-    AugmentedSchedule,
     Call,
     KnowledgeState,
     Schedule,
@@ -65,7 +64,6 @@ from .oracle import (
 from .lemmas import LEMMA_IDS, LemmaParams, LemmaReport, check_lemma
 
 __all__ = [
-    "AugmentedSchedule",
     "Call",
     "CommGraph",
     "ComponentKind",

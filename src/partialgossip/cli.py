@@ -20,7 +20,6 @@ from .constructions import (
     synth_tree_variant,
 )
 from .core import (
-    Schedule,
     ValidationError,
     apply_preliminary,
     is_k_informing,
@@ -35,6 +34,10 @@ from .oracle import FOUND, SearchConfig, min_calls_bruteforce
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VIOLATION = 2
+
+# digit cap of table's boundary when the interpreter sets no int-to-str
+# limit: Python's default limit
+_MAX_DIGITS = 4300
 
 _METHODS = {
     "doubling": synth_doubling,
@@ -68,7 +71,13 @@ def _cmd_table(args) -> int:
         raise ValidationError(f"k must be >= 2, got {args.k}")
     if args.n_min > args.n_max:
         raise ValidationError(f"empty range: n_min={args.n_min} > n_max={args.n_max}")
-    boundary = (1 << (args.k - 1)) - 1
+    # 2^(k-1) - 1 < 10^digits iff k <= bit_length(10^digits), so the
+    # boundary is only built once it is known to be printable
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _MAX_DIGITS
+    if args.k > (10**digits).bit_length():
+        raise ValidationError(
+            f"k={args.k} too large: the boundary 2^(k-1)-1 has more than {digits} digits"
+        )
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         regime = classify_regime(n, args.k)
@@ -76,6 +85,7 @@ def _cmd_table(args) -> int:
         if regime.kind == REGIME_BAND:
             row["i"] = regime.i
         rows.append(row)
+    boundary = (1 << (args.k - 1)) - 1
     if args.format == "json":
         print(json.dumps({"k": args.k, "boundary": boundary, "rows": rows},
                          separators=(",", ":")))
@@ -131,23 +141,21 @@ def _cmd_verify(args) -> int:
         text = Path(args.file).read_text()
     except OSError as e:
         raise ValidationError(f"cannot read {args.file}: {e}") from e
-    aug = schedule_from_json(text)
-    if not 1 <= args.k <= aug.n:
-        raise ValidationError(f"k={args.k} out of range [1, n={aug.n}]")
-    state = apply_preliminary(aug)
-    aw = state.awareness()
+    s = schedule_from_json(text)
+    if not 1 <= args.k <= s.n:
+        raise ValidationError(f"k={args.k} out of range [1, n={s.n}]")
+    aw = apply_preliminary(s).awareness()
     informing = min(aw) >= args.k
     exact = all(a == args.k for a in aw)
-    merged = Schedule(aug.n, list(aug.preliminary) + list(aug.base.calls))
     components = [
         {"vertices": sorted(vs), "kind": str(kind)}
-        for vs, kind in classify_components(full_graph(merged))
+        for vs, kind in classify_components(full_graph(s))
     ]
     doc = {
-        "n": aug.n,
+        "n": s.n,
         "k": args.k,
-        "calls": len(aug.base.calls),
-        "preliminary": len(aug.preliminary),
+        "calls": len(s.calls) - s.prelim,
+        "preliminary": s.prelim,
         "awareness": aw,
         "min_awareness": min(aw),
         "k_informing": informing,
@@ -160,7 +168,7 @@ def _cmd_verify(args) -> int:
         verdict = "PASS" if informing else "FAIL"
         print(f"{verdict}: min awareness {min(aw)} (target k={args.k})"
               f"{', exact' if exact else ''}")
-        print(f"  n={aug.n}, {len(aug.preliminary)} preliminary + {len(aug.base.calls)} calls")
+        print(f"  n={s.n}, {doc['preliminary']} preliminary + {doc['calls']} calls")
         print(f"  awareness: {aw}")
         for comp in components:
             print(f"  component {comp['vertices']}: {comp['kind']}")
@@ -177,13 +185,13 @@ def _cmd_oracle(args) -> int:
         "min_calls": result.min_calls,
         "refuted_depth": result.refuted_depth,
         "nodes": result.nodes,
-        "witness": result.witness.pairs() if result.witness else None,
+        "witness": list(result.witness.calls) if result.witness else None,
     }
     if args.format == "json":
         print(json.dumps(doc, separators=(",", ":")))
     elif result.status == FOUND:
         print(f"min calls for (n={args.n}, k={args.k}): {result.min_calls}")
-        print(f"  witness: {result.witness.pairs()}")
+        print(f"  witness: {list(result.witness.calls)}")
     else:
         print(f"{result.status}: no schedule with <= {result.refuted_depth} calls exists "
               f"({result.nodes} nodes searched)")
@@ -212,8 +220,16 @@ def _cmd_check_lemma(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors with exit code 1; argparse's own 2 means a violation here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="partialgossip",
         description="Optimal partial-gossip call counts, schedule synthesis and verification.",
     )
@@ -266,9 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-lemma", help="run one lemma verification suite")
     p.add_argument("lemma", choices=LEMMA_IDS)
     p.add_argument("--max-n", type=int, default=8,
-                   help="largest sampled scheme size (L4a, L4b and L5a ignore it)")
+                   help="largest sampled scheme size, at most 30 "
+                        "(L1a, L1b, L3, L4a, L4b and L5a ignore it)")
     p.add_argument("--samples", type=int, default=400,
-                   help="random instances per sampled size (L4a, L4b and L5a ignore it)")
+                   help="random instances per sampled size "
+                        "(L1a, L1b, L3, L4a, L4b and L5a ignore it)")
     p.add_argument("--prelim-max", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound-slack", type=int, default=0,

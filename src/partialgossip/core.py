@@ -9,102 +9,65 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from operator import itemgetter
+from typing import Iterable
 
 
 class ValidationError(ValueError):
     """Raised for malformed schedules, out-of-range parameters, bad input files."""
 
 
-PairLike = Union["Call", Sequence[int]]
+class Call(tuple):
+    """An unordered pair of distinct persons, stored as the int pair (a, b) with a < b.
 
+    Chronological position lives in the schedule.  A call unpacks, compares,
+    hashes and serializes as the plain pair.
+    """
 
-@dataclass(frozen=True, order=True)
-class Call:
-    """An unordered pair of distinct persons; chronological position lives in the schedule."""
+    __slots__ = ()
 
-    a: int
-    b: int
-
-    def __post_init__(self):
-        a, b = self.a, self.b
+    def __new__(cls, a, b):
+        a, b = int(a), int(b)
         if a == b:
             raise ValidationError(f"self-call ({a},{b}) is not allowed")
         if a < 0 or b < 0:
             raise ValidationError(f"negative person id in call ({a},{b})")
-        if a > b:  # stored normalized a < b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
+        return tuple.__new__(cls, (a, b) if a < b else (b, a))
 
-    def participants(self) -> frozenset[int]:
-        return frozenset((self.a, self.b))
-
-    def as_pair(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
-
-def as_call(c) -> Call:
-    if isinstance(c, Call):
-        return c
-    a, b = c
-    return Call(int(a), int(b))
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
 
 
 @dataclass(frozen=True)
 class Schedule:
     """A universe of n persons plus a chronological call sequence.
 
-    Repeated pairs are allowed (the communication graph is a multigraph) and
-    calls need not touch every person.
+    The first ``prelim`` calls are preliminary: they run first, like any
+    other call, and may involve persons that the later calls never touch
+    ("outsiders").  Repeated pairs are allowed (the communication graph is a
+    multigraph) and calls need not touch every person.
     """
 
     n: int
     calls: tuple[Call, ...]
+    prelim: int = 0
 
-    def __init__(self, n: int, calls: Iterable[PairLike] = ()):
+    def __init__(self, n: int, calls: Iterable = (), prelim: int = 0):
         if n < 1:
             raise ValidationError(f"person count must be >= 1, got {n}")
-        normalized = tuple(as_call(c) for c in calls)
-        for c in normalized:
-            if c.b >= n:
-                raise ValidationError(f"call ({c.a},{c.b}) references person >= n={n}")
+        normalized = tuple(c if type(c) is Call else Call(*c) for c in calls)
+        for j, (a, b) in enumerate(normalized):
+            if b >= n:
+                kind = "preliminary call" if j < prelim else "call"
+                raise ValidationError(f"{kind} ({a},{b}) references person >= n={n}")
+        if not 0 <= prelim <= len(normalized):
+            raise ValidationError(f"prelim={prelim} out of range [0, {len(normalized)}]")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "calls", normalized)
+        object.__setattr__(self, "prelim", prelim)
 
     def __len__(self) -> int:
         return len(self.calls)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [c.as_pair() for c in self.calls]
-
-
-@dataclass(frozen=True)
-class AugmentedSchedule:
-    """A base schedule enlarged by preliminary calls executed first.
-
-    Preliminary calls may involve persons that never appear in the base
-    calls ("outsiders"), but every id must fit the base universe [0, n).
-    """
-
-    preliminary: tuple[Call, ...]
-    base: Schedule
-
-    def __init__(self, preliminary: Iterable[PairLike], base: Schedule):
-        pre = tuple(as_call(c) for c in preliminary)
-        for c in pre:
-            if c.b >= base.n:
-                raise ValidationError(
-                    f"preliminary call ({c.a},{c.b}) references person >= n={base.n}"
-                )
-        object.__setattr__(self, "preliminary", pre)
-        object.__setattr__(self, "base", base)
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    def all_calls(self) -> tuple[Call, ...]:
-        return self.preliminary + self.base.calls
 
 
 @dataclass(frozen=True)
@@ -126,17 +89,21 @@ def initial_state(n: int) -> KnowledgeState:
     return KnowledgeState(n, tuple(1 << p for p in range(n)))
 
 
-def run_calls(know: list[int], calls: Iterable[Call]) -> list[int]:
-    """Apply calls in order to a mutable bitmask vector (in place) and return it."""
-    for c in calls:
-        u = know[c.a] | know[c.b]
-        know[c.a] = u
-        know[c.b] = u
+def run_calls(know: list[int], calls: Iterable[tuple[int, int]]) -> list[int]:
+    """Apply (a, b) calls in order to a mutable bitmask vector (in place) and return it.
+
+    This is the one call-merge loop: every simulation of a schedule or of a
+    bare pair list goes through it.
+    """
+    for a, b in calls:
+        u = know[a] | know[b]
+        know[a] = u
+        know[b] = u
     return know
 
 
 def simulate(s: Schedule) -> KnowledgeState:
-    """Run every call of the schedule from the initial state.
+    """Run every call of the schedule, preliminary ones first, from the initial state.
 
     Deterministic: each call (a,b) replaces both participants' sets with
     their union.  A call between persons with identical knowledge is legal
@@ -151,17 +118,14 @@ def simulate_prefixes(s: Schedule) -> list[KnowledgeState]:
     know = [1 << p for p in range(s.n)]
     out = [KnowledgeState(s.n, tuple(know))]
     for c in s.calls:
-        u = know[c.a] | know[c.b]
-        know[c.a] = u
-        know[c.b] = u
-        out.append(KnowledgeState(s.n, tuple(know)))
+        out.append(KnowledgeState(s.n, tuple(run_calls(know, (c,)))))
     return out
 
 
-def apply_preliminary(aug: AugmentedSchedule) -> KnowledgeState:
-    """Simulate preliminary calls, then the base calls, over the combined universe."""
-    know = run_calls([1 << p for p in range(aug.n)], aug.all_calls())
-    return KnowledgeState(aug.n, tuple(know))
+def apply_preliminary(s: Schedule) -> KnowledgeState:
+    """Simulate the preliminary calls, then the others, over the whole universe."""
+    know = run_calls([1 << p for p in range(s.n)], s.calls)
+    return KnowledgeState(s.n, tuple(know))
 
 
 def awareness(ks: KnowledgeState) -> list[int]:
@@ -191,20 +155,13 @@ def is_exact_k_informing(s: Schedule, k: int) -> bool:
 #
 #   {"n": <int>, "preliminary": [[a,b],...], "calls": [[a,b],...]}
 #
-# "preliminary" is optional and defaults to empty; ids are 0-based.  Key
-# order and separators are fixed so output files are byte-stable.
+# "preliminary" is optional and defaults to empty; it holds the schedule's
+# first ``prelim`` calls.  Ids are 0-based.  Key order and separators are
+# fixed so output files are byte-stable.
 # ---------------------------------------------------------------------------
 
-def schedule_to_json(obj: "Schedule | AugmentedSchedule", *, indent: int | None = None) -> str:
-    if isinstance(obj, AugmentedSchedule):
-        pre, base = obj.preliminary, obj.base
-    else:
-        pre, base = (), obj
-    doc = {
-        "n": base.n,
-        "preliminary": [[c.a, c.b] for c in pre],
-        "calls": [[c.a, c.b] for c in base.calls],
-    }
+def schedule_to_json(s: Schedule, *, indent: int | None = None) -> str:
+    doc = {"n": s.n, "preliminary": s.calls[: s.prelim], "calls": s.calls[s.prelim :]}
     if indent is None:
         return json.dumps(doc, separators=(",", ":"))
     return json.dumps(doc, indent=indent)
@@ -215,11 +172,12 @@ def _is_json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def schedule_from_json(text: str) -> AugmentedSchedule:
+def schedule_from_json(text: str) -> Schedule:
     """Parse the interchange format; malformed documents raise ValidationError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError covers JSONDecodeError and integers too long to convert
         raise ValidationError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ValidationError("schedule document must be a JSON object")
@@ -236,5 +194,4 @@ def schedule_from_json(text: str) -> AugmentedSchedule:
             for c in raw
         ):
             raise ValidationError(f'"{name}" must be a list of [a,b] integer pairs')
-    base = Schedule(n, [tuple(c) for c in raw_calls])
-    return AugmentedSchedule([tuple(c) for c in raw_pre], base)
+    return Schedule(n, raw_pre + raw_calls, prelim=len(raw_pre))

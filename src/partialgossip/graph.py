@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import AugmentedSchedule, Call, Schedule, ValidationError, simulate
+from .core import Call, Schedule, ValidationError, simulate
 
 
 class ComponentKind(enum.Enum):
@@ -56,30 +56,39 @@ def build_subgraph(s: Schedule, call_indices: Iterable[int]) -> CommGraph:
     return CommGraph(verts, edges)
 
 
-def classify_components(g: CommGraph) -> list[tuple[frozenset[int], ComponentKind]]:
-    """Partition into connected components, each labeled tree / unicyclic / other."""
-    adjacency: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for c, _ in g.edges:
-        adjacency[c.a].add(c.b)
-        adjacency[c.b].add(c.a)
+def _components(vertices: Iterable[int], calls: Iterable[Call]) -> list[set[int]]:
+    """Connected components of the multigraph, in order of their smallest vertex."""
+    adjacency: dict[int, set[int]] = {v: set() for v in vertices}
+    for a, b in calls:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
     seen: set[int] = set()
     out = []
-    for start in sorted(g.vertices):
+    for start in sorted(adjacency):
         if start in seen:
             continue
         comp = {start}
         stack = [start]
         while stack:
-            v = stack.pop()
-            for w in adjacency[v]:
+            for w in adjacency[stack.pop()]:
                 if w not in comp:
                     comp.add(w)
                     stack.append(w)
         seen |= comp
-        n_edges = sum(1 for c, _ in g.edges if c.a in comp)  # c.b is in comp too
-        if n_edges == len(comp) - 1:
+        out.append(comp)
+    return out
+
+
+def classify_components(g: CommGraph) -> list[tuple[frozenset[int], ComponentKind]]:
+    """Partition into connected components, each labeled tree / unicyclic / other."""
+    comps = _components(g.vertices, g.calls())
+    owner = {v: j for j, comp in enumerate(comps) for v in comp}
+    n_edges = Counter(owner[c.a] for c, _ in g.edges)  # c.b is in the same component
+    out = []
+    for j, comp in enumerate(comps):
+        if n_edges[j] == len(comp) - 1:
             kind = ComponentKind.TREE
-        elif n_edges == len(comp):
+        elif n_edges[j] == len(comp):
             kind = ComponentKind.UNICYCLIC
         else:
             kind = ComponentKind.OTHER
@@ -110,30 +119,15 @@ def first_call_split(s: Schedule) -> tuple[CommGraph, CommGraph]:
     g = full_graph(s)
     if not is_single_tree(g):
         raise ValidationError("first_call_split requires a single tree communication graph")
-    first = s.calls[0]
+    a, b = s.calls[0]
     rest = build_subgraph(s, range(1, len(s.calls)))
-    side_a = _component_of(rest, first.a, g.vertices)
-    side_b = _component_of(rest, first.b, g.vertices)
+    comps = _components(g.vertices, rest.calls())
+    side_a = next(comp for comp in comps if a in comp)
+    side_b = next(comp for comp in comps if b in comp)
     def induced(side: set[int]) -> CommGraph:
         edges = tuple((c, t) for c, t in rest.edges if c.a in side)
         return CommGraph(frozenset(side), edges)
     return induced(side_a), induced(side_b)
-
-
-def _component_of(g: CommGraph, start: int, universe: frozenset[int]) -> set[int]:
-    adjacency: dict[int, set[int]] = {v: set() for v in universe}
-    for c, _ in g.edges:
-        adjacency[c.a].add(c.b)
-        adjacency[c.b].add(c.a)
-    comp = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w not in comp:
-                comp.add(w)
-                stack.append(w)
-    return comp
 
 
 def swap_blocks(s: Schedule, split: int, m: int, l: int) -> Schedule:
@@ -141,23 +135,29 @@ def swap_blocks(s: Schedule, split: int, m: int, l: int) -> Schedule:
 
     Legal only when the two blocks have disjoint participant sets, in which
     case the result has the same communication graph and the same final
-    knowledge state.
+    knowledge state.  The blocks must both lie among the preliminary calls
+    or both after them; the result keeps the schedule's ``prelim``.
     """
-    if split < 0 or m < 0 or l < 0 or split + m + l > len(s.calls):
+    end = split + m + l
+    if split < 0 or m < 0 or l < 0 or end > len(s.calls):
         raise ValidationError(
-            f"blocks [{split},{split + m}) and [{split + m},{split + m + l}) "
+            f"blocks [{split},{split + m}) and [{split + m},{end}) "
             f"out of range for {len(s.calls)} calls"
         )
+    if split < s.prelim < end:
+        raise ValidationError(
+            f"blocks [{split},{split + m}) and [{split + m},{end}) straddle the "
+            f"{s.prelim} preliminary calls"
+        )
     block1 = s.calls[split : split + m]
-    block2 = s.calls[split + m : split + m + l]
-    people1 = {v for c in block1 for v in (c.a, c.b)}
-    people2 = {v for c in block2 for v in (c.a, c.b)}
+    block2 = s.calls[split + m : end]
+    people1 = {v for c in block1 for v in c}
+    people2 = {v for c in block2 for v in c}
     if people1 & people2:
         raise ValidationError(
             f"blocks share participants {sorted(people1 & people2)}; swap rule does not apply"
         )
-    swapped = s.calls[:split] + block2 + block1 + s.calls[split + m + l :]
-    return Schedule(s.n, swapped)
+    return Schedule(s.n, s.calls[:split] + block2 + block1 + s.calls[end:], s.prelim)
 
 
 def are_equivalent(s1: Schedule, s2: Schedule) -> bool:
@@ -173,25 +173,16 @@ def are_equivalent(s1: Schedule, s2: Schedule) -> bool:
     return simulate(s1) == simulate(s2)
 
 
-def to_dot(obj: "Schedule | AugmentedSchedule", name: str = "calls") -> str:
+def to_dot(s: Schedule, name: str = "calls") -> str:
     """Render a schedule as Graphviz DOT.
 
     Edges carry their 1-based chronological index (preliminary calls first);
     preliminary calls are drawn dashed, mirroring the usual diagrams.
     """
-    if isinstance(obj, AugmentedSchedule):
-        pre, base = obj.preliminary, obj.base
-    else:
-        pre, base = (), obj
     lines = [f"graph {name} {{", "  node [shape=circle];"]
-    for p in range(base.n):
-        lines.append(f"  {p};")
-    order = 0
-    for c in pre:
-        order += 1
-        lines.append(f'  {c.a} -- {c.b} [label="{order}", style=dashed];')
-    for c in base.calls:
-        order += 1
-        lines.append(f'  {c.a} -- {c.b} [label="{order}"];')
+    lines += [f"  {p};" for p in range(s.n)]
+    for j, (a, b) in enumerate(s.calls):
+        style = ", style=dashed" if j < s.prelim else ""
+        lines.append(f'  {a} -- {b} [label="{j + 1}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

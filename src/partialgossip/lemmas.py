@@ -8,16 +8,20 @@ is able to fail.
 
 Documented instance ranges (defaults in LemmaParams):
 
-* tree schemes for L1a, L1b and the exact-tree filter of L3: exhaustive for
-  n <= 6, uniformly sampled for n in {7, 8};
+* tree schemes for L1a, L1b and the exact-tree filter of L3: every class of
+  tree schemes on m persons, m in {2, ..., 8}, up to joint relabeling of the
+  final state (1,254 classes; 49, 204 and 984 of them for m = 6, 7, 8).
+  Their outcome depends only on that class (see _tree_classes);
 * tree schemes for L4a, L4b and L5a: every class of tree schemes on m
   persons, up to joint relabeling of the final state, that leaves everyone
   (L4a, L4b: m in {2, ..., 10}) or everyone but one person (L5a: m in
   {2, ..., 9}) knowing at least 4 gossips; no other tree can meet their
   hypotheses (see _enlarged_tree_instances).  That is 1, 4 and 25 classes
   for m = 8, 9, 10 and 1, 4, 17, 67 and 257 for m = 5, ..., 9, and none
-  below.  ``max_exhaustive_n`` moves the upper end, within 8..11 (L4a,
-  L4b) or 5..11 (L5a); ``max_sampled_n`` and ``samples`` do not apply;
+  below;
+* the six tree suites take their largest m from ``max_exhaustive_n``,
+  within _TREE_SIZES (L1a, L1b: 2..10; L3: 4..10; L4a, L4b: 8..11; L5a:
+  5..11); ``max_sampled_n`` and ``samples`` do not apply to them;
 * unicyclic schemes: exhaustive for n <= 4, sampled for n in {5, ..., 8};
 * preliminary-call counts: up to 3.  Unions of disjoint edges (single
   calls included) are listed in full while a given (n, size) has at most
@@ -39,25 +43,30 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .core import ValidationError
-from .constructions import minimal_informing_tree
+from .core import ValidationError, run_calls
 from .formulas import lemma1b_bound, t_value
-from .oracle import (
-    INFORMING_TREE_CLASS_LIMIT,
-    enumerate_tree_schemes,
-    enumerate_unicyclic_schemes,
-    informing_tree_classes,
-    labeled_trees,
-)
+from .oracle import enumerate_unicyclic_schemes, informing_tree_classes
 
 LEMMA_IDS = (
     "L1a", "L1b", "L1c", "L2", "L3", "L4a", "L4b", "L5a", "L5b", "L6s1",
 )
 
-# fewest tree persons that can meet the hypotheses of the tree-class suites:
-# a tree leaving everyone 4-informed has at least 2^3 persons (L1a), one
-# leaving all but one person 4-informed at least 5
-_SMALLEST_TREE = {"L4a": 8, "L4b": 8, "L5a": 5}
+# max_exhaustive_n of the tree-class suites, their largest tree size:
+# (smallest, largest, default).  Below the smallest no tree meets a suite's
+# hypotheses, so it would check nothing and still report ok: L3 needs an
+# exact k-informing tree with 3 <= k < n (4 persons), a tree leaving
+# everyone 4-informed has at least 2^3 persons (L1a), one leaving all but
+# one person 4-informed at least 5.  The largest caps the enumeration's cost
+# (informing_tree_classes(10, 1, 0) takes about 6 s).
+_TREE_SIZES = {
+    "L1a": (2, 10, 8), "L1b": (2, 10, 8), "L3": (4, 10, 8),
+    "L4a": (8, 11, 10), "L4b": (8, 11, 10), "L5a": (5, 11, 9),
+}
+
+# largest max_sampled_n accepted: no suite reads more (L6s1 stops at
+# t_{-1}(6) - 1 = 30, the scheme enumerators at 8), and L2 builds every pair
+# of an n-person universe for each sample
+MAX_SAMPLED_N = 30
 
 
 @dataclass(frozen=True)
@@ -102,8 +111,9 @@ class LemmaReport:
 class LemmaParams:
     """Instance-generation ranges; defaults are the documented ranges.
 
-    L4a, L4b and L5a enumerate tree classes on up to ``max_exhaustive_n``
-    persons and ignore ``max_sampled_n`` and ``samples``.
+    L1a, L1b, L3, L4a, L4b and L5a enumerate tree classes on up to
+    ``max_exhaustive_n`` persons and ignore ``max_sampled_n`` and
+    ``samples``.  ``max_sampled_n`` is at most MAX_SAMPLED_N.
     """
 
     max_exhaustive_n: int | None = None  # per-lemma default when None
@@ -126,16 +136,16 @@ def check_lemma(lemma_id: str, params: LemmaParams | None = None) -> LemmaReport
         raise ValidationError(f"samples must be >= 0, got {params.samples}")
     if params.max_prelim < 0:
         raise ValidationError(f"max_prelim must be >= 0, got {params.max_prelim}")
-    if params.max_sampled_n < 2:
-        raise ValidationError(f"max_sampled_n must be >= 2, got {params.max_sampled_n}")
+    if not 2 <= params.max_sampled_n <= MAX_SAMPLED_N:
+        raise ValidationError(
+            f"max_sampled_n must be in [2, {MAX_SAMPLED_N}], got {params.max_sampled_n}"
+        )
     top = params.max_exhaustive_n
-    if lemma_id in _SMALLEST_TREE and top is not None:
-        low = _SMALLEST_TREE[lemma_id]
-        if not low <= top <= INFORMING_TREE_CLASS_LIMIT:
-            # below low the suite would check nothing and still report ok
+    if lemma_id in _TREE_SIZES and top is not None:
+        low, high, _ = _TREE_SIZES[lemma_id]
+        if not low <= top <= high:
             raise ValidationError(
-                f"{lemma_id} needs {low} <= max_exhaustive_n <= "
-                f"{INFORMING_TREE_CLASS_LIMIT}, got {top}"
+                f"{lemma_id} needs {low} <= max_exhaustive_n <= {high}, got {top}"
             )
     return _CHECKERS[lemma_id](params)
 
@@ -144,33 +154,23 @@ def check_lemma(lemma_id: str, params: LemmaParams | None = None) -> LemmaReport
 # shared machinery
 # ---------------------------------------------------------------------------
 
-def _sim(n: int, pairs) -> list[int]:
-    know = [1 << p for p in range(n)]
-    for a, b in pairs:
-        u = know[a] | know[b]
-        know[a] = u
-        know[b] = u
-    return know
-
-
 def _aw(n: int, pairs) -> list[int]:
-    return [x.bit_count() for x in _sim(n, pairs)]
+    return [x.bit_count() for x in run_calls([1 << p for p in range(n)], pairs)]
 
 
-def _tree_schemes(params: LemmaParams, exhaustive_to: int):
-    """(n, pair list) tree schemes: exhaustive to the cut-off, sampled beyond.
+def _tree_classes(params: LemmaParams, lemma_id: str, k: int = 1, spare: int = 0):
+    """(m, pairs): one scheme per class of ``informing_tree_classes(m, k, spare)``.
 
-    The exhaustive branch walks labeled trees x edge orders directly; it is
-    the same enumeration enumerate_tree_schemes performs, minus the
-    per-schedule object construction.
+    m runs from 2 to the suite's ``max_exhaustive_n`` (default in
+    _TREE_SIZES).  A class is a tree's final state up to joint relabeling of
+    persons and gossips; with k = 1 every tree is in one.  L1a and L1b read
+    only the awareness profile, and L3 the outcome of preliminary calls run
+    before the tree, which relabels with the final state (see
+    _enlarged_tree_instances), so one member per class checks them all.
     """
-    for n in range(2, exhaustive_to + 1):
-        for edges in labeled_trees(n):
-            yield from ((n, order) for order in itertools.permutations(edges))
-    for n in range(exhaustive_to + 1, params.max_sampled_n + 1):
-        stream = enumerate_tree_schemes(n, limit=params.samples, seed=params.seed)
-        for s in stream.schedules:
-            yield n, [(c.a, c.b) for c in s.calls]
+    for m in range(2, (params.max_exhaustive_n or _TREE_SIZES[lemma_id][2]) + 1):
+        for pairs in informing_tree_classes(m, k, spare):
+            yield m, pairs
 
 
 def _unicyclic_schemes(params: LemmaParams, exhaustive_to: int = 4):
@@ -178,7 +178,7 @@ def _unicyclic_schemes(params: LemmaParams, exhaustive_to: int = 4):
         limit = None if n <= exhaustive_to else params.samples
         stream = enumerate_unicyclic_schemes(n, limit=limit, seed=params.seed)
         for s in stream.schedules:
-            yield n, [(c.a, c.b) for c in s.calls]
+            yield n, s.calls
 
 
 def _matching_count(n: int, size: int) -> int:
@@ -273,8 +273,7 @@ def _check_l1a(params: LemmaParams) -> LemmaReport:
     """k-informing tree on n persons implies n >= 2^(k-1)."""
     violations = []
     coverage = Counter()
-    exhaustive_to = params.max_exhaustive_n or 6
-    for n, pairs in _tree_schemes(params, exhaustive_to):
+    for n, pairs in _tree_classes(params, "L1a"):
         kmax = min(_aw(n, pairs))
         bound = (1 << (kmax - 1)) + params.bound_slack
         coverage[n, kmax, 0] += 1
@@ -285,14 +284,9 @@ def _check_l1a(params: LemmaParams) -> LemmaReport:
 
 def _check_l1b(params: LemmaParams) -> LemmaReport:
     """Tree with one kp-informed person and the rest k-informed: size bound."""
-    generated = 0
     violations = []
     coverage = Counter()
-    exhaustive_to = params.max_exhaustive_n or 6
-    for n, pairs in _tree_schemes(params, exhaustive_to):
-        generated += 1
-        if n < 2:
-            continue
+    for n, pairs in _tree_classes(params, "L1b"):
         aw = _aw(n, pairs)
         kp = min(aw)
         weakest = aw.index(kp)
@@ -301,7 +295,7 @@ def _check_l1b(params: LemmaParams) -> LemmaReport:
         coverage[n, k, 0] += 1
         if n < bound:
             violations.append(Violation(_describe(n, pairs, k=k, kp=kp), bound, n))
-    return LemmaReport("L1b", coverage.total(), violations, generated, coverage)
+    return LemmaReport("L1b", coverage.total(), violations, coverage.total(), coverage)
 
 
 def _check_l1c(params: LemmaParams) -> LemmaReport:
@@ -361,16 +355,13 @@ def _check_l2(params: LemmaParams) -> LemmaReport:
     return LemmaReport("L2", checked, violations, generated=checked)
 
 
-def _exact_k_trees(params: LemmaParams, exhaustive_to: int = 6):
-    """Exact k-informing trees (k >= 3) from enumeration plus the minimal family."""
-    for n, pairs in _tree_schemes(params, exhaustive_to):
+def _exact_k_trees(params: LemmaParams):
+    """Exact k-informing trees (k >= 3, n > k), one per final-state class."""
+    for n, pairs in _tree_classes(params, "L3"):
         aw = _aw(n, pairs)
         k = aw[0]
         if k >= 3 and n > k and all(a == k for a in aw):
             yield n, k, pairs
-    for k in (3, 4):
-        s = minimal_informing_tree(k)
-        yield s.n, k, [(c.a, c.b) for c in s.calls]
 
 
 def _check_l3(params: LemmaParams) -> LemmaReport:
@@ -379,7 +370,7 @@ def _check_l3(params: LemmaParams) -> LemmaReport:
     violations = []
     coverage = Counter()
     rng = params.rng()
-    for n, k, base in _exact_k_trees(params, params.max_exhaustive_n or 6):
+    for n, k, base in _exact_k_trees(params):
         for ell in range(1, params.max_prelim + 1):
             for prelim in _prelim_lists(n, ell, rng):
                 generated += 1
@@ -394,11 +385,11 @@ def _check_l3(params: LemmaParams) -> LemmaReport:
     return LemmaReport("L3", coverage.total(), violations, generated, coverage)
 
 
-def _enlarged_tree_instances(params: LemmaParams, outsiders: int, spare: int, top: int):
+def _enlarged_tree_instances(params: LemmaParams, lemma_id: str, outsiders: int, spare: int):
     """(universe, n_total, m, tree_pairs, prelims): trees with prepended calls.
 
     The trees are one scheme per class of ``informing_tree_classes(m, 4,
-    spare)`` for m from 2 to ``max_exhaustive_n`` (default ``top``).  No
+    spare)`` (_tree_classes).  No
     tree outside those classes can meet the hypotheses, and no class member
     would add a different instance:
 
@@ -418,17 +409,16 @@ def _enlarged_tree_instances(params: LemmaParams, outsiders: int, spare: int, to
     the outsiders actually appearing in preliminary calls.
     """
     rng = params.rng()
-    for m in range(2, (params.max_exhaustive_n or top) + 1):
-        for pairs in informing_tree_classes(m, 4, spare):
-            for o in range(0, outsiders + 1):
-                universe = m + o
-                for ell in range(max(1, o), params.max_prelim + 1):
-                    for prelim in _prelim_lists(universe, ell, rng):
-                        extra = {v for p in prelim for v in p if v >= m}
-                        if len(extra) != o:
-                            continue
-                        yield universe, m + o, m, pairs, prelim
-            yield m, m, m, pairs, []  # the i = 0 case
+    for m, pairs in _tree_classes(params, lemma_id, 4, spare):
+        for o in range(0, outsiders + 1):
+            universe = m + o
+            for ell in range(max(1, o), params.max_prelim + 1):
+                for prelim in _prelim_lists(universe, ell, rng):
+                    extra = {v for p in prelim for v in p if v >= m}
+                    if len(extra) != o:
+                        continue
+                    yield universe, m + o, m, pairs, prelim
+        yield m, m, m, pairs, []  # the i = 0 case
 
 
 def _check_l4(params: LemmaParams, lemma_id: str) -> LemmaReport:
@@ -442,7 +432,7 @@ def _check_l4(params: LemmaParams, lemma_id: str) -> LemmaReport:
     violations = []
     coverage = Counter()
     outsiders = 0 if lemma_id == "L4a" else 2
-    instances = _enlarged_tree_instances(params, outsiders, spare=0, top=10)
+    instances = _enlarged_tree_instances(params, lemma_id, outsiders, spare=0)
     for universe, n_total, m, tree, prelim in instances:
         generated += 1
         aw = _aw(universe, list(prelim) + list(tree))
@@ -464,7 +454,7 @@ def _check_l5a(params: LemmaParams) -> LemmaReport:
     generated = 0
     violations = []
     coverage = Counter()
-    instances = _enlarged_tree_instances(params, outsiders=1, spare=1, top=9)
+    instances = _enlarged_tree_instances(params, "L5a", outsiders=1, spare=1)
     for universe, n_total, m, tree, prelim in instances:
         generated += 1
         aw = _aw(universe, list(prelim) + list(tree))

@@ -59,7 +59,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.max_depth < 0:
             raise ValidationError(f"max_depth must be >= 0, got {self.max_depth}")
-        if self.time_budget <= 0:
+        if not self.time_budget > 0:  # also rejects NaN, which never times out
             raise ValidationError(f"time_budget must be > 0, got {self.time_budget}")
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from partialgossip import AugmentedSchedule, Schedule
+from partialgossip import Schedule
 
 
 @pytest.fixture
@@ -17,9 +17,9 @@ def hub_tree_8() -> Schedule:
 
 
 @pytest.fixture
-def hub_tree_8_plus_one(hub_tree_8) -> AugmentedSchedule:
+def hub_tree_8_plus_one(hub_tree_8) -> Schedule:
     """The minimal tree with one preliminary call, lifting everyone to 5."""
-    return AugmentedSchedule([(2, 3)], hub_tree_8)
+    return Schedule(8, [(2, 3), *hub_tree_8.calls], prelim=1)
 
 
 @pytest.fixture
@@ -40,8 +40,8 @@ def wide_exact4_tree_12() -> Schedule:
 
 
 @pytest.fixture
-def wide_exact4_tree_12_plus_two(wide_exact4_tree_12) -> AugmentedSchedule:
-    return AugmentedSchedule([(4, 5), (2, 3)], wide_exact4_tree_12)
+def wide_exact4_tree_12_plus_two(wide_exact4_tree_12) -> Schedule:
+    return Schedule(12, [(4, 5), (2, 3), *wide_exact4_tree_12.calls], prelim=2)
 
 
 @pytest.fixture
@@ -62,5 +62,5 @@ def wide_exact4_tree_10() -> Schedule:
 
 
 @pytest.fixture
-def wide_exact4_tree_10_plus_two(wide_exact4_tree_10) -> AugmentedSchedule:
-    return AugmentedSchedule([(0, 4), (1, 7)], wide_exact4_tree_10)
+def wide_exact4_tree_10_plus_two(wide_exact4_tree_10) -> Schedule:
+    return Schedule(10, [(0, 4), (1, 7), *wide_exact4_tree_10.calls], prelim=2)

@@ -1,11 +1,15 @@
 """Command-line surface: output formats, exit codes, golden JSON lines."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from partialgossip import schedule_to_json
+from partialgossip import lemmas, schedule_to_json
 from partialgossip.cli import EXIT_OK, EXIT_VALIDATION, EXIT_VIOLATION, main
 
 
@@ -73,6 +77,20 @@ class TestTable:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("k", [14_286, 20_000, 10**6])
+    def test_unprintable_boundary_rejected(self, capsys, k, fmt):
+        """2^(k-1) - 1 has more digits than Python converts to text."""
+        code, out, err = run(capsys, "table", str(k), str(k), str(k + 1), "--format", fmt)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_largest_printable_boundary(self, capsys):
+        code, out, _ = run(capsys, "table", "14285", "14285", "14285", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["boundary"] == (1 << 14284) - 1
 
 
 class TestSynthAndVerify:
@@ -216,3 +234,101 @@ class TestCheckLemmaCommand:
         assert out == ""
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["pvalue", "abc", "3"],
+        ["table", "3", "5"],
+        ["pvalue", "5", "3", "--format", "yaml"],
+        ["check-lemma", "L99"],
+        [],
+    ])
+    def test_usage_error_exits_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_VALIDATION
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["oracle", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_OK
+
+    def test_nan_budget_rejected(self, capsys):
+        code, _, err = run(capsys, "oracle", "8", "8", "--budget-secs", "nan")
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error:")
+
+
+@pytest.fixture(scope="module")
+def schedule_files(tmp_path_factory):
+    """Paths of a valid schedule with a preliminary call, a malformed one, a missing one."""
+    root = tmp_path_factory.mktemp("argv")
+    good, bad = root / "good.json", root / "bad.json"
+    good.write_text('{"n":4,"preliminary":[[2,3]],"calls":[[0,1],[1,2],[0,3]]}')
+    bad.write_text('{"n":4,"calls":[[0,9]]}')
+    return [str(good), str(bad), str(root / "missing.json")], str(root / "out")
+
+
+_INT = st.integers(-2, 9).map(str)
+_METHOD = st.sampled_from(["doubling", "tree", "multiblock", "abc"])
+
+
+def _argv(files, out):
+    """Each command with its positionals (mostly small integers) and options."""
+    fmt = ("--format", st.sampled_from(["json", "text", "dot", "yaml"]))
+    commands = {
+        "pvalue": ([_INT, _INT], [fmt]),
+        "table": ([_INT, _INT, _INT], [fmt]),
+        "synth": ([_METHOD, _INT, _INT, _INT], [
+            fmt, ("--blocks", _INT), ("--out", st.just(out + ".json")),
+            ("--dot", st.just(out + ".dot")),
+        ]),
+        "verify": ([st.sampled_from(files), _INT], [fmt]),
+        "oracle": ([_INT, _INT], [fmt]),
+        "check-lemma": ([st.sampled_from([*lemmas.LEMMA_IDS, "L99"])], [
+            fmt, ("--max-n", st.integers(-2, 40).map(str)), ("--samples", _INT),
+            ("--prelim-max", _INT), ("--seed", _INT), ("--bound-slack", _INT),
+        ]),
+    }
+    junk = st.sampled_from(["abc", "1.5", "--", "-x", "--blocks", "nope"]) | _INT
+
+    @st.composite
+    def draw(draw):
+        command = draw(st.sampled_from(sorted(commands)))
+        positionals, options = commands[command]
+        argv = [command, *(draw(x) for x in positionals)]
+        for flag, value in draw(st.lists(st.sampled_from(options), max_size=3)):
+            argv += [flag, draw(value)]
+        if draw(st.integers(0, 4)) == 0:  # now and then a stray token
+            argv.insert(draw(st.integers(0, len(argv))), draw(junk))
+        if command == "oracle":
+            argv += ["--budget-secs", draw(st.sampled_from(["0.05", "0.01", "-1", "0"]))]
+        return argv
+
+    return draw()
+
+
+def _stub_suite(lemma_id):
+    # the suites' own runs are tested in test_lemmas; here only parsing,
+    # parameter validation and reporting matter
+    return lambda params: lemmas.LemmaReport(lemma_id, 1, [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_random_argv_exit_code_contract(schedule_files, data):
+    """Any argv exits 0, 1 or 2 without a traceback."""
+    argv = data.draw(_argv(*schedule_files))
+    out, err = io.StringIO(), io.StringIO()
+    stubs = {lid: _stub_suite(lid) for lid in lemmas.LEMMA_IDS}
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(lemmas._CHECKERS, stubs):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_VIOLATION), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -33,7 +33,7 @@ class TestDoubling:
 
     def test_smallest_instance_is_the_four_cycle(self):
         s = synth_doubling(4, 4, 0)
-        assert s.pairs() == [(0, 1), (2, 3), (0, 2), (1, 3)]
+        assert [tuple(c) for c in s.calls] == [(0, 1), (2, 3), (0, 2), (1, 3)]
         assert is_exact_k_informing(s, 4)
 
     def test_matches_formula_optimum(self):

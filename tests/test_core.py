@@ -1,11 +1,12 @@
 """Simulation semantics, awareness queries and the schedule JSON format."""
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
 from partialgossip import (
-    AugmentedSchedule,
     Call,
     Schedule,
     ValidationError,
@@ -31,7 +32,7 @@ def schedules(draw, max_n: int = 6, max_calls: int = 8):
 class TestCallAndSchedule:
     def test_call_normalizes_order(self):
         assert Call(3, 1) == Call(1, 3)
-        assert Call(1, 3).as_pair() == (1, 3)
+        assert tuple(Call(1, 3)) == (1, 3)
 
     def test_self_call_rejected(self):
         with pytest.raises(ValidationError):
@@ -51,7 +52,20 @@ class TestCallAndSchedule:
 
     def test_preliminary_outside_universe_rejected(self):
         with pytest.raises(ValidationError):
-            AugmentedSchedule([(0, 9)], Schedule(3, [(0, 1)]))
+            Schedule(3, [(0, 9), (0, 1)], prelim=1)
+
+    @pytest.mark.parametrize("prelim", [-1, 3])
+    def test_prelim_outside_call_range_rejected(self, prelim):
+        with pytest.raises(ValidationError):
+            Schedule(3, [(0, 1), (1, 2)], prelim=prelim)
+
+    def test_call_is_a_validated_int_pair(self):
+        c = Call(4, 2)
+        a, b = c
+        assert (a, b) == (c.a, c.b) == (2, 4)
+        assert Call(2, 4) == c and hash(Call(2, 4)) == hash(c)
+        with pytest.raises(ValidationError):
+            Call(-1, 2)
 
 
 class TestSimulate:
@@ -79,7 +93,7 @@ class TestSimulate:
         assert awareness(apply_preliminary(wide_exact4_tree_10_plus_two)) == [6] * 10
 
     def test_no_preliminary_matches_plain_simulation(self, hub_tree_8):
-        aug = AugmentedSchedule([], hub_tree_8)
+        aug = Schedule(hub_tree_8.n, hub_tree_8.calls, prelim=0)
         assert apply_preliminary(aug) == simulate(hub_tree_8)
 
 
@@ -93,9 +107,7 @@ class TestInformingPredicates:
 
     def test_exactness(self, hub_tree_8, hub_tree_8_plus_one):
         assert is_exact_k_informing(hub_tree_8, 4)
-        base = hub_tree_8_plus_one.base
-        merged = Schedule(base.n, list(hub_tree_8_plus_one.preliminary) + list(base.calls))
-        assert is_exact_k_informing(merged, 5)
+        assert is_exact_k_informing(hub_tree_8_plus_one, 5)
 
     def test_star_center_not_exact(self):
         star = Schedule(4, [(0, 1), (0, 2), (0, 3)])
@@ -145,7 +157,7 @@ def test_preliminary_gain_bounded_by_list_length(s, data):
     pairs = [(a, b) for a in range(s.n) for b in range(a + 1, s.n)]
     prelim = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3))
     before = awareness(simulate(s))
-    after = awareness(apply_preliminary(AugmentedSchedule(prelim, s)))
+    after = awareness(apply_preliminary(Schedule(s.n, [*prelim, *s.calls], prelim=len(prelim))))
     assert all(b - a <= len(prelim) for a, b in zip(before, after))
 
 
@@ -165,8 +177,8 @@ class TestScheduleJson:
 
     def test_preliminary_defaults_to_empty(self):
         aug = schedule_from_json('{"n": 2, "calls": [[0, 1]]}')
-        assert aug.preliminary == ()
-        assert aug.base.calls == (Call(0, 1),)
+        assert aug.calls[: aug.prelim] == ()
+        assert aug.calls[aug.prelim :] == (Call(0, 1),)
 
     @pytest.mark.parametrize(
         "text",
@@ -187,3 +199,50 @@ class TestScheduleJson:
     def test_malformed_documents_rejected(self, text):
         with pytest.raises(ValidationError):
             schedule_from_json(text)
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "1" * 5_000, '{"n": ' + "9" * 5_000 + "}"])
+    def test_pathological_json_rejected(self, text):
+        # nesting deeper than the recursion limit, integers too long to convert
+        with pytest.raises(ValidationError):
+            schedule_from_json(text)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "calls", "preliminary", "x"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _documents(draw):
+    """Schedule documents: well formed, or with ids, pairs or n slightly off."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 9))
+        pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    else:
+        n = draw(st.integers(-1, 9))
+        pair = st.lists(st.integers(-1, n) | st.booleans(), min_size=1, max_size=3)
+    doc = {"n": n, "calls": draw(st.lists(pair, max_size=5))}
+    if draw(st.booleans()):
+        doc["preliminary"] = draw(st.lists(pair, max_size=3))
+    return doc
+
+
+@given(_json_values | _documents())
+def test_from_json_parses_or_rejects_and_round_trips(doc):
+    """Any JSON value parses or raises ValidationError; accepted ones round-trip."""
+    text = json.dumps(doc)
+    try:
+        s = schedule_from_json(text)
+    except ValidationError:
+        return
+    out = schedule_to_json(s)
+    assert schedule_to_json(schedule_from_json(out)) == out
+    assert json.loads(out) == {
+        "n": doc["n"],
+        "preliminary": [sorted(c) for c in doc.get("preliminary", [])],
+        "calls": [sorted(c) for c in doc["calls"]],
+    }

@@ -96,7 +96,7 @@ class TestFirstCallSplit:
         side_a, side_b = first_call_split(hub_tree_8)
         assert side_a.vertices == frozenset({0, 2, 4, 6})
         assert side_b.vertices == frozenset({1, 3, 5, 7})
-        assert [c.as_pair() for c in side_a.calls()] == [(0, 2), (0, 4), (2, 6)]
+        assert [tuple(c) for c in side_a.calls()] == [(0, 2), (0, 4), (2, 6)]
 
     def test_two_vertex_tree_gives_singletons(self):
         side_a, side_b = first_call_split(Schedule(2, [(0, 1)]))
@@ -119,7 +119,7 @@ class TestSwapBlocks:
     def test_disjoint_blocks_swap(self):
         s = Schedule(4, [(0, 1), (2, 3)])
         swapped = swap_blocks(s, 0, 1, 1)
-        assert swapped.pairs() == [(2, 3), (0, 1)]
+        assert [tuple(c) for c in swapped.calls] == [(2, 3), (0, 1)]
         assert simulate(swapped) == simulate(s)
 
     def test_empty_block_is_identity(self):
@@ -137,6 +137,20 @@ class TestSwapBlocks:
         s = Schedule(4, [(0, 1), (2, 3)])
         with pytest.raises(ValidationError):
             swap_blocks(s, 1, 1, 1)
+
+    def test_swap_keeps_preliminary_calls(self, hub_tree_8_plus_one):
+        swapped = swap_blocks(hub_tree_8_plus_one, 2, 1, 1)
+        assert swapped.prelim == 1
+        assert swapped.calls[:2] == hub_tree_8_plus_one.calls[:2]
+        assert simulate(swapped) == simulate(hub_tree_8_plus_one)
+
+    @pytest.mark.parametrize("split,m,l", [(0, 2, 1), (1, 1, 1), (1, 1, 2)])
+    def test_swap_across_preliminary_boundary_rejected(self, split, m, l):
+        # disjoint blocks, but they would move calls across the two preliminary ones
+        s = Schedule(8, [(0, 1), (2, 3), (4, 5), (6, 7)], prelim=2)
+        with pytest.raises(ValidationError):
+            swap_blocks(s, split, m, l)
+        assert swap_blocks(s, 0, 1, 1).prelim == swap_blocks(s, 2, 1, 1).prelim == 2
 
     @given(schedules(), st.data())
     def test_swap_preserves_final_state(self, s, data):

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from partialgossip import (
-    AugmentedSchedule,
+    Schedule,
     ValidationError,
     apply_preliminary,
     awareness,
@@ -19,7 +19,9 @@ from partialgossip import (
     LemmaParams,
     simulate,
 )
-from partialgossip import lemmas
+from partialgossip import lemmas, minimal_informing_tree
+from partialgossip.core import run_calls
+from partialgossip.oracle import informing_tree_classes
 from partialgossip.lemmas import LEMMA_IDS
 
 # small ranges so the whole file stays fast; the acceptance suite runs the
@@ -50,6 +52,7 @@ def test_unknown_lemma_id_rejected():
 
 @pytest.mark.parametrize("lemma_id,top", [
     ("L4a", 0), ("L4a", 5), ("L4a", 7), ("L4b", 6), ("L5a", 4), ("L5a", 12), ("L4b", 12),
+    ("L1a", 1), ("L1b", 11), ("L3", 3), ("L3", 11),
 ])
 def test_tree_class_suites_reject_ranges_without_instances(lemma_id, top):
     """Too few tree persons would check nothing and report ok; too many do not run."""
@@ -57,10 +60,23 @@ def test_tree_class_suites_reject_ranges_without_instances(lemma_id, top):
         check_lemma(lemma_id, LemmaParams(max_exhaustive_n=top))
 
 
-@pytest.mark.parametrize("lemma_id,top", [("L4a", 8), ("L4b", 8), ("L5a", 5)])
+@pytest.mark.parametrize("lemma_id,top", [
+    ("L4a", 8), ("L4b", 8), ("L5a", 5), ("L1a", 2), ("L1b", 2), ("L3", 4),
+])
 def test_tree_class_suites_check_instances_at_smallest_range(lemma_id, top):
     report = check_lemma(lemma_id, LemmaParams(max_exhaustive_n=top))
     assert report.instances_checked > 0 and report.ok
+
+
+@pytest.mark.parametrize("top", [1, lemmas.MAX_SAMPLED_N + 1, 10**9])
+def test_max_sampled_n_bounded(top):
+    with pytest.raises(ValidationError):
+        check_lemma("L2", LemmaParams(max_sampled_n=top))
+
+
+def test_largest_max_sampled_n_runs():
+    report = check_lemma("L2", LemmaParams(max_sampled_n=lemmas.MAX_SAMPLED_N, samples=20))
+    assert report.ok and report.instances_checked > 0
 
 
 def test_report_json_shape():
@@ -80,7 +96,8 @@ def test_single_preliminary_gain_on_minimal_tree_is_exactly_one(hub_tree_8):
     gains = []
     for a in range(8):
         for b in range(a + 1, 8):
-            lifted = awareness(apply_preliminary(AugmentedSchedule([(a, b)], hub_tree_8)))
+            lifted = awareness(apply_preliminary(
+                Schedule(8, [(a, b), *hub_tree_8.calls], prelim=1)))
             gains.append(max(y - x for x, y in zip(base, lifted)))
     assert max(gains) == 1
 
@@ -114,7 +131,8 @@ def test_two_preliminary_lift_needs_nine_vertices(
         assert aug.n >= 9
     pairs = [(a, b) for a in range(8) for b in range(a + 1, 8)]
     for prelim in itertools.combinations(pairs, 2):
-        lifted = awareness(apply_preliminary(AugmentedSchedule(list(prelim), hub_tree_8)))
+        lifted = awareness(apply_preliminary(
+            Schedule(8, [*prelim, *hub_tree_8.calls], prelim=len(prelim))))
         assert min(lifted) < 6
 
 
@@ -261,7 +279,7 @@ def test_l5b_unchanged_by_skipping_small_universes(bound_slack):
 def _tree_class(instance):
     """Relabeling class of the tree's own final state in a reported instance."""
     m = instance["n"]
-    return canonical_key(tuple(lemmas._sim(m, instance["calls"])), m)
+    return canonical_key(tuple(run_calls([1 << p for p in range(m)], instance["calls"])), m)
 
 
 @pytest.mark.parametrize("params", [LemmaParams(), LemmaParams(**FAST)], ids=["default", "fast"])
@@ -278,3 +296,24 @@ def test_tree_suites_cover_k_at_least_four(lemma_id, params):
     assert at_four == report.instances_checked >= 20
     assert len(report.violations) == report.instances_checked
     assert len({_tree_class(v.instance) for v in report.violations}) >= 20
+
+
+@pytest.mark.parametrize("params", [LemmaParams(), LemmaParams(**FAST)], ids=["default", "fast"])
+@pytest.mark.parametrize("lemma_id", ["L1a", "L1b"])
+def test_tree_suites_check_every_class_up_to_eight(lemma_id, params):
+    """One instance per final-state class of trees on 2 to 8 persons."""
+    params.bound_slack = 10**6
+    report = check_lemma(lemma_id, params)
+    classes = sum(len(informing_tree_classes(m, 1, 0)) for m in range(2, 9))
+    assert report.instances_checked == len(report.violations) == classes == 1_254
+    assert len({_tree_class(v.instance) for v in report.violations}) == classes
+
+
+def test_exact_trees_include_minimal_informing_trees():
+    found = {
+        canonical_key(tuple(run_calls([1 << p for p in range(n)], pairs)), n)
+        for n, k, pairs in lemmas._exact_k_trees(LemmaParams())
+    }
+    for k in (3, 4):
+        s = minimal_informing_tree(k)
+        assert canonical_key(simulate(s).know, s.n) in found
