@@ -147,7 +147,7 @@ def check_lemma(lemma_id: str, params: LemmaParams | None = None) -> LemmaReport
             raise ValidationError(
                 f"{lemma_id} needs {low} <= max_exhaustive_n <= {high}, got {top}"
             )
-    return _CHECKERS[lemma_id](params)
+    return _report(lemma_id, _CHECKERS[lemma_id](params))
 
 
 # ---------------------------------------------------------------------------
@@ -269,69 +269,71 @@ def _describe(n: int, pairs, prelim=None, **extra) -> dict:
 # the ten suites
 # ---------------------------------------------------------------------------
 
-def _check_l1a(params: LemmaParams) -> LemmaReport:
-    """k-informing tree on n persons implies n >= 2^(k-1)."""
+def _report(lemma_id: str, outcomes) -> LemmaReport:
+    """The report of a suite, from one outcome per candidate it generated.
+
+    An outcome is None for a candidate that misses the lemma's hypotheses,
+    else (coverage key, a Violation or a falsy value).  L2's key is None,
+    which leaves its coverage empty.
+    """
+    generated = checked = 0
     violations = []
     coverage = Counter()
+    for outcome in outcomes:
+        generated += 1
+        if outcome is None:
+            continue
+        key, violation = outcome
+        checked += 1
+        if key is not None:
+            coverage[key] += 1
+        if violation:
+            violations.append(violation)
+    return LemmaReport(lemma_id, checked, violations, generated, coverage)
+
+
+def _check_l1a(params: LemmaParams):
+    """k-informing tree on n persons implies n >= 2^(k-1)."""
     for n, pairs in _tree_classes(params, "L1a"):
         kmax = min(_aw(n, pairs))
         bound = (1 << (kmax - 1)) + params.bound_slack
-        coverage[n, kmax, 0] += 1
-        if n < bound:
-            violations.append(Violation(_describe(n, pairs, k=kmax), bound, n))
-    return LemmaReport("L1a", coverage.total(), violations, coverage.total(), coverage)
+        yield (n, kmax, 0), n < bound and Violation(_describe(n, pairs, k=kmax), bound, n)
 
 
-def _check_l1b(params: LemmaParams) -> LemmaReport:
+def _check_l1b(params: LemmaParams):
     """Tree with one kp-informed person and the rest k-informed: size bound."""
-    violations = []
-    coverage = Counter()
     for n, pairs in _tree_classes(params, "L1b"):
         aw = _aw(n, pairs)
         kp = min(aw)
         weakest = aw.index(kp)
         k = min(a for p, a in enumerate(aw) if p != weakest)
         bound = lemma1b_bound(k, kp) + params.bound_slack
-        coverage[n, k, 0] += 1
-        if n < bound:
-            violations.append(Violation(_describe(n, pairs, k=k, kp=kp), bound, n))
-    return LemmaReport("L1b", coverage.total(), violations, coverage.total(), coverage)
+        yield (n, k, 0), n < bound and Violation(_describe(n, pairs, k=k, kp=kp), bound, n)
 
 
-def _check_l1c(params: LemmaParams) -> LemmaReport:
+def _check_l1c(params: LemmaParams):
     """Unicyclic k-informing scheme (k >= 4) has at least 2^(k-2) vertices."""
-    generated = 0
-    violations = []
-    coverage = Counter()
     for n, pairs in _unicyclic_schemes(params):
-        generated += 1
         kmax = min(_aw(n, pairs))
         if kmax < 4:
+            yield None
             continue
         bound = (1 << (kmax - 2)) + params.bound_slack
-        coverage[n, kmax, 0] += 1
-        if n < bound:
-            violations.append(Violation(_describe(n, pairs, k=kmax), bound, n))
-    return LemmaReport("L1c", coverage.total(), violations, generated, coverage)
+        yield (n, kmax, 0), n < bound and Violation(_describe(n, pairs, k=kmax), bound, n)
 
 
-def _check_l2(params: LemmaParams) -> LemmaReport:
+def _check_l2(params: LemmaParams):
     """Appending ell preliminary calls raises nobody's awareness by more than ell."""
-    checked = 0
-    violations = []
     rng = params.rng()
 
-    def run(n: int, base, prelim) -> None:
-        nonlocal checked
-        checked += 1
+    def judge(n: int, base, prelim):
         before = _aw(n, base)
         after = _aw(n, list(prelim) + list(base))
         allowed = len(prelim) - params.bound_slack
         gain = max(b - a for a, b in zip(before, after))
-        if gain > allowed:
-            violations.append(
-                Violation(_describe(n, base, prelim, max_gain=gain), allowed, gain)
-            )
+        return None, gain > allowed and Violation(
+            _describe(n, base, prelim, max_gain=gain), allowed, gain
+        )
 
     # exhaustive small box: every schedule and every preliminary list of up
     # to min(2, max_prelim) calls; with max_prelim = 0 only the empty list
@@ -342,7 +344,7 @@ def _check_l2(params: LemmaParams) -> LemmaReport:
             for base in itertools.product(pairs, repeat=length):
                 for ell in ells:
                     for prelim in itertools.product(pairs, repeat=ell):
-                        run(n, base, prelim)
+                        yield judge(n, base, prelim)
     # sampled larger instances; they need n >= 5 and at least one preliminary call
     if params.max_sampled_n >= 5 and params.max_prelim >= 1:
         for _ in range(params.samples):
@@ -351,8 +353,7 @@ def _check_l2(params: LemmaParams) -> LemmaReport:
             base = [pairs[rng.randrange(len(pairs))] for _ in range(rng.randrange(0, 9))]
             ell = rng.randrange(1, params.max_prelim + 1)
             prelim = [pairs[rng.randrange(len(pairs))] for _ in range(ell)]
-            run(n, base, prelim)
-    return LemmaReport("L2", checked, violations, generated=checked)
+            yield judge(n, base, prelim)
 
 
 def _exact_k_trees(params: LemmaParams):
@@ -364,34 +365,47 @@ def _exact_k_trees(params: LemmaParams):
             yield n, k, pairs
 
 
-def _check_l3(params: LemmaParams) -> LemmaReport:
+def _check_l3(params: LemmaParams):
     """Exact k-informing tree lifted to all (k+ell)-informed: n >= 2^(k-1)+ell-1."""
-    generated = 0
-    violations = []
-    coverage = Counter()
     rng = params.rng()
     for n, k, base in _exact_k_trees(params):
         for ell in range(1, params.max_prelim + 1):
             for prelim in _prelim_lists(n, ell, rng):
-                generated += 1
                 if min(_aw(n, list(prelim) + list(base))) < k + ell:
-                    continue  # hypothesis not satisfied
+                    yield None  # hypothesis not satisfied
+                    continue
                 bound = (1 << (k - 1)) + ell - 1 + params.bound_slack
-                coverage[n, k + ell, ell] += 1
-                if n < bound:
-                    violations.append(
-                        Violation(_describe(n, base, prelim, k=k, ell=ell), bound, n)
-                    )
-    return LemmaReport("L3", coverage.total(), violations, generated, coverage)
+                yield (n, k + ell, ell), n < bound and Violation(
+                    _describe(n, base, prelim, k=k, ell=ell), bound, n
+                )
 
 
-def _enlarged_tree_instances(params: LemmaParams, lemma_id: str, outsiders: int, spare: int):
-    """(universe, n_total, m, tree_pairs, prelims): trees with prepended calls.
+def _judge_prelim_bound(params: LemmaParams, n: int, k: int, shift: int, m: int, base, prelim):
+    """Outcome of n >= t_{i-1+shift}(k), where i preliminary calls precede ``base``.
 
-    The trees are one scheme per class of ``informing_tree_classes(m, 4,
-    spare)`` (_tree_classes).  No
-    tree outside those classes can meet the hypotheses, and no class member
-    would add a different instance:
+    The hypotheses are k >= 4, i <= k - 4 and n >= k.  A violation names the
+    instance as ``m`` persons running ``prelim`` then ``base``.
+    """
+    i = len(prelim)
+    if k < 4 or i > k - 4 or n < k:
+        return None
+    bound = t_value(i - 1 + shift, k) + params.bound_slack
+    return (n, k, i), n < bound and Violation(_describe(m, base, prelim, k=k, i=i), bound, n)
+
+
+# (outsiders, spare) of the tree suites with preliminary calls
+_TREE_PRELIM = {"L4a": (0, 0), "L4b": (2, 0), "L5a": (1, 1)}
+
+
+def _check_tree_prelim(params: LemmaParams, lemma_id: str):
+    """Tree plus i preliminary calls: n >= t_{i-1+spare}(k).
+
+    k is the (spare+1)-th smallest awareness on the tree's own persons, so
+    L5a (spare 1) lets one of them stay below k.  L4a keeps every
+    preliminary call inside the tree; L4b and L5a let them touch outsiders,
+    counted in n.  The trees are one scheme per class of ``informing_tree_classes(m, 4,
+    spare)`` (_tree_classes).  No tree outside those classes can meet the
+    hypotheses, and no class member would add a different instance:
 
     1. The tree's calls run after the preliminary calls, so person v ends
        with the OR of P[u] over the gossips u in T[v], where P is the state
@@ -404,103 +418,43 @@ def _enlarged_tree_instances(params: LemmaParams, lemma_id: str, outsiders: int,
        k >= 4 + i.
 
     The tree lives on persons [0, m); preliminary calls may touch up to
-    ``outsiders`` extra persons and must use exactly the allotted number so
-    outsider counts are not re-checked.  n_total counts tree vertices plus
-    the outsiders actually appearing in preliminary calls.
+    ``outsiders`` extra persons and must use exactly o of them, so outsider
+    counts are not re-checked.  n counts the tree's persons plus the o
+    outsiders.
     """
+    outsiders, spare = _TREE_PRELIM[lemma_id]
     rng = params.rng()
-    for m, pairs in _tree_classes(params, lemma_id, 4, spare):
-        for o in range(0, outsiders + 1):
-            universe = m + o
-            for ell in range(max(1, o), params.max_prelim + 1):
-                for prelim in _prelim_lists(universe, ell, rng):
-                    extra = {v for p in prelim for v in p if v >= m}
-                    if len(extra) != o:
-                        continue
-                    yield universe, m + o, m, pairs, prelim
-        yield m, m, m, pairs, []  # the i = 0 case
+    for m, tree in _tree_classes(params, lemma_id, 4, spare):
+        with_prelims = (
+            (m + o, prelim)
+            for o in range(0, outsiders + 1)
+            for ell in range(max(1, o), params.max_prelim + 1)
+            for prelim in _prelim_lists(m + o, ell, rng)
+            if len({v for p in prelim for v in p if v >= m}) == o
+        )
+        for n, prelim in itertools.chain(with_prelims, [(m, [])]):  # then i = 0
+            k = sorted(_aw(n, list(prelim) + list(tree))[:m])[spare]
+            yield _judge_prelim_bound(params, n, k, spare, m, tree, prelim)
 
 
-def _check_l4(params: LemmaParams, lemma_id: str) -> LemmaReport:
-    """Tree plus i preliminary calls, k-informing: n >= t_{i-1}(k).
+def _check_l5b(params: LemmaParams):
+    """Unicyclic scheme whose vertices all end k-informed after i prelims: n >= t_i(k).
 
-    L4a keeps every preliminary call inside the tree's vertex set; L4b lets
-    them touch outsiders and only requires the tree's own vertices to end
-    k-informed, counting outsiders in n.
+    That is the tree suites' bound with one cycle in place of one spare person.
     """
-    generated = 0
-    violations = []
-    coverage = Counter()
-    outsiders = 0 if lemma_id == "L4a" else 2
-    instances = _enlarged_tree_instances(params, lemma_id, outsiders, spare=0)
-    for universe, n_total, m, tree, prelim in instances:
-        generated += 1
-        aw = _aw(universe, list(prelim) + list(tree))
-        k = min(aw[:m])
-        i = len(prelim)
-        if k < 4 or i > k - 4 or n_total < k:
-            continue
-        bound = t_value(i - 1, k) + params.bound_slack
-        coverage[n_total, k, i] += 1
-        if n_total < bound:
-            violations.append(
-                Violation(_describe(m, tree, prelim, k=k, i=i), bound, n_total)
-            )
-    return LemmaReport(lemma_id, coverage.total(), violations, generated, coverage)
-
-
-def _check_l5a(params: LemmaParams) -> LemmaReport:
-    """Tree whose vertices, except one, end k-informed after i prelims: n >= t_i(k)."""
-    generated = 0
-    violations = []
-    coverage = Counter()
-    instances = _enlarged_tree_instances(params, "L5a", outsiders=1, spare=1)
-    for universe, n_total, m, tree, prelim in instances:
-        generated += 1
-        aw = _aw(universe, list(prelim) + list(tree))
-        tree_aw = aw[:m]
-        weakest = tree_aw.index(min(tree_aw))
-        k = min(a for v, a in enumerate(tree_aw) if v != weakest)
-        i = len(prelim)
-        if k < 4 or i > k - 4 or n_total < k:
-            continue
-        bound = t_value(i, k) + params.bound_slack
-        coverage[n_total, k, i] += 1
-        if n_total < bound:
-            violations.append(
-                Violation(_describe(m, tree, prelim, k=k, i=i), bound, n_total)
-            )
-    return LemmaReport("L5a", coverage.total(), violations, generated, coverage)
-
-
-def _check_l5b(params: LemmaParams) -> LemmaReport:
-    """Unicyclic scheme whose vertices all end k-informed after i prelims: n >= t_i(k)."""
-    generated = 0
-    violations = []
-    coverage = Counter()
     rng = params.rng()
     for m, pairs in _unicyclic_schemes(params):
         for i in range(0, params.max_prelim + 1):
             for prelim in _prelim_lists(m, i, rng, general_samples=5):
-                generated += 1
                 if i > m - 4:
-                    continue  # k <= m, so i > k - 4; the list is still drawn
-                k = min(_aw(m, list(prelim) + list(pairs)))
-                if k < 4 or i > k - 4:
+                    yield None  # k <= m, so i > k - 4; the list is still drawn
                     continue
-                bound = t_value(i, k) + params.bound_slack
-                coverage[m, k, i] += 1
-                if m < bound:
-                    violations.append(
-                        Violation(_describe(m, pairs, prelim, k=k, i=i), bound, m)
-                    )
-    return LemmaReport("L5b", coverage.total(), violations, generated, coverage)
+                k = min(_aw(m, list(prelim) + list(pairs)))
+                yield _judge_prelim_bound(params, m, k, 1, m, pairs, prelim)
 
 
-def _check_l6s1(params: LemmaParams) -> LemmaReport:
+def _check_l6s1(params: LemmaParams):
     """With n <= t_{i-1}(k)-1, any i+j calls leave at most j persons k-informed."""
-    violations = []
-    coverage = Counter()
     rng = params.rng()
     exhaustive_cap = 70_000
     for k in (4, 5, 6):
@@ -518,19 +472,14 @@ def _check_l6s1(params: LemmaParams) -> LemmaReport:
                             tuple(pairs[rng.randrange(len(pairs))] for _ in range(length))
                             for _ in range(params.samples)
                         )
+                    allowed = j - params.bound_slack
                     for seq in seqs:
                         informed = sum(1 for a in _aw(n, seq) if a >= k)
-                        allowed = j - params.bound_slack
-                        coverage[n, k, i] += 1
-                        if informed > allowed:
-                            violations.append(
-                                Violation(
-                                    _describe(n, seq, k=k, i=i, j=j, informed=informed),
-                                    allowed,
-                                    informed,
-                                )
-                            )
-    return LemmaReport("L6s1", coverage.total(), violations, coverage.total(), coverage)
+                        yield (n, k, i), informed > allowed and Violation(
+                            _describe(n, seq, k=k, i=i, j=j, informed=informed),
+                            allowed,
+                            informed,
+                        )
 
 
 _CHECKERS = {
@@ -539,9 +488,7 @@ _CHECKERS = {
     "L1c": _check_l1c,
     "L2": _check_l2,
     "L3": _check_l3,
-    "L4a": lambda p: _check_l4(p, "L4a"),
-    "L4b": lambda p: _check_l4(p, "L4b"),
-    "L5a": _check_l5a,
+    **{lid: functools.partial(_check_tree_prelim, lemma_id=lid) for lid in _TREE_PRELIM},
     "L5b": _check_l5b,
     "L6s1": _check_l6s1,
 }

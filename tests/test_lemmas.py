@@ -39,6 +39,44 @@ def test_no_violations_on_valid_instances(lemma_id):
     assert report.violations == []
 
 
+# instances_checked, generated and coverage of each suite at FAST
+_FAST_COUNTS = {
+    "L1a": (1254, 1254, {
+        (2, 2, 0): 1, (3, 2, 0): 1, (4, 2, 0): 3, (4, 3, 0): 1, (5, 2, 0): 9, (5, 3, 0): 2,
+        (6, 2, 0): 40, (6, 3, 0): 9, (7, 2, 0): 175, (7, 3, 0): 29, (8, 2, 0): 862,
+        (8, 3, 0): 121, (8, 4, 0): 1}),
+    "L1b": (1254, 1254, {
+        (2, 2, 0): 1, (3, 3, 0): 1, (4, 2, 0): 1, (4, 3, 0): 3, (5, 2, 0): 3, (5, 3, 0): 7,
+        (5, 4, 0): 1, (6, 2, 0): 18, (6, 3, 0): 27, (6, 4, 0): 4, (7, 2, 0): 86,
+        (7, 3, 0): 101, (7, 4, 0): 17, (8, 2, 0): 481, (8, 3, 0): 436, (8, 4, 0): 67}),
+    "L1c": (98, 2400, {(4, 4, 0): 96, (5, 4, 0): 2}),
+    "L2": (66802, 66802, {}),
+    "L3": (2, 105, {(4, 4, 1): 1, (8, 5, 1): 1}),
+    "L4a": (195, 3067, {
+        (8, 4, 0): 1, (8, 5, 1): 1, (9, 4, 0): 4, (9, 5, 1): 12, (9, 6, 2): 3,
+        (10, 4, 0): 25, (10, 5, 1): 130, (10, 6, 2): 19}),
+    "L4b": (263, 4104, {
+        (8, 4, 0): 1, (8, 5, 1): 1, (9, 4, 0): 4, (9, 5, 1): 14, (9, 6, 2): 3,
+        (10, 4, 0): 25, (10, 5, 1): 138, (10, 6, 2): 21, (11, 5, 1): 42, (11, 6, 2): 14}),
+    "L5a": (8387, 43184, {
+        (5, 4, 0): 1, (5, 5, 1): 1, (6, 4, 0): 4, (6, 5, 1): 19, (6, 6, 2): 18,
+        (7, 4, 0): 17, (7, 5, 1): 126, (7, 6, 2): 106, (8, 4, 0): 67, (8, 5, 1): 675,
+        (8, 6, 2): 504, (9, 4, 0): 256, (9, 5, 0): 1, (9, 5, 1): 3334, (9, 6, 1): 1,
+        (9, 6, 2): 1865, (10, 5, 1): 727, (10, 6, 1): 3, (10, 6, 2): 661, (10, 7, 2): 1}),
+    "L5b": (100, 36290, {(4, 4, 0): 96, (5, 4, 0): 2, (5, 5, 1): 2}),
+    "L6s1": (35034, 35034, {
+        (4, 4, 0): 1554, (5, 4, 0): 11150, (5, 5, 0): 11150, (5, 5, 1): 11180}),
+}
+
+
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+def test_counts_pinned_at_fast(lemma_id):
+    report = check_lemma(lemma_id, LemmaParams(**FAST))
+    assert (report.instances_checked, report.generated, dict(report.coverage)) == (
+        _FAST_COUNTS[lemma_id]
+    )
+
+
 @pytest.mark.parametrize("lemma_id", LEMMA_IDS)
 def test_negative_control_detects_falsified_bound(lemma_id):
     report = check_lemma(lemma_id, LemmaParams(**FAST, bound_slack=1))
