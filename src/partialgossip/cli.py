@@ -28,7 +28,7 @@ from .core import (
 )
 from .formulas import REGIME_BAND, classify_regime, p_min_calls
 from .graph import classify_components, full_graph, to_dot
-from .lemmas import LEMMA_IDS, LemmaParams, check_lemma
+from .lemmas import LEMMA_IDS, MAX_PRELIM, LemmaParams, check_lemma
 from .oracle import FOUND, SearchConfig, min_calls_bruteforce
 
 EXIT_OK = 0
@@ -38,6 +38,13 @@ EXIT_VIOLATION = 2
 # digit cap of table's boundary when the interpreter sets no int-to-str
 # limit: Python's default limit
 _MAX_DIGITS = 4300
+
+# Size caps on command-line input; the library takes any size.  Simulating
+# n persons holds n bitmasks of up to n bits, so memory grows as n^2:
+# verify of a schedule file with 2^15 persons and no call peaks at 86 MB
+# (Python 3.11).
+MAX_PERSONS = 2**16  # synth's n and the n of verify's schedule file
+MAX_ROWS = 10**5  # rows of table
 
 _METHODS = {
     "doubling": synth_doubling,
@@ -71,6 +78,8 @@ def _cmd_table(args) -> int:
         raise ValidationError(f"k must be >= 2, got {args.k}")
     if args.n_min > args.n_max:
         raise ValidationError(f"empty range: n_min={args.n_min} > n_max={args.n_max}")
+    if args.n_max - args.n_min >= MAX_ROWS:
+        raise ValidationError(f"at most {MAX_ROWS} rows, got {args.n_max - args.n_min + 1}")
     # 2^(k-1) - 1 < 10^digits iff k <= bit_length(10^digits), so the
     # boundary is only built once it is known to be printable
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _MAX_DIGITS
@@ -99,7 +108,13 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _check_persons(n: int) -> None:
+    if n > MAX_PERSONS:
+        raise ValidationError(f"at most {MAX_PERSONS} persons, got n={n}")
+
+
 def _cmd_synth(args) -> int:
+    _check_persons(args.n)
     method = _METHODS[args.method]
     if args.method == "multiblock":
         schedule = method(args.n, args.k, args.i, args.blocks)
@@ -142,6 +157,7 @@ def _cmd_verify(args) -> int:
     except OSError as e:
         raise ValidationError(f"cannot read {args.file}: {e}") from e
     s = schedule_from_json(text)
+    _check_persons(s.n)
     if not 1 <= args.k <= s.n:
         raise ValidationError(f"k={args.k} out of range [1, n={s.n}]")
     aw = apply_preliminary(s).awareness()
@@ -287,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=400,
                    help="random instances per sampled size "
                         "(L1a, L1b, L3, L4a, L4b and L5a ignore it)")
-    p.add_argument("--prelim-max", type=int, default=3)
+    p.add_argument("--prelim-max", type=int, default=3,
+                   help=f"largest preliminary-call count, at most {MAX_PRELIM}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound-slack", type=int, default=0,
                    help="tighten bounds by this much (negative-control mode)")

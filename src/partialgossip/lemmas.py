@@ -1,10 +1,20 @@
 """Empirical verification harnesses for the structural lower-bound lemmas.
 
-Each checker enumerates (exhaustively on small sizes, by seeded sampling
-beyond) communication schemes satisfying a lemma's hypotheses and asserts
-its conclusion, reporting violations instead of raising.  The harness can
-be pointed at a deliberately falsified bound (``bound_slack``) to prove it
-is able to fail.
+Each suite enumerates candidate communication schemes (exhaustively on
+small sizes, by seeded sampling beyond) and yields one outcome per
+candidate: None when it misses the lemma's hypotheses, else the checked
+instance's coverage key and a violation of the lemma's conclusion or
+nothing.  One loop, _report, turns any suite's outcomes into its
+LemmaReport, so violations are reported instead of raised.  The harness
+can be pointed at a deliberately falsified bound (``bound_slack``) to prove
+it is able to fail.
+
+L4a, L4b and L5a are one statement with a moving bound index: a tree plus
+i preliminary calls has n >= t_{i-1+spare}(k), with k the (spare+1)-th
+smallest awareness on the tree's own persons.  One checker runs all three
+from the table _TREE_PRELIM of (outsiders, spare): L4a (0, 0), L4b (2, 0)
+and L5a (1, 1).  L5b asserts the same bound on a unicyclic scheme, its one
+cycle taking the place of the spare person.
 
 Documented instance ranges (defaults in LemmaParams):
 
@@ -16,17 +26,18 @@ Documented instance ranges (defaults in LemmaParams):
   persons, up to joint relabeling of the final state, that leaves everyone
   (L4a, L4b: m in {2, ..., 10}) or everyone but one person (L5a: m in
   {2, ..., 9}) knowing at least 4 gossips; no other tree can meet their
-  hypotheses (see _enlarged_tree_instances).  That is 1, 4 and 25 classes
+  hypotheses (see _check_tree_prelim).  That is 1, 4 and 25 classes
   for m = 8, 9, 10 and 1, 4, 17, 67 and 257 for m = 5, ..., 9, and none
   below;
 * the six tree suites take their largest m from ``max_exhaustive_n``,
   within _TREE_SIZES (L1a, L1b: 2..10; L3: 4..10; L4a, L4b: 8..11; L5a:
   5..11); ``max_sampled_n`` and ``samples`` do not apply to them;
 * unicyclic schemes: exhaustive for n <= 4, sampled for n in {5, ..., 8};
-* preliminary-call counts: up to 3.  Unions of disjoint edges (single
-  calls included) are listed in full while a given (n, size) has at most
-  48 of them; above that, 48 are sampled per tree.  Denser preliminary
-  lists are sampled: 10 per call, 5 in L5b;
+* preliminary-call counts: up to ``max_prelim`` (default 3, at most
+  MAX_PRELIM = 9).  Unions of disjoint edges (single calls included) are
+  listed in full for L3's exact trees, and elsewhere while a given
+  (n, size) has at most 48 of them; above that, 48 are sampled per tree.
+  Denser preliminary lists are sampled: 10 per call, 5 in L5b;
 * L2: an exhaustive box over n in {3, 4}, up to 4 base calls and
   ell <= min(2, max_prelim) preliminary calls (only ell = 0 when
   max_prelim is 0), plus ``samples`` random instances on 5..max_sampled_n
@@ -67,6 +78,12 @@ _TREE_SIZES = {
 # t_{-1}(6) - 1 = 30, the scheme enumerators at 8), and L2 builds every pair
 # of an n-person universe for each sample
 MAX_SAMPLED_N = 30
+
+# largest max_prelim accepted: the largest i any suite's hypotheses admit,
+# since i <= k - 4 <= n - 4 and the largest universe is 11 tree persons plus
+# 2 outsiders (L4b); more preliminary calls would only draw lists that
+# cannot be checked
+MAX_PRELIM = 9
 
 
 @dataclass(frozen=True)
@@ -113,7 +130,8 @@ class LemmaParams:
 
     L1a, L1b, L3, L4a, L4b and L5a enumerate tree classes on up to
     ``max_exhaustive_n`` persons and ignore ``max_sampled_n`` and
-    ``samples``.  ``max_sampled_n`` is at most MAX_SAMPLED_N.
+    ``samples``.  ``max_sampled_n`` is at most MAX_SAMPLED_N and
+    ``max_prelim`` at most MAX_PRELIM.
     """
 
     max_exhaustive_n: int | None = None  # per-lemma default when None
@@ -134,8 +152,10 @@ def check_lemma(lemma_id: str, params: LemmaParams | None = None) -> LemmaReport
     params = params or LemmaParams()
     if params.samples < 0:
         raise ValidationError(f"samples must be >= 0, got {params.samples}")
-    if params.max_prelim < 0:
-        raise ValidationError(f"max_prelim must be >= 0, got {params.max_prelim}")
+    if not 0 <= params.max_prelim <= MAX_PRELIM:
+        raise ValidationError(
+            f"max_prelim must be in [0, {MAX_PRELIM}], got {params.max_prelim}"
+        )
     if not 2 <= params.max_sampled_n <= MAX_SAMPLED_N:
         raise ValidationError(
             f"max_sampled_n must be in [2, {MAX_SAMPLED_N}], got {params.max_sampled_n}"
@@ -166,7 +186,7 @@ def _tree_classes(params: LemmaParams, lemma_id: str, k: int = 1, spare: int = 0
     persons and gossips; with k = 1 every tree is in one.  L1a and L1b read
     only the awareness profile, and L3 the outcome of preliminary calls run
     before the tree, which relabels with the final state (see
-    _enlarged_tree_instances), so one member per class checks them all.
+    _check_tree_prelim), so one member per class checks them all.
     """
     for m in range(2, (params.max_exhaustive_n or _TREE_SIZES[lemma_id][2]) + 1):
         for pairs in informing_tree_classes(m, k, spare):
@@ -228,7 +248,7 @@ def _all_matchings(n: int, size: int) -> tuple:
     return tuple(_matching_at(n, size, i) for i in range(_matching_count(n, size)))
 
 
-def _matchings(n: int, size: int, rng: random.Random, cap: int = 48):
+def _matchings(n: int, size: int, rng: random.Random, cap: float = 48):
     """Preliminary graphs that are unions of ``size`` disjoint edges.
 
     Exhaustive while there are at most ``cap`` of them, else ``cap`` sampled
@@ -245,12 +265,16 @@ def _matchings(n: int, size: int, rng: random.Random, cap: int = 48):
             yield list(_matching_at(n, size, idx))
 
 
-def _prelim_lists(n: int, size: int, rng: random.Random, general_samples: int = 10):
-    """Preliminary call lists: disjoint-edge matchings first, then denser samples."""
+def _prelim_lists(n: int, size: int, rng: random.Random, general_samples: int = 10,
+                  cap: float = 48):
+    """Preliminary call lists: disjoint-edge matchings first, then denser samples.
+
+    ``cap`` is _matchings's: with ``math.inf`` every matching is listed.
+    """
     if size == 0:
         yield []
         return
-    yield from _matchings(n, size, rng)
+    yield from _matchings(n, size, rng, cap)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     if size >= 2 and len(pairs) >= 2:
         for _ in range(general_samples):
@@ -366,11 +390,16 @@ def _exact_k_trees(params: LemmaParams):
 
 
 def _check_l3(params: LemmaParams):
-    """Exact k-informing tree lifted to all (k+ell)-informed: n >= 2^(k-1)+ell-1."""
+    """Exact k-informing tree lifted to all (k+ell)-informed: n >= 2^(k-1)+ell-1.
+
+    Every disjoint-edge matching is tried: few exact trees exist, and a
+    sample misses the rare lifting pairs (two calls lift a 10-person exact
+    4-informing tree to 6).
+    """
     rng = params.rng()
     for n, k, base in _exact_k_trees(params):
         for ell in range(1, params.max_prelim + 1):
-            for prelim in _prelim_lists(n, ell, rng):
+            for prelim in _prelim_lists(n, ell, rng, cap=math.inf):
                 if min(_aw(n, list(prelim) + list(base))) < k + ell:
                     yield None  # hypothesis not satisfied
                     continue

@@ -9,8 +9,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from partialgossip import lemmas, schedule_to_json
-from partialgossip.cli import EXIT_OK, EXIT_VALIDATION, EXIT_VIOLATION, main
+from partialgossip import cli, core, lemmas, schedule_to_json
+from partialgossip.cli import (
+    EXIT_OK, EXIT_VALIDATION, EXIT_VIOLATION, MAX_PERSONS, MAX_ROWS, main,
+)
+from partialgossip.lemmas import MAX_PRELIM
 
 
 def run(capsys, *argv):
@@ -236,6 +239,53 @@ class TestCheckLemmaCommand:
         assert err.count("\n") == 1
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("an over-cap input reached the code that builds it")
+
+
+class TestSizeCaps:
+    """Over-cap sizes exit 1 with one error line, before anything is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_simulation(self, monkeypatch):
+        monkeypatch.setattr(core, "run_calls", _must_not_run)
+        monkeypatch.setattr(lemmas, "run_calls", _must_not_run)
+
+    def assert_rejected(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("method", ["doubling", "tree", "multiblock"])
+    @pytest.mark.parametrize("n", [MAX_PERSONS + 1, 10**9])
+    def test_synth_persons(self, capsys, monkeypatch, method, n):
+        monkeypatch.setitem(cli._METHODS, method, _must_not_run)
+        self.assert_rejected(capsys, "synth", method, str(n), "5", "1")
+
+    @pytest.mark.parametrize("n", [MAX_PERSONS + 1, 2**20])
+    def test_verify_persons(self, capsys, tmp_path, n):
+        f = tmp_path / "big.json"
+        f.write_text(f'{{"n":{n},"calls":[]}}')
+        self.assert_rejected(capsys, "verify", str(f), "1")
+
+    @pytest.mark.parametrize("n_min,n_max", [(5, 5 + MAX_ROWS), (1, 10**9)])
+    def test_table_rows(self, capsys, monkeypatch, n_min, n_max):
+        monkeypatch.setattr(cli, "classify_regime", _must_not_run)
+        self.assert_rejected(capsys, "table", "5", str(n_min), str(n_max))
+
+    def test_table_at_row_cap(self, capsys):
+        code, out, _ = run(capsys, "table", "5", "5", str(4 + MAX_ROWS), "--format", "json")
+        assert code == EXIT_OK
+        assert len(json.loads(out)["rows"]) == MAX_ROWS
+
+    @pytest.mark.parametrize("value", [MAX_PRELIM + 1, 10**9])
+    @pytest.mark.parametrize("lemma", ["L3", "L4a"])
+    def test_prelim_max(self, capsys, lemma, value):
+        self.assert_rejected(capsys, "check-lemma", lemma, "--prelim-max", str(value))
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["pvalue", "abc", "3"],
@@ -273,6 +323,11 @@ def schedule_files(tmp_path_factory):
 
 
 _INT = st.integers(-2, 9).map(str)
+# sizes above the CLI caps; table's is above MAX_ROWS + 9, so even n_min = 9
+# leaves too many rows
+_PERSONS = _INT | st.sampled_from([str(MAX_PERSONS + 1), str(10**9)])
+_ROWS = _INT | st.sampled_from([str(MAX_ROWS + 10), str(10**9)])
+_PRELIM = _INT | st.sampled_from([str(MAX_PRELIM + 1), str(10**9)])
 _METHOD = st.sampled_from(["doubling", "tree", "multiblock", "abc"])
 
 
@@ -281,8 +336,8 @@ def _argv(files, out):
     fmt = ("--format", st.sampled_from(["json", "text", "dot", "yaml"]))
     commands = {
         "pvalue": ([_INT, _INT], [fmt]),
-        "table": ([_INT, _INT, _INT], [fmt]),
-        "synth": ([_METHOD, _INT, _INT, _INT], [
+        "table": ([_INT, _INT, _ROWS], [fmt]),
+        "synth": ([_METHOD, _PERSONS, _INT, _INT], [
             fmt, ("--blocks", _INT), ("--out", st.just(out + ".json")),
             ("--dot", st.just(out + ".dot")),
         ]),
@@ -290,7 +345,7 @@ def _argv(files, out):
         "oracle": ([_INT, _INT], [fmt]),
         "check-lemma": ([st.sampled_from([*lemmas.LEMMA_IDS, "L99"])], [
             fmt, ("--max-n", st.integers(-2, 40).map(str)), ("--samples", _INT),
-            ("--prelim-max", _INT), ("--seed", _INT), ("--bound-slack", _INT),
+            ("--prelim-max", _PRELIM), ("--seed", _INT), ("--bound-slack", _INT),
         ]),
     }
     junk = st.sampled_from(["abc", "1.5", "--", "-x", "--blocks", "nope"]) | _INT

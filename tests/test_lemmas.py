@@ -51,7 +51,7 @@ _FAST_COUNTS = {
         (7, 3, 0): 101, (7, 4, 0): 17, (8, 2, 0): 481, (8, 3, 0): 436, (8, 4, 0): 67}),
     "L1c": (98, 2400, {(4, 4, 0): 96, (5, 4, 0): 2}),
     "L2": (66802, 66802, {}),
-    "L3": (2, 105, {(4, 4, 1): 1, (8, 5, 1): 1}),
+    "L3": (2, 267, {(4, 4, 1): 1, (8, 5, 1): 1}),
     "L4a": (195, 3067, {
         (8, 4, 0): 1, (8, 5, 1): 1, (9, 4, 0): 4, (9, 5, 1): 12, (9, 6, 2): 3,
         (10, 4, 0): 25, (10, 5, 1): 130, (10, 6, 2): 19}),
@@ -110,6 +110,36 @@ def test_tree_class_suites_check_instances_at_smallest_range(lemma_id, top):
 def test_max_sampled_n_bounded(top):
     with pytest.raises(ValidationError):
         check_lemma("L2", LemmaParams(max_sampled_n=top))
+
+
+@pytest.mark.parametrize("max_prelim", [-1, lemmas.MAX_PRELIM + 1, 10**9])
+def test_max_prelim_bounded(monkeypatch, max_prelim):
+    def must_not_run(*args):
+        raise AssertionError("an out-of-range max_prelim reached the suite")
+
+    monkeypatch.setattr(lemmas, "run_calls", must_not_run)
+    with pytest.raises(ValidationError):
+        check_lemma("L4a", LemmaParams(max_prelim=max_prelim))
+
+
+@pytest.mark.parametrize("lemma_id", ["L3", "L4a"])
+def test_largest_max_prelim_runs(lemma_id):
+    report = check_lemma(lemma_id, LemmaParams(max_prelim=lemmas.MAX_PRELIM))
+    assert report.ok and report.instances_checked > 0
+
+
+def test_l3_lists_every_two_call_lift(monkeypatch, wide_exact4_tree_10):
+    """Four of the 630 disjoint call pairs on 10 persons lift this exact 4-informing tree to 6.
+
+    L3 tries every pair, so it checks the lift wherever its tree source
+    yields the tree; the source is narrowed to that tree, since listing
+    every class on 10 persons takes seconds.
+    """
+    tree = wide_exact4_tree_10
+    monkeypatch.setattr(lemmas, "_exact_k_trees", lambda params: iter([(10, 4, tree.calls)]))
+    report = check_lemma("L3", LemmaParams())
+    assert report.coverage[10, 6, 2] == 4
+    assert report.ok
 
 
 def test_largest_max_sampled_n_runs():
