@@ -79,10 +79,11 @@ _TREE_SIZES = {
 # of an n-person universe for each sample
 MAX_SAMPLED_N = 30
 
-# largest max_prelim accepted: the largest i any suite's hypotheses admit,
-# since i <= k - 4 <= n - 4 and the largest universe is 11 tree persons plus
-# 2 outsiders (L4b); more preliminary calls would only draw lists that
-# cannot be checked
+# largest max_prelim accepted: no suite but L2 can check more preliminary
+# calls.  L3 needs ell <= n - 3 and the others i <= k - 4 <= n - 4, and the
+# largest universe is 11 tree persons plus 2 outsiders (L4b).  Above it the
+# suites only draw lists they cannot check, at a cost that grows with
+# max_prelim.
 MAX_PRELIM = 9
 
 

@@ -256,7 +256,6 @@ class TestSizeCaps:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "Traceback" not in err
 
     @pytest.mark.parametrize("method", ["doubling", "tree", "multiblock"])
     @pytest.mark.parametrize("n", [MAX_PERSONS + 1, 10**9])
@@ -281,9 +280,8 @@ class TestSizeCaps:
         assert len(json.loads(out)["rows"]) == MAX_ROWS
 
     @pytest.mark.parametrize("value", [MAX_PRELIM + 1, 10**9])
-    @pytest.mark.parametrize("lemma", ["L3", "L4a"])
-    def test_prelim_max(self, capsys, lemma, value):
-        self.assert_rejected(capsys, "check-lemma", lemma, "--prelim-max", str(value))
+    def test_prelim_max(self, capsys, value):
+        self.assert_rejected(capsys, "check-lemma", "L4a", "--prelim-max", str(value))
 
 
 class TestUsageErrors:

@@ -344,6 +344,20 @@ def test_l5b_unchanged_by_skipping_small_universes(bound_slack):
     assert ours.generated == ref.generated
 
 
+@pytest.mark.parametrize("lemma_id,shift", [("L4a", 0), ("L4b", 0), ("L5a", 1), ("L5b", 1)])
+def test_prelim_suites_bound_index(lemma_id, shift):
+    """L4a and L4b assert n >= t_{i-1}(k), L5a and L5b n >= t_i(k).
+
+    A slack no instance can meet reports every checked instance with its
+    bound.
+    """
+    report = check_lemma(lemma_id, LemmaParams(**FAST, bound_slack=10**6))
+    assert len(report.violations) == report.instances_checked > 0
+    for v in report.violations:
+        i, k = v.instance["i"], v.instance["k"]
+        assert v.expected_bound == lemmas.t_value(i - 1 + shift, k) + 10**6
+
+
 def _tree_class(instance):
     """Relabeling class of the tree's own final state in a reported instance."""
     m = instance["n"]
