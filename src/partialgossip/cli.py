@@ -203,6 +203,8 @@ def _cmd_oracle(args) -> int:
         "nodes": result.nodes,
         "witness": list(result.witness.calls) if result.witness else None,
     }
+    if args.stats:
+        doc["stats"] = result.stats
     if args.format == "json":
         print(json.dumps(doc, separators=(",", ":")))
     elif result.status == FOUND:
@@ -211,6 +213,8 @@ def _cmd_oracle(args) -> int:
     else:
         print(f"{result.status}: no schedule with <= {result.refuted_depth} calls exists "
               f"({result.nodes} nodes searched)")
+    if args.stats and args.format != "json":
+        print("  stats: " + " ".join(f"{name}={value}" for name, value in result.stats.items()))
     return EXIT_OK if result.status == FOUND else EXIT_VIOLATION
 
 
@@ -292,6 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--budget-secs", type=float, default=600.0)
+    p.add_argument("--stats", action="store_true",
+                   help="also report the search counters (memo, bound, orbit and sleep cuts)")
     add_format(p)
     p.set_defaults(func=_cmd_oracle)
 

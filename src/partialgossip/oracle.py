@@ -19,7 +19,26 @@ knowledge states.  Soundness levers:
 * an admissible lower bound on remaining calls (each call informs at most
   two persons, and the maximum awareness can at most double per call).  A
   child's bound follows from its parent's counts and the two merged rows,
-  so it is tested before the child state is built.
+  so it is tested before the child state is built;
+* orbit cuts (McKay, *Isomorph-free exhaustive generation*, J. Algorithms
+  26, 1998): any permutation inside a twin class is an automorphism of the
+  state, so two calls whose participants lie in the same unordered pair of
+  twin classes give isomorphic children.  Only the first such call at a
+  node is expanded; the others inherit its refutation, whether it was
+  explored, cut by the bound or asleep;
+* sleep sets (Godefroid, *Partial-Order Methods for the Verification of
+  Concurrent Systems*, LNCS 1032, 1996): calls with no common participant
+  commute.  A child skips the calls in its sleep set: its parent's sleep
+  set plus the siblings refuted before it (explored, cut by the bound or
+  orbit-cut), keeping those that share no participant with the child's
+  call.  If state s refutes call t with r calls left and c commutes with
+  t, then s.c.t = s.t.c cannot finish within r - 2 either.  Calls skipped
+  as no-ops never join a sleep set.
+
+Every child cut by these levers provably cannot finish within the calls
+left, so a memo entry stays a fact about its state alone, and the search
+returns the first feasible call sequence in pair order: the same witness
+as a search without the cuts.
 
 Exceeding the time budget yields a Timeout-style result carrying how far
 the refutation got; it never yields a wrong number.
@@ -59,6 +78,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.max_depth < 0:
             raise ValidationError(f"max_depth must be >= 0, got {self.max_depth}")
+        if self.memo_limit < 0:
+            raise ValidationError(f"memo_limit must be >= 0, got {self.memo_limit}")
         if not self.time_budget > 0:  # also rejects NaN, which never times out
             raise ValidationError(f"time_budget must be > 0, got {self.time_budget}")
 
@@ -72,7 +93,10 @@ class SearchResult:
     nodes: int
     elapsed: float
     # per-search counters: memo_hits (states cut by the memo), memo_stores
-    # (refuted states memoized) and lb_prunes (states cut by the lower bound)
+    # (refuted states memoized), memo_refused (refuted states not memoized
+    # because the memo held memo_limit entries), lb_prunes (states cut by
+    # the lower bound), orbit_cuts (calls skipped as isomorphic to an earlier
+    # sibling) and sleep_cuts (calls skipped by the sleep set)
     stats: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -130,7 +154,7 @@ def _refine_colors(known: list[list[int]], knowers: list[list[int]]) -> list[int
 
 
 def _twin_classes(cell: list[int], state: tuple[int, ...], col: list[int]) -> list[list[int]]:
-    """Split a color cell into classes of twins.
+    """Split a color cell, or any set of persons, into classes of twins.
 
     p and q are twins iff the transposition (p q) is an automorphism of the
     state: every other person knows both gossips or neither (the column
@@ -239,6 +263,47 @@ def canonical_key(state: tuple[int, ...], n: int) -> tuple[int, ...]:
     return best  # type: ignore[return-value]
 
 
+def _twin_reps(state: tuple[int, ...]) -> list[int]:
+    """Map every person to the first member of its twin class.
+
+    Any permutation inside a twin class is an automorphism of the state, so
+    two calls whose participants have the same representatives, as an
+    unordered pair, give isomorphic children.
+    """
+    n = len(state)
+    col = [0] * n  # col[g]: the persons who know gossip g, as a bitmask
+    for p, row in enumerate(state):
+        bit = 1 << p
+        for g in _bits(row):
+            col[g] |= bit
+    rep = [0] * n
+    for cls in _twin_classes(list(range(n)), state, col):
+        for p in cls:
+            rep[p] = cls[0]
+    return rep
+
+
+def _orbit_duplicates(state: tuple[int, ...], pairs: list[tuple[int, int]]) -> int:
+    """Bitmask of the pair indices whose twin classes repeat an earlier pair's.
+
+    Each such call gives a child isomorphic to the one of the first call
+    with the same unordered (twin class, twin class) pair.
+    """
+    rep = _twin_reps(state)
+    if len(set(rep)) == len(rep):
+        return 0
+    seen = set()
+    dup = 0
+    for j, (a, b) in enumerate(pairs):
+        ra, rb = rep[a], rep[b]
+        cls = (ra, rb) if ra <= rb else (rb, ra)
+        if cls in seen:
+            dup |= 1 << j
+        else:
+            seen.add(cls)
+    return dup
+
+
 # ---------------------------------------------------------------------------
 # minimum-call search
 # ---------------------------------------------------------------------------
@@ -278,20 +343,30 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
     deadline = time.monotonic() + cfg.time_budget
     start_time = time.monotonic()
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    # commute[j]: the calls sharing no participant with call j
+    touches = [0] * n
+    for j, (a, b) in enumerate(pairs):
+        touches[a] |= 1 << j
+        touches[b] |= 1 << j
+    every = (1 << len(pairs)) - 1
+    commute = [every & ~(touches[a] | touches[b]) for a, b in pairs]
     initial = tuple(1 << p for p in range(n))
     memo: dict[tuple[int, ...], int] = {}
-    nodes = memo_hits = memo_stores = lb_prunes = 0
+    nodes = memo_hits = memo_stores = memo_refused = lb_prunes = orbit_cuts = sleep_cuts = 0
     next_clock_check = 4096
 
-    def dfs(state: tuple[int, ...], remaining: int) -> list[tuple[int, int]] | None:
+    def dfs(state: tuple[int, ...], remaining: int, sleep: int) -> list[tuple[int, int]] | None:
         """Suffix of calls completing the goal within ``remaining``, or None.
 
         The caller has checked that the state's lower bound is at most
         ``remaining``.  A child whose bound exceeds what is left is cut in
         the loop, before it is built; it still counts as one node and one
-        lower-bound prune, as if it had been entered.
+        lower-bound prune, as if it had been entered.  ``sleep`` holds the
+        pair indices of calls known not to finish within ``remaining - 1``
+        from this state; they are skipped.
         """
-        nonlocal nodes, memo_hits, memo_stores, lb_prunes, next_clock_check
+        nonlocal nodes, memo_hits, memo_stores, memo_refused, lb_prunes
+        nonlocal orbit_cuts, sleep_cuts, next_clock_check
         nodes += 1
         if nodes >= next_clock_check:
             next_clock_check = nodes + 4096
@@ -306,9 +381,19 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
             memo_hits += 1
             return None
         best = max(counts)
-        for a, b in pairs:
+        duplicate = _orbit_duplicates(state, pairs)
+        handled = 0  # calls refuted here so far: explored, bound-cut or orbit-cut
+        for j, (a, b) in enumerate(pairs):
             sa, sb = state[a], state[b]
             if cfg.prune_noop_calls and sa == sb:
+                continue
+            bit = 1 << j
+            if sleep & bit:
+                sleep_cuts += 1
+                continue
+            handled |= bit
+            if duplicate & bit:
+                orbit_cuts += 1
                 continue
             u = sa | sb
             c = u.bit_count()
@@ -318,12 +403,14 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
                 lb_prunes += 1
                 continue
             child = state[:a] + (u,) + state[a + 1 : b] + (u,) + state[b + 1 :]
-            tail = dfs(child, remaining - 1)
+            tail = dfs(child, remaining - 1, (sleep | handled) & commute[j])
             if tail is not None:
                 return [(a, b)] + tail
         if len(memo) < cfg.memo_limit:
             memo[key] = remaining
             memo_stores += 1
+        else:
+            memo_refused += 1
         return None
 
     def result(status: str, found: list[tuple[int, int]] | None = None) -> SearchResult:
@@ -334,20 +421,25 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
             refuted,
             nodes,
             time.monotonic() - start_time,
-            {"memo_hits": memo_hits, "memo_stores": memo_stores, "lb_prunes": lb_prunes},
+            {"memo_hits": memo_hits, "memo_stores": memo_stores, "memo_refused": memo_refused,
+             "lb_prunes": lb_prunes, "orbit_cuts": orbit_cuts, "sleep_cuts": sleep_cuts},
         )
 
     depth = _lower_bound(initial, k)
     refuted = depth - 1
     try:
         while depth <= cfg.max_depth:
-            found = dfs(initial, depth)
+            found = dfs(initial, depth, 0)
             if found is not None:
                 return result(FOUND, found)
             refuted = depth
             depth += 1
     except _BudgetExceeded:
         return result(TIMEOUT)
+    finally:
+        # dfs reaches itself through its closure; breaking that cycle frees
+        # the memo on return instead of at the next cyclic collection
+        dfs = None  # type: ignore[assignment]
     return result(DEPTH_EXHAUSTED)
 
 
@@ -437,7 +529,7 @@ def enumerate_tree_schemes(n: int, limit: int | None = None, seed: int = 0) -> S
     return SchemeStream(n, False, count, gen_sampled())
 
 
-INFORMING_TREE_CLASS_LIMIT = 11  # m = 11, k = 4 takes a few seconds
+INFORMING_TREE_CLASS_LIMIT = 11  # m = 11, k = 4 takes about a second
 
 
 @functools.lru_cache(maxsize=None)
@@ -453,9 +545,12 @@ def informing_tree_classes(m: int, k: int, spare: int) -> tuple[tuple[tuple[int,
     and a relabeled state has relabeled extensions), and keeps one state
     per ``canonical_key`` in every layer.  A state is dropped once more
     persons are below k, beyond ``spare``, than the calls still to come can
-    reach, two per call.  Each class is listed once as long as
-    canonical_key is exact on its states (it is for every class tested); an
-    inexact key could only list a class twice, never omit one.
+    reach, two per call.  Of the calls whose participants lie in the same
+    pair of twin classes only the first is tried: the others give
+    isomorphic children, whose keys ``setdefault`` would drop.  Each class
+    is listed once as long as canonical_key is exact on its states (it is
+    for every class tested); an inexact key could only list a class twice,
+    never omit one.
     """
     if not 1 <= m <= INFORMING_TREE_CLASS_LIMIT:
         raise ValidationError(
@@ -471,6 +566,7 @@ def informing_tree_classes(m: int, k: int, spare: int) -> tuple[tuple[tuple[int,
     initial = tuple(1 << p for p in range(m))
     if hopeless(initial, m - 1):
         return ()
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
     layer = {canonical_key(initial, m): (initial, ())}
     for calls_left in range(m - 2, -1, -1):
         grown: dict[tuple[int, ...], tuple] = {}
@@ -480,15 +576,15 @@ def informing_tree_classes(m: int, k: int, spare: int) -> tuple[tuple[tuple[int,
                 joined = comp[a] | comp[b]
                 for p in _bits(joined):
                     comp[p] = joined
-            for a in range(m):
-                for b in range(a + 1, m):
-                    if comp[a] >> b & 1:
-                        continue
-                    u = state[a] | state[b]
-                    child = state[:a] + (u,) + state[a + 1 : b] + (u,) + state[b + 1 :]
-                    if hopeless(child, calls_left):
-                        continue
-                    grown.setdefault(canonical_key(child, m), (child, calls + ((a, b),)))
+            duplicate = _orbit_duplicates(state, pairs)
+            for j, (a, b) in enumerate(pairs):
+                if comp[a] >> b & 1 or duplicate >> j & 1:
+                    continue
+                u = state[a] | state[b]
+                child = state[:a] + (u,) + state[a + 1 : b] + (u,) + state[b + 1 :]
+                if hopeless(child, calls_left):
+                    continue
+                grown.setdefault(canonical_key(child, m), (child, calls + ((a, b),)))
         layer = grown
     return tuple(calls for _, calls in layer.values())
 

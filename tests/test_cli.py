@@ -196,7 +196,20 @@ class TestOracleCommand:
         code, out, _ = run(capsys, "oracle", "5", "4", "--format", "json")
         assert code == EXIT_OK
         assert out == ('{"n":5,"k":4,"status":"found","min_calls":5,"refuted_depth":4,'
-                       '"nodes":32,"witness":[[0,1],[0,2],[0,3],[0,1],[2,4]]}\n')
+                       '"nodes":14,"witness":[[0,1],[0,2],[0,3],[0,1],[2,4]]}\n')
+
+    def test_stats_flag(self, capsys):
+        code, out, _ = run(capsys, "oracle", "5", "4", "--stats", "--format", "json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert list(doc) == ["n", "k", "status", "min_calls", "refuted_depth", "nodes",
+                             "witness", "stats"]
+        assert set(doc["stats"]) == {"memo_hits", "memo_stores", "memo_refused", "lb_prunes",
+                                     "orbit_cuts", "sleep_cuts"}
+        code, out, _ = run(capsys, "oracle", "5", "4", "--stats")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert len(lines) == 3 and lines[2].startswith("  stats: memo_hits=")
 
 
 class TestCheckLemmaCommand:
@@ -340,7 +353,7 @@ def _argv(files, out):
             ("--dot", st.just(out + ".dot")),
         ]),
         "verify": ([st.sampled_from(files), _INT], [fmt]),
-        "oracle": ([_INT, _INT], [fmt]),
+        "oracle": ([_INT, _INT], [fmt, ("--stats", None)]),
         "check-lemma": ([st.sampled_from([*lemmas.LEMMA_IDS, "L99"])], [
             fmt, ("--max-n", st.integers(-2, 40).map(str)), ("--samples", _INT),
             ("--prelim-max", _PRELIM), ("--seed", _INT), ("--bound-slack", _INT),
@@ -354,7 +367,7 @@ def _argv(files, out):
         positionals, options = commands[command]
         argv = [command, *(draw(x) for x in positionals)]
         for flag, value in draw(st.lists(st.sampled_from(options), max_size=3)):
-            argv += [flag, draw(value)]
+            argv += [flag] if value is None else [flag, draw(value)]
         if draw(st.integers(0, 4)) == 0:  # now and then a stray token
             argv.insert(draw(st.integers(0, len(argv))), draw(junk))
         if command == "oracle":

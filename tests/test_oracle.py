@@ -1,6 +1,7 @@
 """Search engine soundness, canonicalization and the scheme enumerators."""
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
@@ -52,11 +53,12 @@ class TestMinCalls:
         assert is_k_informing(r.witness, 4)
 
     def test_no_canonicalization_agrees(self):
-        for n in range(2, 7):
-            for k in range(2, n + 1):
-                plain = min_calls_bruteforce(n, k, SearchConfig(canonicalize=False))
-                canonical = min_calls_bruteforce(n, k)
-                assert plain.min_calls == canonical.min_calls == p_min_calls(n, k)
+        """Every canonicalize x no-op pruning combination finds P(n,k)."""
+        for canonicalize, prune in itertools.product((True, False), repeat=2):
+            cfg = SearchConfig(canonicalize=canonicalize, prune_noop_calls=prune)
+            for n in range(2, 7):
+                for k in range(2, n + 1):
+                    assert min_calls_bruteforce(n, k, cfg).min_calls == p_min_calls(n, k)
 
     def test_timeout_yields_no_number(self):
         r = min_calls_bruteforce(8, 8, SearchConfig(time_budget=0.05))
@@ -65,20 +67,41 @@ class TestMinCalls:
         assert r.witness is None
         assert r.refuted_depth < 12  # true answer; budget is far too small to prove it
 
+    def test_search_frees_its_memo_on_return(self):
+        """No reference cycle keeps a finished search's memo alive until a collection."""
+        gc.collect()
+        gc.disable()
+        try:
+            min_calls_bruteforce(5, 4)
+            min_calls_bruteforce(8, 8, SearchConfig(time_budget=0.05))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_stats_counted_per_search(self):
         r = min_calls_bruteforce(6, 6)
-        assert set(r.stats) == {"memo_hits", "memo_stores", "lb_prunes"}
-        assert r.stats["memo_hits"] > 0 and r.stats["lb_prunes"] > 0
+        assert set(r.stats) == {"memo_hits", "memo_stores", "memo_refused", "lb_prunes",
+                                "orbit_cuts", "sleep_cuts"}
+        for name in ("memo_hits", "lb_prunes", "orbit_cuts", "sleep_cuts"):
+            assert r.stats[name] > 0, name
+        assert r.stats["memo_refused"] == 0
         # goals and the nodes on the witness path are neither pruned nor stored
         assert r.stats["memo_hits"] + r.stats["memo_stores"] + r.stats["lb_prunes"] < r.nodes
         assert min_calls_bruteforce(6, 6).stats == r.stats
 
-    @pytest.mark.parametrize("n", range(2, 8))
+    def test_memo_limit_refusals_are_counted(self):
+        r = min_calls_bruteforce(5, 5, SearchConfig(memo_limit=0))
+        assert r.min_calls == p_min_calls(5, 5)
+        assert r.stats["memo_stores"] == 0 and r.stats["memo_refused"] > 0
+
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_reference_search(self, n):
-        """Cutting children on their bound before the splice changes no count."""
-        for k in range(2, n + 1):
+        """The orbit and sleep cuts keep the answer and the witness, and add no node."""
+        for k in range(2, (6 if n == 8 else n) + 1):
             r = min_calls_bruteforce(n, k)
-            assert (r.min_calls, r.witness.calls, r.nodes, r.stats) == _reference_search(n, k)
+            min_calls, calls, nodes = _reference_search(n, k)
+            assert (r.min_calls, r.witness.calls) == (min_calls, calls)
+            assert r.nodes <= nodes
 
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
@@ -87,16 +110,17 @@ class TestMinCalls:
             min_calls_bruteforce(2, 3)
         with pytest.raises(ValidationError):
             SearchConfig(time_budget=0)
+        with pytest.raises(ValidationError):
+            SearchConfig(memo_limit=-1)
 
 
 def _reference_search(n: int, k: int):
-    """The search as it was before children were bounded in the parent's loop.
+    """The search without in-loop bounds, orbit cuts or sleep sets.
 
-    Returns (min_calls, witness calls, nodes, stats); no time budget.
+    Returns (min_calls, witness calls, nodes); no time budget.
     """
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     memo = {}
-    stats = {"memo_hits": 0, "memo_stores": 0, "lb_prunes": 0}
     nodes = 0
 
     def dfs(state, remaining):
@@ -106,11 +130,9 @@ def _reference_search(n: int, k: int):
         if lb == 0:
             return []
         if lb > remaining:
-            stats["lb_prunes"] += 1
             return None
         key = canonical_key(state, n)
         if memo.get(key, -1) >= remaining:
-            stats["memo_hits"] += 1
             return None
         for a, b in pairs:
             if state[a] == state[b]:
@@ -121,14 +143,13 @@ def _reference_search(n: int, k: int):
             if tail is not None:
                 return [(a, b)] + tail
         memo[key] = remaining
-        stats["memo_stores"] += 1
         return None
 
     initial = tuple(1 << p for p in range(n))
     depth = _lower_bound(initial, k)
     while (found := dfs(initial, depth)) is None:
         depth += 1
-    return len(found), Schedule(n, found).calls, nodes, stats
+    return len(found), Schedule(n, found).calls, nodes
 
 
 class TestLowerBound:
@@ -318,6 +339,49 @@ class TestCanonicalKey:
             rng.shuffle(perm)
             relabeled = _apply_person_permutation(state, perm)
             assert _min_calls_from(state, k) == _min_calls_from(relabeled, k)
+
+
+def _transposed(state: tuple[int, ...], p: int, q: int) -> tuple[int, ...]:
+    perm = list(range(len(state)))
+    perm[p], perm[q] = q, p
+    return _apply_person_permutation(state, perm)
+
+
+class TestOrbitCut:
+    def test_representatives_are_exactly_the_twins(self):
+        rng = random.Random(5)
+        for _ in range(400):
+            n = rng.randrange(2, 7)
+            if rng.randrange(2):
+                state = _random_state(rng, n, max_calls=2 * n)
+            else:  # any rows, reachable or not
+                state = tuple(rng.getrandbits(n) | 1 << p for p in range(n))
+            rep = oracle._twin_reps(state)
+            for p in range(n):
+                assert rep[rep[p]] == rep[p] <= p
+                assert _transposed(state, p, rep[p]) == state
+            for p, q in itertools.combinations(range(n), 2):
+                if _transposed(state, p, q) == state:
+                    assert rep[p] == rep[q], (state, p, q)
+
+    def test_orbit_duplicates_give_isomorphic_children(self):
+        # n <= 6 keeps canonical_key exact, so equal keys mean isomorphic states
+        rng = random.Random(9)
+        cut = 0
+        for _ in range(300):
+            n = rng.randrange(2, 7)
+            state = _random_state(rng, n, max_calls=n)
+            pairs = list(itertools.combinations(range(n), 2))
+            duplicate = oracle._orbit_duplicates(state, pairs)
+            keys = []
+            for j, (a, b) in enumerate(pairs):
+                u = state[a] | state[b]
+                child = state[:a] + (u,) + state[a + 1 : b] + (u,) + state[b + 1 :]
+                keys.append(canonical_key(child, n))
+                if duplicate >> j & 1:
+                    assert keys[j] in keys[:j]
+                    cut += 1
+        assert cut > 0
 
 
 def _min_calls_from(state: tuple[int, ...], k: int, cap: int = 6) -> int | None:
