@@ -15,7 +15,7 @@ knowledge states.  Soundness levers:
   whose transposition is an automorphism of the state) are interchangeable
   without changing the relabeled state, so only arrangements of twin
   classes are tried; a state with more than _CANON_PERM_CAP arrangements
-  gets one deterministic relabeling instead;
+  gets one deterministic relabeling instead (counted as canon_inexact);
 * an admissible lower bound on remaining calls (each call informs at most
   two persons, and the maximum awareness can at most double per call).  A
   child's bound follows from its parent's counts and the two merged rows,
@@ -23,7 +23,9 @@ knowledge states.  Soundness levers:
 * orbit cuts (McKay, *Isomorph-free exhaustive generation*, J. Algorithms
   26, 1998): any permutation inside a twin class is an automorphism of the
   state, so two calls whose participants lie in the same unordered pair of
-  twin classes give isomorphic children.  Only the first such call at a
+  twin classes give isomorphic children.  The twin partition comes from
+  the canonical form's cells: color refinement is invariant under
+  automorphisms, so twins share a color.  Only the first such call at a
   node is expanded; the others inherit its refutation, whether it was
   explored, cut by the bound or asleep;
 * sleep sets (Godefroid, *Partial-Order Methods for the Verification of
@@ -54,7 +56,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .core import Schedule, ValidationError
+from .core import Schedule, ValidationError, simulate
 
 FOUND = "found"
 TIMEOUT = "timeout"
@@ -70,10 +72,8 @@ _CANON_PERM_CAP = 1024
 @dataclass
 class SearchConfig:
     max_depth: int = 64
-    canonicalize: bool = True
-    prune_noop_calls: bool = True
     time_budget: float = 600.0  # seconds
-    memo_limit: int = 4_000_000
+    memo_limit: int = 4_000_000  # about 390 bytes an entry at (10,7): 1.6 GB when full
 
     def __post_init__(self):
         if self.max_depth < 0:
@@ -96,7 +96,8 @@ class SearchResult:
     # (refuted states memoized), memo_refused (refuted states not memoized
     # because the memo held memo_limit entries), lb_prunes (states cut by
     # the lower bound), orbit_cuts (calls skipped as isomorphic to an earlier
-    # sibling) and sleep_cuts (calls skipped by the sleep set)
+    # sibling), sleep_cuts (calls skipped by the sleep set) and canon_inexact
+    # (memo keys that fell back past _CANON_PERM_CAP)
     stats: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -210,15 +211,17 @@ def _relabel(known: list[list[int]], perm: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def canonical_key(state: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """A representative of the state's joint-relabeling equivalence class.
+def canonical_form(state: tuple[int, ...], n: int) -> tuple[tuple[int, ...], list[int], bool]:
+    """The canonical key, the twin map and whether the key is exact.
 
     The key is the lexicographic minimum over all relabelings that map each
     refined color cell onto its block of positions.  Relabelings that differ
     only by permuting twins give the same state, so only the arrangements of
     twin classes within each cell are tried.  The key is exact whenever
     there are at most _CANON_PERM_CAP such arrangements; beyond that a
-    single deterministic relabeling is used.
+    single deterministic relabeling is used.  ``rep[p]`` is the first member
+    of p's twin class: twins share a color, so splitting every cell, also
+    past the cap, gives the whole twin partition.
     """
     known = [_bits(row) for row in state]
     knowers: list[list[int]] = [[] for _ in range(n)]
@@ -233,6 +236,7 @@ def canonical_key(state: tuple[int, ...], n: int) -> tuple[int, ...]:
     for p in range(n):
         cells[colors[p]].append(p)
     perm = [0] * n
+    rep = list(range(n))
     free = []  # (twin classes, positions) of cells with more than one class
     arrangements = 1
     pos = 0
@@ -241,18 +245,21 @@ def canonical_key(state: tuple[int, ...], n: int) -> tuple[int, ...]:
         for p, q in zip(cell, positions):
             perm[p] = q
         pos += len(cell)
-        if len(cell) == 1 or arrangements > _CANON_PERM_CAP:
+        if len(cell) == 1:
             continue
         classes = _twin_classes(cell, state, col)
+        for cls in classes:
+            for p in cls[1:]:
+                rep[p] = cls[0]
         if len(classes) > 1:
             free.append((classes, positions))
             count = math.factorial(len(cell))
             for cls in classes:
                 count //= math.factorial(len(cls))
             arrangements *= count
-    if not free or arrangements > _CANON_PERM_CAP:
-        return _relabel(known, perm)
-    best: tuple[int, ...] | None = None
+    if arrangements > _CANON_PERM_CAP:
+        return _relabel(known, perm), rep, False
+    best: tuple[int, ...] | None = None  # product() of no cells yields perm itself
     for choice in itertools.product(*(_placements(c, ps) for c, ps in free)):
         for placement in choice:
             for p, q in placement:
@@ -260,36 +267,21 @@ def canonical_key(state: tuple[int, ...], n: int) -> tuple[int, ...]:
         cand = _relabel(known, perm)
         if best is None or cand < best:
             best = cand
-    return best  # type: ignore[return-value]
+    return best, rep, True  # type: ignore[return-value]
 
 
-def _twin_reps(state: tuple[int, ...]) -> list[int]:
-    """Map every person to the first member of its twin class.
-
-    Any permutation inside a twin class is an automorphism of the state, so
-    two calls whose participants have the same representatives, as an
-    unordered pair, give isomorphic children.
-    """
-    n = len(state)
-    col = [0] * n  # col[g]: the persons who know gossip g, as a bitmask
-    for p, row in enumerate(state):
-        bit = 1 << p
-        for g in _bits(row):
-            col[g] |= bit
-    rep = [0] * n
-    for cls in _twin_classes(list(range(n)), state, col):
-        for p in cls:
-            rep[p] = cls[0]
-    return rep
+def canonical_key(state: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """A representative of the state's joint-relabeling equivalence class."""
+    return canonical_form(state, n)[0]
 
 
-def _orbit_duplicates(state: tuple[int, ...], pairs: list[tuple[int, int]]) -> int:
+def _orbit_duplicates(rep: list[int], pairs: list[tuple[int, int]]) -> int:
     """Bitmask of the pair indices whose twin classes repeat an earlier pair's.
 
-    Each such call gives a child isomorphic to the one of the first call
-    with the same unordered (twin class, twin class) pair.
+    ``rep`` maps every person to the first member of its twin class.  Each
+    such call gives a child isomorphic to the first call's with the same
+    unordered (twin class, twin class) pair.
     """
-    rep = _twin_reps(state)
     if len(set(rep)) == len(rep):
         return 0
     seen = set()
@@ -353,6 +345,7 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
     initial = tuple(1 << p for p in range(n))
     memo: dict[tuple[int, ...], int] = {}
     nodes = memo_hits = memo_stores = memo_refused = lb_prunes = orbit_cuts = sleep_cuts = 0
+    canon_inexact = 0
     next_clock_check = 4096
 
     def dfs(state: tuple[int, ...], remaining: int, sleep: int) -> list[tuple[int, int]] | None:
@@ -366,7 +359,7 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
         from this state; they are skipped.
         """
         nonlocal nodes, memo_hits, memo_stores, memo_refused, lb_prunes
-        nonlocal orbit_cuts, sleep_cuts, next_clock_check
+        nonlocal orbit_cuts, sleep_cuts, canon_inexact, next_clock_check
         nodes += 1
         if nodes >= next_clock_check:
             next_clock_check = nodes + 4096
@@ -376,16 +369,17 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
         below = sum(1 for c in counts if c < k)
         if below == 0:
             return []
-        key = canonical_key(state, n) if cfg.canonicalize else state
+        key, rep, exact = canonical_form(state, n)
+        canon_inexact += not exact
         if memo.get(key, -1) >= remaining:
             memo_hits += 1
             return None
         best = max(counts)
-        duplicate = _orbit_duplicates(state, pairs)
+        duplicate = _orbit_duplicates(rep, pairs)
         handled = 0  # calls refuted here so far: explored, bound-cut or orbit-cut
         for j, (a, b) in enumerate(pairs):
             sa, sb = state[a], state[b]
-            if cfg.prune_noop_calls and sa == sb:
+            if sa == sb:
                 continue
             bit = 1 << j
             if sleep & bit:
@@ -422,7 +416,8 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
             nodes,
             time.monotonic() - start_time,
             {"memo_hits": memo_hits, "memo_stores": memo_stores, "memo_refused": memo_refused,
-             "lb_prunes": lb_prunes, "orbit_cuts": orbit_cuts, "sleep_cuts": sleep_cuts},
+             "lb_prunes": lb_prunes, "orbit_cuts": orbit_cuts, "sleep_cuts": sleep_cuts,
+             "canon_inexact": canon_inexact},
         )
 
     depth = _lower_bound(initial, k)
@@ -445,8 +440,6 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
 
 def max_informing_level(s: Schedule) -> int:
     """Largest k for which the schedule is k-informing (min final awareness)."""
-    from .core import simulate
-
     return min(simulate(s).awareness())
 
 
@@ -543,14 +536,16 @@ def informing_tree_classes(m: int, k: int, spare: int) -> tuple[tuple[tuple[int,
     Algorithms 26, 1998): it grows the schemes one call at a time, each call
     joining two different components (the state determines the components,
     and a relabeled state has relabeled extensions), and keeps one state
-    per ``canonical_key`` in every layer.  A state is dropped once more
+    per canonical key in every layer.  A state is dropped once more
     persons are below k, beyond ``spare``, than the calls still to come can
     reach, two per call.  Of the calls whose participants lie in the same
     pair of twin classes only the first is tried: the others give
-    isomorphic children, whose keys ``setdefault`` would drop.  Each class
-    is listed once as long as canonical_key is exact on its states (it is
-    for every class tested); an inexact key could only list a class twice,
-    never omit one.
+    isomorphic children, whose keys ``setdefault`` would drop.  The twin
+    classes are those ``canonical_form`` split its color cells into when it
+    keyed the state; color refinement is invariant under automorphisms, so
+    twins share a cell.  Each class is listed once as long as the key is
+    exact on its states (it is for every class tested); an inexact key
+    could only list a class twice, never omit one.
     """
     if not 1 <= m <= INFORMING_TREE_CLASS_LIMIT:
         raise ValidationError(
@@ -567,16 +562,17 @@ def informing_tree_classes(m: int, k: int, spare: int) -> tuple[tuple[tuple[int,
     if hopeless(initial, m - 1):
         return ()
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    layer = {canonical_key(initial, m): (initial, ())}
+    key, rep, _ = canonical_form(initial, m)
+    layer = {key: (initial, (), rep)}
     for calls_left in range(m - 2, -1, -1):
         grown: dict[tuple[int, ...], tuple] = {}
-        for state, calls in layer.values():
+        for state, calls, rep in layer.values():
             comp = [1 << p for p in range(m)]  # comp[p]: p's component, as a bitmask
             for a, b in calls:
                 joined = comp[a] | comp[b]
                 for p in _bits(joined):
                     comp[p] = joined
-            duplicate = _orbit_duplicates(state, pairs)
+            duplicate = _orbit_duplicates(rep, pairs)
             for j, (a, b) in enumerate(pairs):
                 if comp[a] >> b & 1 or duplicate >> j & 1:
                     continue
@@ -584,9 +580,10 @@ def informing_tree_classes(m: int, k: int, spare: int) -> tuple[tuple[tuple[int,
                 child = state[:a] + (u,) + state[a + 1 : b] + (u,) + state[b + 1 :]
                 if hopeless(child, calls_left):
                     continue
-                grown.setdefault(canonical_key(child, m), (child, calls + ((a, b),)))
+                key, child_rep, _ = canonical_form(child, m)
+                grown.setdefault(key, (child, calls + ((a, b),), child_rep))
         layer = grown
-    return tuple(calls for _, calls in layer.values())
+    return tuple(calls for _, calls, _ in layer.values())
 
 
 def enumerate_unicyclic_schemes(n: int, limit: int | None = None, seed: int = 0) -> SchemeStream:

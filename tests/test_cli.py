@@ -205,7 +205,7 @@ class TestOracleCommand:
         assert list(doc) == ["n", "k", "status", "min_calls", "refuted_depth", "nodes",
                              "witness", "stats"]
         assert set(doc["stats"]) == {"memo_hits", "memo_stores", "memo_refused", "lb_prunes",
-                                     "orbit_cuts", "sleep_cuts"}
+                                     "orbit_cuts", "sleep_cuts", "canon_inexact"}
         code, out, _ = run(capsys, "oracle", "5", "4", "--stats")
         assert code == EXIT_OK
         lines = out.splitlines()

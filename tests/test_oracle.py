@@ -23,7 +23,9 @@ from partialgossip import (
 )
 from partialgossip.graph import full_graph, classify_components, ComponentKind
 from partialgossip import oracle
-from partialgossip.oracle import FOUND, TIMEOUT, _lower_bound, informing_tree_classes
+from partialgossip.oracle import (
+    FOUND, TIMEOUT, _lower_bound, canonical_form, informing_tree_classes,
+)
 
 
 class TestMinCalls:
@@ -52,14 +54,6 @@ class TestMinCalls:
         assert r.refuted_depth == r.min_calls - 1
         assert is_k_informing(r.witness, 4)
 
-    def test_no_canonicalization_agrees(self):
-        """Every canonicalize x no-op pruning combination finds P(n,k)."""
-        for canonicalize, prune in itertools.product((True, False), repeat=2):
-            cfg = SearchConfig(canonicalize=canonicalize, prune_noop_calls=prune)
-            for n in range(2, 7):
-                for k in range(2, n + 1):
-                    assert min_calls_bruteforce(n, k, cfg).min_calls == p_min_calls(n, k)
-
     def test_timeout_yields_no_number(self):
         r = min_calls_bruteforce(8, 8, SearchConfig(time_budget=0.05))
         assert r.status == TIMEOUT
@@ -81,10 +75,10 @@ class TestMinCalls:
     def test_stats_counted_per_search(self):
         r = min_calls_bruteforce(6, 6)
         assert set(r.stats) == {"memo_hits", "memo_stores", "memo_refused", "lb_prunes",
-                                "orbit_cuts", "sleep_cuts"}
+                                "orbit_cuts", "sleep_cuts", "canon_inexact"}
         for name in ("memo_hits", "lb_prunes", "orbit_cuts", "sleep_cuts"):
             assert r.stats[name] > 0, name
-        assert r.stats["memo_refused"] == 0
+        assert r.stats["memo_refused"] == r.stats["canon_inexact"] == 0
         # goals and the nodes on the witness path are neither pruned nor stored
         assert r.stats["memo_hits"] + r.stats["memo_stores"] + r.stats["lb_prunes"] < r.nodes
         assert min_calls_bruteforce(6, 6).stats == r.stats
@@ -94,14 +88,26 @@ class TestMinCalls:
         assert r.min_calls == p_min_calls(5, 5)
         assert r.stats["memo_stores"] == 0 and r.stats["memo_refused"] > 0
 
+    def test_inexact_keys_are_counted(self):
+        # two of the searched states have more twin-class arrangements than the cap
+        r = min_calls_bruteforce(12, 2)
+        assert r.min_calls == p_min_calls(12, 2)
+        assert r.stats["canon_inexact"] == 2
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_reference_search(self, n):
-        """The orbit and sleep cuts keep the answer and the witness, and add no node."""
+        """The cuts keep the answer and the witness, and add no node.
+
+        Up to six persons the plain reference, keyed by raw states and
+        expanding no-op calls, gives the same answer and witness too.
+        """
         for k in range(2, (6 if n == 8 else n) + 1):
             r = min_calls_bruteforce(n, k)
             min_calls, calls, nodes = _reference_search(n, k)
             assert (r.min_calls, r.witness.calls) == (min_calls, calls)
             assert r.nodes <= nodes
+            if n <= 6:
+                assert _reference_search(n, k, plain=True)[:2] == (min_calls, calls)
 
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
@@ -114,10 +120,11 @@ class TestMinCalls:
             SearchConfig(memo_limit=-1)
 
 
-def _reference_search(n: int, k: int):
+def _reference_search(n: int, k: int, plain: bool = False):
     """The search without in-loop bounds, orbit cuts or sleep sets.
 
-    Returns (min_calls, witness calls, nodes); no time budget.
+    ``plain`` also memoizes raw states instead of canonical keys and expands
+    no-op calls.  Returns (min_calls, witness calls, nodes); no time budget.
     """
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     memo = {}
@@ -131,11 +138,11 @@ def _reference_search(n: int, k: int):
             return []
         if lb > remaining:
             return None
-        key = canonical_key(state, n)
+        key = state if plain else canonical_key(state, n)
         if memo.get(key, -1) >= remaining:
             return None
         for a, b in pairs:
-            if state[a] == state[b]:
+            if state[a] == state[b] and not plain:
                 continue
             u = state[a] | state[b]
             child = state[:a] + (u,) + state[a + 1 : b] + (u,) + state[b + 1 :]
@@ -347,6 +354,36 @@ def _transposed(state: tuple[int, ...], p: int, q: int) -> tuple[int, ...]:
     return _apply_person_permutation(state, perm)
 
 
+def _grouped_state(rng: random.Random, n: int) -> tuple[int, ...]:
+    """Persons in groups of 1 to 3 that each share all their gossips, then maybe one call.
+
+    Equal-size groups are twin classes in one color cell, so the twin-class
+    arrangements often pass the cap before the last cells are split.
+    """
+    persons = list(range(n))
+    rng.shuffle(persons)
+    know = [0] * n
+    while persons:
+        size = rng.choice((1, 2, 2, 2, 3))
+        group, persons = persons[:size], persons[size:]
+        for p in group:
+            know[p] = sum(1 << q for q in group)
+    if rng.randrange(2):
+        a, b = rng.sample(range(n), 2)
+        know[a] = know[b] = know[a] | know[b]
+    return tuple(know)
+
+
+def _assert_twin_map(state: tuple[int, ...], rep: list[int]) -> None:
+    """rep maps every person to the first member of its twin class, by brute force."""
+    for p in range(len(state)):
+        assert rep[rep[p]] == rep[p] <= p
+        assert _transposed(state, p, rep[p]) == state
+    for p, q in itertools.combinations(range(len(state)), 2):
+        if _transposed(state, p, q) == state:
+            assert rep[p] == rep[q], (state, p, q)
+
+
 class TestOrbitCut:
     def test_representatives_are_exactly_the_twins(self):
         rng = random.Random(5)
@@ -356,13 +393,24 @@ class TestOrbitCut:
                 state = _random_state(rng, n, max_calls=2 * n)
             else:  # any rows, reachable or not
                 state = tuple(rng.getrandbits(n) | 1 << p for p in range(n))
-            rep = oracle._twin_reps(state)
-            for p in range(n):
-                assert rep[rep[p]] == rep[p] <= p
-                assert _transposed(state, p, rep[p]) == state
-            for p, q in itertools.combinations(range(n), 2):
-                if _transposed(state, p, q) == state:
-                    assert rep[p] == rep[q], (state, p, q)
+            _assert_twin_map(state, canonical_form(state, n)[1])
+        # past the cap the key falls back, but the twin map stays exact
+        past_cap = 0
+        for _ in range(300):
+            n = rng.randrange(7, 15)
+            state = _grouped_state(rng, n)
+            _, rep, exact = canonical_form(state, n)
+            assert exact == (_twin_arrangements(state, n) <= oracle._CANON_PERM_CAP)
+            past_cap += not exact
+            _assert_twin_map(state, rep)
+        assert past_cap > 80
+
+    def test_disjoint_calls_on_fourteen_persons_are_inexact(self):
+        # 7 twin classes of 2 in one cell: 14! / 2^7 arrangements
+        state = tuple(0b11 << (p & ~1) for p in range(14))
+        key, rep, exact = canonical_form(state, 14)
+        assert not exact and key == canonical_key(state, 14) == state
+        assert rep == [p & ~1 for p in range(14)]
 
     def test_orbit_duplicates_give_isomorphic_children(self):
         # n <= 6 keeps canonical_key exact, so equal keys mean isomorphic states
@@ -372,7 +420,7 @@ class TestOrbitCut:
             n = rng.randrange(2, 7)
             state = _random_state(rng, n, max_calls=n)
             pairs = list(itertools.combinations(range(n), 2))
-            duplicate = oracle._orbit_duplicates(state, pairs)
+            duplicate = oracle._orbit_duplicates(canonical_form(state, n)[1], pairs)
             keys = []
             for j, (a, b) in enumerate(pairs):
                 u = state[a] | state[b]
