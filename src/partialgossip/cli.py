@@ -228,6 +228,13 @@ def _cmd_check_lemma(args) -> int:
     )
     report = check_lemma(args.lemma, params)
     doc = report.to_json_dict()
+    if args.stats:
+        doc["stats"] = {
+            "generated": report.generated,
+            "rejected": report.rejected,
+            "checked": report.instances_checked,
+            "elapsed_s": round(report.elapsed, 3),
+        }
     if args.format == "json":
         print(json.dumps(doc, separators=(",", ":")))
     else:
@@ -237,6 +244,8 @@ def _cmd_check_lemma(args) -> int:
             print(f"  bound {v.expected_bound} violated (observed {v.observed_n}): {v.instance}")
         if len(report.violations) > 10:
             print(f"  ... and {len(report.violations) - 10} more")
+        if args.stats:
+            print("  stats: " + " ".join(f"{name}={value}" for name, value in doc["stats"].items()))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
@@ -314,6 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound-slack", type=int, default=0,
                    help="tighten bounds by this much (negative-control mode)")
+    p.add_argument("--stats", action="store_true",
+                   help="also report candidates generated, rejected by hypothesis and "
+                        "checked, and the suite's time")
     add_format(p)
     p.set_defaults(func=_cmd_check_lemma)
     return parser

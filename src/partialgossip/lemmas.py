@@ -32,7 +32,8 @@ Documented instance ranges (defaults in LemmaParams):
 * the six tree suites take their largest m from ``max_exhaustive_n``,
   within _TREE_SIZES (L1a, L1b: 2..10; L3: 4..10; L4a, L4b: 8..11; L5a:
   5..11); ``max_sampled_n`` and ``samples`` do not apply to them;
-* unicyclic schemes: exhaustive for n <= 4, sampled for n in {5, ..., 8};
+* unicyclic schemes: exhaustive for n <= 4, sampled for n in {5, ...,
+  min(max_sampled_n, 8)}, the enumerator's limit;
 * preliminary-call counts: up to ``max_prelim`` (default 3, at most
   MAX_PRELIM = 9).  Unions of disjoint edges (single calls included) are
   listed in full for L3's exact trees, and elsewhere while a given
@@ -43,7 +44,12 @@ Documented instance ranges (defaults in LemmaParams):
   max_prelim is 0), plus ``samples`` random instances on 5..max_sampled_n
   persons when max_sampled_n >= 5 and max_prelim >= 1;
 * call-sequence suites: exhaustive while the sequence space is small,
-  sampled beyond.
+  sampled beyond.  The exhaustive sequences of L6s1 come in product
+  order, and each prefix before the last call is simulated once
+  (_product_informed); L2's box simulates each base once for all its
+  preliminary lists.  L5b rejects unsimulated every candidate of a scheme
+  whose own minimum awareness is below 4, by the L2 argument of
+  _check_tree_prelim; every report is as if each candidate were simulated.
 """
 from __future__ import annotations
 
@@ -51,12 +57,13 @@ import functools
 import itertools
 import math
 import random
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .core import ValidationError, run_calls
 from .formulas import lemma1b_bound, t_value
-from .oracle import enumerate_unicyclic_schemes, informing_tree_classes
+from .oracle import SCHEME_SIZE_LIMIT, enumerate_unicyclic_schemes, informing_tree_classes
 
 LEMMA_IDS = (
     "L1a", "L1b", "L1c", "L2", "L3", "L4a", "L4b", "L5a", "L5b", "L6s1",
@@ -105,6 +112,10 @@ class LemmaReport:
     # checked at and its preliminary calls (0 without any); empty for L2,
     # whose hypothesis names no k; not part of the JSON
     coverage: Counter = field(default_factory=Counter)
+    # candidates that missed the hypotheses: generated - instances_checked
+    rejected: int = 0
+    # seconds the suite took to generate and judge its candidates
+    elapsed: float = field(default=0.0, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -195,7 +206,8 @@ def _tree_classes(params: LemmaParams, lemma_id: str, k: int = 1, spare: int = 0
 
 
 def _unicyclic_schemes(params: LemmaParams, exhaustive_to: int = 4):
-    for n in range(2, params.max_sampled_n + 1):
+    """(n, pairs) for unicyclic schemes on 2 to min(max_sampled_n, 8) persons."""
+    for n in range(2, min(params.max_sampled_n, SCHEME_SIZE_LIMIT) + 1):
         limit = None if n <= exhaustive_to else params.samples
         stream = enumerate_unicyclic_schemes(n, limit=limit, seed=params.seed)
         for s in stream.schedules:
@@ -301,6 +313,7 @@ def _report(lemma_id: str, outcomes) -> LemmaReport:
     else (coverage key, a Violation or a falsy value).  L2's key is None,
     which leaves its coverage empty.
     """
+    start = time.perf_counter()
     generated = checked = 0
     violations = []
     coverage = Counter()
@@ -314,7 +327,8 @@ def _report(lemma_id: str, outcomes) -> LemmaReport:
             coverage[key] += 1
         if violation:
             violations.append(violation)
-    return LemmaReport(lemma_id, checked, violations, generated, coverage)
+    return LemmaReport(lemma_id, checked, violations, generated, coverage,
+                       generated - checked, time.perf_counter() - start)
 
 
 def _check_l1a(params: LemmaParams):
@@ -351,8 +365,7 @@ def _check_l2(params: LemmaParams):
     """Appending ell preliminary calls raises nobody's awareness by more than ell."""
     rng = params.rng()
 
-    def judge(n: int, base, prelim):
-        before = _aw(n, base)
+    def judge(n: int, base, before, prelim):
         after = _aw(n, list(prelim) + list(base))
         allowed = len(prelim) - params.bound_slack
         gain = max(b - a for a, b in zip(before, after))
@@ -367,9 +380,10 @@ def _check_l2(params: LemmaParams):
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
         for length in range(0, max_len + 1):
             for base in itertools.product(pairs, repeat=length):
+                before = _aw(n, base)
                 for ell in ells:
                     for prelim in itertools.product(pairs, repeat=ell):
-                        yield judge(n, base, prelim)
+                        yield judge(n, base, before, prelim)
     # sampled larger instances; they need n >= 5 and at least one preliminary call
     if params.max_sampled_n >= 5 and params.max_prelim >= 1:
         for _ in range(params.samples):
@@ -378,7 +392,7 @@ def _check_l2(params: LemmaParams):
             base = [pairs[rng.randrange(len(pairs))] for _ in range(rng.randrange(0, 9))]
             ell = rng.randrange(1, params.max_prelim + 1)
             prelim = [pairs[rng.randrange(len(pairs))] for _ in range(ell)]
-            yield judge(n, base, prelim)
+            yield judge(n, base, _aw(n, base), prelim)
 
 
 def _exact_k_trees(params: LemmaParams):
@@ -471,16 +485,39 @@ def _check_l5b(params: LemmaParams):
     """Unicyclic scheme whose vertices all end k-informed after i prelims: n >= t_i(k).
 
     That is the tree suites' bound with one cycle in place of one spare person.
+    A scheme whose own minimum awareness is below 4 can never end with
+    k >= 4 + i (point 2 of _check_tree_prelim), so its candidates are
+    rejected unsimulated; like those with i > m - 4, they are still drawn,
+    which keeps the seeded stream and ``generated`` as if each were judged.
     """
     rng = params.rng()
     for m, pairs in _unicyclic_schemes(params):
+        low = min(_aw(m, pairs)) < 4
         for i in range(0, params.max_prelim + 1):
             for prelim in _prelim_lists(m, i, rng, general_samples=5):
-                if i > m - 4:
-                    yield None  # k <= m, so i > k - 4; the list is still drawn
+                if low or i > m - 4:  # i > m - 4 >= k - 4
+                    yield None
                     continue
                 k = min(_aw(m, list(prelim) + list(pairs)))
                 yield _judge_prelim_bound(params, m, k, 1, m, pairs, prelim)
+
+
+def _product_informed(n: int, pairs, length: int, k: int):
+    """(seq, persons knowing >= k gossips after seq) for each seq of ``length`` calls.
+
+    The seqs come in ``itertools.product(pairs, repeat=length)`` order, which
+    runs every last call under one prefix before the next prefix.  Each
+    prefix is simulated once; a last call (a, b) changes rows a and b only,
+    so its count is the prefix's minus their old states plus twice the
+    state of their union.
+    """
+    for prefix in itertools.product(pairs, repeat=length - 1):
+        know = run_calls([1 << p for p in range(n)], prefix)
+        up = [x.bit_count() >= k for x in know]
+        base = sum(up)
+        for a, b in pairs:
+            informed = base - up[a] - up[b] + 2 * ((know[a] | know[b]).bit_count() >= k)
+            yield prefix + ((a, b),), informed
 
 
 def _check_l6s1(params: LemmaParams):
@@ -496,16 +533,17 @@ def _check_l6s1(params: LemmaParams):
                     length = i + j
                     space = len(pairs) ** length
                     if space <= exhaustive_cap:
-                        seqs = itertools.product(pairs, repeat=length)
+                        counted = _product_informed(n, pairs, length, k)
                     else:
                         seqs = (
                             tuple(pairs[rng.randrange(len(pairs))] for _ in range(length))
                             for _ in range(params.samples)
                         )
+                        counted = ((seq, sum(1 for a in _aw(n, seq) if a >= k)) for seq in seqs)
                     allowed = j - params.bound_slack
-                    for seq in seqs:
-                        informed = sum(1 for a in _aw(n, seq) if a >= k)
-                        yield (n, k, i), informed > allowed and Violation(
+                    key = (n, k, i)
+                    for seq, informed in counted:
+                        yield key, informed > allowed and Violation(
                             _describe(n, seq, k=k, i=i, j=j, informed=informed),
                             allowed,
                             informed,

@@ -490,6 +490,7 @@ def labeled_trees(n: int) -> Iterator[list[tuple[int, int]]]:
 
 
 EXHAUSTIVE_TREE_LIMIT = 6  # all trees x all call orders up to here
+SCHEME_SIZE_LIMIT = 8  # largest n of the tree and unicyclic scheme enumerators
 
 
 def enumerate_tree_schemes(n: int, limit: int | None = None, seed: int = 0) -> SchemeStream:
@@ -498,8 +499,10 @@ def enumerate_tree_schemes(n: int, limit: int | None = None, seed: int = 0) -> S
     Exhaustive (every labeled tree times every chronological edge order) for
     n <= 6; uniformly sampled, ``limit`` schemes, for n in {7, 8}.
     """
-    if not 2 <= n <= 8:
-        raise ValidationError(f"tree enumeration supports 2 <= n <= 8, got n={n}")
+    if not 2 <= n <= SCHEME_SIZE_LIMIT:
+        raise ValidationError(
+            f"tree enumeration supports 2 <= n <= {SCHEME_SIZE_LIMIT}, got n={n}"
+        )
     if n <= EXHAUSTIVE_TREE_LIMIT and limit is None:
         expected = n ** (n - 2) * math.factorial(n - 1)
 
@@ -593,8 +596,10 @@ def enumerate_unicyclic_schemes(n: int, limit: int | None = None, seed: int = 0)
     edge, the degenerate two-fold cycle).  Exhaustive over edge orders for
     n <= 5, sampled for larger n.
     """
-    if not 2 <= n <= 8:
-        raise ValidationError(f"unicyclic enumeration supports 2 <= n <= 8, got n={n}")
+    if not 2 <= n <= SCHEME_SIZE_LIMIT:
+        raise ValidationError(
+            f"unicyclic enumeration supports 2 <= n <= {SCHEME_SIZE_LIMIT}, got n={n}"
+        )
     all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     if n <= 5 and limit is None:
 

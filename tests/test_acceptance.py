@@ -113,6 +113,15 @@ def test_criterion_4_threshold_sequence_properties():
     _report("4", "decrease, 2t_i - i > t_{i-1}, endpoints, P(n,n)=2n-4 for 4 <= k <= 30")
 
 
+# (instances_checked, generated) of each suite at the default LemmaParams; a
+# speed-up that changes which instances are checked shows here
+_DEFAULT_COUNTS = {
+    "L1a": (1254, 1254), "L1b": (1254, 1254), "L1c": (177, 3960), "L2": (67162, 67162),
+    "L3": (2, 707), "L4a": (190, 4807), "L4b": (259, 7087), "L5a": (9483, 75085),
+    "L5b": (844, 200840), "L6s1": (525171, 525171),
+}
+
+
 def test_criterion_5_lemma_suites():
     start = time.monotonic()
     checked = {}
@@ -120,6 +129,7 @@ def test_criterion_5_lemma_suites():
         report = check_lemma(lemma_id, LemmaParams())
         assert report.violations == [], lemma_id
         assert report.instances_checked > 0, lemma_id
+        assert (report.instances_checked, report.generated) == _DEFAULT_COUNTS[lemma_id]
         checked[lemma_id] = report.instances_checked
         control = check_lemma(lemma_id, LemmaParams(bound_slack=1))
         assert len(control.violations) >= 1, lemma_id

@@ -239,6 +239,32 @@ class TestCheckLemmaCommand:
         assert doc["violations"] == []
         assert doc["checked"] > 0
 
+    @pytest.mark.parametrize("max_n", ["9", "30"])
+    @pytest.mark.parametrize("lemma", ["L1c", "L5b"])
+    def test_unicyclic_suites_accept_every_max_n(self, capsys, lemma, max_n):
+        code, out, err = run(capsys, "check-lemma", lemma, "--max-n", max_n,
+                             "--samples", "10", "--format", "json")
+        assert code == EXIT_OK
+        assert err == ""
+        assert json.loads(out)["checked"] > 0
+
+    def test_stats_flag(self, capsys):
+        argv = ("check-lemma", "L1c", "--max-n", "5", "--samples", "10")
+        code, out, _ = run(capsys, *argv, "--stats", "--format", "json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert list(doc) == ["lemma", "checked", "violations", "stats"]
+        stats = doc["stats"]
+        assert list(stats) == ["generated", "rejected", "checked", "elapsed_s"]
+        assert stats["checked"] == doc["checked"] > 0
+        assert stats["generated"] == stats["rejected"] + stats["checked"]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert out == f'{{"lemma":"L1c","checked":{doc["checked"]},"violations":[]}}\n'
+        code, out, _ = run(capsys, *argv, "--stats")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert len(lines) == 2 and lines[1].startswith("  stats: generated=")
+
     @pytest.mark.parametrize("lemma,flag,value", [
         ("L3", "--samples", "-1"),
         ("L5b", "--prelim-max", "-2"),
@@ -357,6 +383,7 @@ def _argv(files, out):
         "check-lemma": ([st.sampled_from([*lemmas.LEMMA_IDS, "L99"])], [
             fmt, ("--max-n", st.integers(-2, 40).map(str)), ("--samples", _INT),
             ("--prelim-max", _PRELIM), ("--seed", _INT), ("--bound-slack", _INT),
+            ("--stats", None),
         ]),
     }
     junk = st.sampled_from(["abc", "1.5", "--", "-x", "--blocks", "nope"]) | _INT

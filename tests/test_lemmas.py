@@ -34,6 +34,8 @@ def test_no_violations_on_valid_instances(lemma_id):
     report = check_lemma(lemma_id, LemmaParams(**FAST))
     assert report.instances_checked > 0
     assert report.generated >= report.instances_checked
+    assert report.rejected == report.generated - report.instances_checked
+    assert report.elapsed > 0
     if lemma_id != "L2":
         assert sum(report.coverage.values()) == report.instances_checked
     assert report.violations == []
@@ -317,31 +319,122 @@ def test_suites_unchanged_by_matching_cache(monkeypatch, lemma_id, bound_slack):
 
 
 def _reference_check_l5b(params):
-    """L5b as it was before candidates with i > m - 4 skipped simulation."""
-    checked = generated = 0
-    violations = []
+    """L5b as it was before it skipped simulating candidates that cannot meet k >= 4 + i."""
     rng = params.rng()
     for m, pairs in lemmas._unicyclic_schemes(params):
         for i in range(0, params.max_prelim + 1):
             for prelim in lemmas._prelim_lists(m, i, rng, general_samples=5):
-                generated += 1
                 k = min(lemmas._aw(m, list(prelim) + list(pairs)))
                 if k < 4 or i > k - 4:
+                    yield None
                     continue
                 bound = lemmas.t_value(i, k) + params.bound_slack
-                checked += 1
-                if m < bound:
-                    violations.append(lemmas.Violation(
-                        lemmas._describe(m, pairs, prelim, k=k, i=i), bound, m))
-    return lemmas.LemmaReport("L5b", checked, violations, generated)
+                yield (m, k, i), m < bound and lemmas.Violation(
+                    lemmas._describe(m, pairs, prelim, k=k, i=i), bound, m)
+
+
+def _reference_check_l2(params):
+    """L2 as it was before each base was simulated once: two _aw per candidate."""
+    rng = params.rng()
+
+    def judge(n, base, prelim):
+        before = lemmas._aw(n, base)
+        after = lemmas._aw(n, list(prelim) + list(base))
+        allowed = len(prelim) - params.bound_slack
+        gain = max(b - a for a, b in zip(before, after))
+        return None, gain > allowed and lemmas.Violation(
+            lemmas._describe(n, base, prelim, max_gain=gain), allowed, gain)
+
+    ells = range(1, min(2, params.max_prelim) + 1) if params.max_prelim else (0,)
+    for n in (3, 4):
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        for length in range(0, 5):
+            for base in itertools.product(pairs, repeat=length):
+                for ell in ells:
+                    for prelim in itertools.product(pairs, repeat=ell):
+                        yield judge(n, base, prelim)
+    if params.max_sampled_n >= 5 and params.max_prelim >= 1:
+        for _ in range(params.samples):
+            n = rng.randrange(5, params.max_sampled_n + 1)
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            base = [pairs[rng.randrange(len(pairs))] for _ in range(rng.randrange(0, 9))]
+            ell = rng.randrange(1, params.max_prelim + 1)
+            prelim = [pairs[rng.randrange(len(pairs))] for _ in range(ell)]
+            yield judge(n, base, prelim)
+
+
+def _reference_check_l6s1(params):
+    """L6s1 as it was before exhaustive prefixes were shared: one _aw per sequence."""
+    rng = params.rng()
+    for k in (4, 5, 6):
+        for i in range(0, min(k - 4, params.max_prelim) + 1):
+            n_hi = min(lemmas.t_value(i - 1, k) - 1, params.max_sampled_n)
+            for n in range(k, n_hi + 1):
+                pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+                for j in range(1, n + 1):
+                    length = i + j
+                    if len(pairs) ** length <= 70_000:
+                        seqs = itertools.product(pairs, repeat=length)
+                    else:
+                        seqs = (
+                            tuple(pairs[rng.randrange(len(pairs))] for _ in range(length))
+                            for _ in range(params.samples)
+                        )
+                    allowed = j - params.bound_slack
+                    for seq in seqs:
+                        informed = sum(1 for a in lemmas._aw(n, seq) if a >= k)
+                        yield (n, k, i), informed > allowed and lemmas.Violation(
+                            lemmas._describe(n, seq, k=k, i=i, j=j, informed=informed),
+                            allowed, informed)
+
+
+def _same_report(ours, ref):
+    assert ours.to_json_dict() == ref.to_json_dict()
+    assert (ours.generated, ours.rejected, ours.coverage) == (
+        ref.generated, ref.rejected, ref.coverage)
 
 
 @pytest.mark.parametrize("bound_slack", [0, 1])
 def test_l5b_unchanged_by_skipping_small_universes(bound_slack):
+    """Neither i > m - 4 nor a scheme below 4 on its own is simulated; the report holds."""
+    for seed in (0, 1):
+        params = LemmaParams(**FAST, bound_slack=bound_slack, seed=seed)
+        ours = check_lemma("L5b", params)
+        _same_report(ours, lemmas._report("L5b", _reference_check_l5b(params)))
+
+
+@pytest.mark.parametrize("bound_slack", [0, 1])
+@pytest.mark.parametrize("lemma_id,reference", [
+    ("L2", _reference_check_l2), ("L6s1", _reference_check_l6s1),
+])
+def test_shared_simulation_matches_reference(lemma_id, reference, bound_slack):
     params = LemmaParams(**FAST, bound_slack=bound_slack)
-    ours, ref = check_lemma("L5b", params), _reference_check_l5b(params)
-    assert ours.to_json_dict() == ref.to_json_dict()
-    assert ours.generated == ref.generated
+    ours, ref = check_lemma(lemma_id, params), lemmas._report(lemma_id, reference(params))
+    _same_report(ours, ref)
+    assert ours.ok == (bound_slack == 0)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_product_informed_matches_simulation(n):
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    for length in range(1, 5):
+        seqs = list(itertools.product(pairs, repeat=length))
+        profiles = [lemmas._aw(n, seq) for seq in seqs]
+        for k in (2, 3, 4):
+            want = [(seq, sum(a >= k for a in aw)) for seq, aw in zip(seqs, profiles)]
+            assert list(lemmas._product_informed(n, pairs, length, k)) == want, (length, k)
+
+
+@pytest.mark.parametrize("top", [9, lemmas.MAX_SAMPLED_N])
+@pytest.mark.parametrize("lemma_id", ["L1c", "L5b"])
+def test_unicyclic_suites_stop_at_enumerator_limit(lemma_id, top):
+    """Unicyclic schemes are enumerated on at most 8 persons; a larger range reports as 8."""
+    def at(max_sampled_n):
+        return check_lemma(lemma_id, LemmaParams(max_sampled_n=max_sampled_n, samples=10))
+
+    ours, ref = at(top), at(8)
+    _same_report(ours, ref)
+    assert ours.instances_checked > 0
 
 
 @pytest.mark.parametrize("lemma_id,shift", [("L4a", 0), ("L4b", 0), ("L5a", 1), ("L5b", 1)])
