@@ -214,8 +214,13 @@ def _unicyclic_schemes(params: LemmaParams, exhaustive_to: int = 4):
             yield n, s.calls
 
 
+@functools.lru_cache(maxsize=None)
 def _matching_count(n: int, size: int) -> int:
-    """How many unions of ``size`` disjoint edges n persons have."""
+    """How many unions of ``size`` disjoint edges n persons have.
+
+    Tabled: ``_matching_at`` asks for the same few values at every level of
+    every unranking.
+    """
     if 2 * size > n:
         return 0
     return math.factorial(n) // (

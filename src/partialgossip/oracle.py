@@ -38,9 +38,18 @@ knowledge states.  Soundness levers:
   as no-ops never join a sleep set.
 
 Every child cut by these levers provably cannot finish within the calls
-left, so a memo entry stays a fact about its state alone, and the search
-returns the first feasible call sequence in pair order: the same witness
-as a search without the cuts.
+left, so a memo entry stays a fact about its state alone.
+
+In the band regime the find pass is skipped.  ``synth_doubling`` builds a
+candidate of n+i calls; if simulation shows it is k-informing, the passes
+below its length are refuted exhaustively and the candidate is the
+witness.  An extra call never removes knowledge, so that proves the
+minimum; the closed form only picks the candidate.  A candidate that is
+missing, fails the simulation or exceeds ``max_depth``, or a shallower
+pass that finds a schedule, leaves the search as it would be without it,
+so a wrong formula can cost time but never give a wrong number.  Without
+the candidate the search returns the first feasible call sequence in pair
+order: the same witness as a search without the cuts.
 
 Exceeding the time budget yields a Timeout-style result carrying how far
 the refutation got; it never yields a wrong number.
@@ -56,7 +65,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .core import Schedule, ValidationError, simulate
+from .constructions import synth_doubling
+from .core import Schedule, ValidationError, is_k_informing, simulate
+from .formulas import REGIME_BAND, classify_regime
 
 FOUND = "found"
 TIMEOUT = "timeout"
@@ -97,7 +108,8 @@ class SearchResult:
     # because the memo held memo_limit entries), lb_prunes (states cut by
     # the lower bound), orbit_cuts (calls skipped as isomorphic to an earlier
     # sibling), sleep_cuts (calls skipped by the sleep set) and canon_inexact
-    # (memo keys that fell back past _CANON_PERM_CAP)
+    # (memo keys that fell back past _CANON_PERM_CAP), find_nodes (nodes of
+    # the pass that found the witness; 0 when the doubling schedule is it)
     stats: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -321,17 +333,36 @@ def _bound(below: int, best: int, k: int) -> int:
     return rounds + max(0, (below - 2 + 1) // 2)
 
 
+def _doubling_certificate(n: int, k: int) -> Schedule | None:
+    """The band-regime doubling schedule on n persons, if simulation shows it k-informing.
+
+    The search uses it only once its length is a depth it may try, so a
+    candidate longer than ``max_depth`` is never returned.
+    """
+    regime = classify_regime(n, k)
+    if regime.kind != REGIME_BAND:
+        return None
+    try:
+        cand = synth_doubling(n, k, regime.i)
+    except ValidationError:
+        return None
+    return cand if cand.n == n and is_k_informing(cand, k) else None
+
+
 def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> SearchResult:
     """Exact minimum length of a call sequence making all n persons k-informed.
 
     Iterative deepening: depth d is only reported once every depth < d has
-    been exhaustively refuted, so a FOUND result is the true minimum.
+    been exhaustively refuted, so a FOUND result is the true minimum.  At
+    the length of a k-informing doubling schedule the search stops and
+    returns that schedule instead of running the find pass.
     """
     if not 2 <= k <= n:
         raise ValidationError(f"need 2 <= k <= n, got n={n}, k={k}")
     if n > 64:
         raise ValidationError(f"search supports n <= 64, got n={n}")
     cfg = cfg or SearchConfig()
+    certificate = _doubling_certificate(n, k)
     deadline = time.monotonic() + cfg.time_budget
     start_time = time.monotonic()
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
@@ -345,7 +376,7 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
     initial = tuple(1 << p for p in range(n))
     memo: dict[tuple[int, ...], int] = {}
     nodes = memo_hits = memo_stores = memo_refused = lb_prunes = orbit_cuts = sleep_cuts = 0
-    canon_inexact = 0
+    canon_inexact = find_nodes = 0
     next_clock_check = 4096
 
     def dfs(state: tuple[int, ...], remaining: int, sleep: int) -> list[tuple[int, int]] | None:
@@ -417,15 +448,19 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
             time.monotonic() - start_time,
             {"memo_hits": memo_hits, "memo_stores": memo_stores, "memo_refused": memo_refused,
              "lb_prunes": lb_prunes, "orbit_cuts": orbit_cuts, "sleep_cuts": sleep_cuts,
-             "canon_inexact": canon_inexact},
+             "canon_inexact": canon_inexact, "find_nodes": find_nodes},
         )
 
     depth = _lower_bound(initial, k)
     refuted = depth - 1
     try:
         while depth <= cfg.max_depth:
+            if certificate is not None and depth == len(certificate.calls):
+                return result(FOUND, list(certificate.calls))
+            before = nodes
             found = dfs(initial, depth, 0)
             if found is not None:
+                find_nodes = nodes - before
                 return result(FOUND, found)
             refuted = depth
             depth += 1

@@ -196,7 +196,7 @@ class TestOracleCommand:
         code, out, _ = run(capsys, "oracle", "5", "4", "--format", "json")
         assert code == EXIT_OK
         assert out == ('{"n":5,"k":4,"status":"found","min_calls":5,"refuted_depth":4,'
-                       '"nodes":14,"witness":[[0,1],[0,2],[0,3],[0,1],[2,4]]}\n')
+                       '"nodes":4,"witness":[[0,1],[2,3],[0,2],[1,3],[0,4]]}\n')
 
     def test_stats_flag(self, capsys):
         code, out, _ = run(capsys, "oracle", "5", "4", "--stats", "--format", "json")
@@ -205,7 +205,8 @@ class TestOracleCommand:
         assert list(doc) == ["n", "k", "status", "min_calls", "refuted_depth", "nodes",
                              "witness", "stats"]
         assert set(doc["stats"]) == {"memo_hits", "memo_stores", "memo_refused", "lb_prunes",
-                                     "orbit_cuts", "sleep_cuts", "canon_inexact"}
+                                     "orbit_cuts", "sleep_cuts", "canon_inexact",
+                                     "find_nodes"}
         code, out, _ = run(capsys, "oracle", "5", "4", "--stats")
         assert code == EXIT_OK
         lines = out.splitlines()

@@ -318,6 +318,16 @@ def test_suites_unchanged_by_matching_cache(monkeypatch, lemma_id, bound_slack):
         assert ours.generated == 4_104
 
 
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+def test_suites_unchanged_by_tabled_matching_count(monkeypatch, lemma_id):
+    params = LemmaParams(**FAST)
+    ours = check_lemma(lemma_id, params)
+    monkeypatch.setattr(lemmas, "_matching_count", lemmas._matching_count.__wrapped__)
+    ref = check_lemma(lemma_id, params)
+    assert ours.to_json_dict() == ref.to_json_dict()
+    assert (ours.generated, ours.coverage) == (ref.generated, ref.coverage)
+
+
 def _reference_check_l5b(params):
     """L5b as it was before it skipped simulating candidates that cannot meet k >= 4 + i."""
     rng = params.rng()

@@ -24,7 +24,7 @@ from partialgossip import (
 from partialgossip.graph import full_graph, classify_components, ComponentKind
 from partialgossip import oracle
 from partialgossip.oracle import (
-    FOUND, TIMEOUT, _lower_bound, canonical_form, informing_tree_classes,
+    DEPTH_EXHAUSTED, FOUND, TIMEOUT, _lower_bound, canonical_form, informing_tree_classes,
 )
 
 
@@ -75,13 +75,20 @@ class TestMinCalls:
     def test_stats_counted_per_search(self):
         r = min_calls_bruteforce(6, 6)
         assert set(r.stats) == {"memo_hits", "memo_stores", "memo_refused", "lb_prunes",
-                                "orbit_cuts", "sleep_cuts", "canon_inexact"}
+                                "orbit_cuts", "sleep_cuts", "canon_inexact", "find_nodes"}
         for name in ("memo_hits", "lb_prunes", "orbit_cuts", "sleep_cuts"):
             assert r.stats[name] > 0, name
-        assert r.stats["memo_refused"] == r.stats["canon_inexact"] == 0
-        # goals and the nodes on the witness path are neither pruned nor stored
-        assert r.stats["memo_hits"] + r.stats["memo_stores"] + r.stats["lb_prunes"] < r.nodes
+        assert r.stats["memo_refused"] == r.stats["canon_inexact"] == r.stats["find_nodes"] == 0
+        # the doubling schedule settled the search: every node was refuted
+        assert (r.stats["memo_hits"] + r.stats["memo_stores"] + r.stats["memo_refused"]
+                + r.stats["lb_prunes"]) == r.nodes
         assert min_calls_bruteforce(6, 6).stats == r.stats
+        # first regime: the find pass runs, and goals and the nodes on the
+        # witness path are neither pruned nor stored
+        r = min_calls_bruteforce(6, 3)
+        assert 0 < r.stats["find_nodes"] < r.nodes
+        assert (r.stats["memo_hits"] + r.stats["memo_stores"] + r.stats["memo_refused"]
+                + r.stats["lb_prunes"]) < r.nodes
 
     def test_memo_limit_refusals_are_counted(self):
         r = min_calls_bruteforce(5, 5, SearchConfig(memo_limit=0))
@@ -96,18 +103,64 @@ class TestMinCalls:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_reference_search(self, n):
-        """The cuts keep the answer and the witness, and add no node.
+        """The cuts and the doubling certificate keep the answer and add no node.
 
-        Up to six persons the plain reference, keyed by raw states and
-        expanding no-op calls, gives the same answer and witness too.
+        A search the find pass settled gives the reference's witness; one
+        the doubling schedule settled gives a k-informing witness of the
+        same length.  Up to six persons the plain reference, keyed by raw
+        states and expanding no-op calls, gives the same answer and witness
+        too.
         """
         for k in range(2, (6 if n == 8 else n) + 1):
             r = min_calls_bruteforce(n, k)
             min_calls, calls, nodes = _reference_search(n, k)
-            assert (r.min_calls, r.witness.calls) == (min_calls, calls)
+            if r.stats["find_nodes"] == 0:
+                assert r.min_calls == min_calls
+                assert len(r.witness.calls) == min_calls and is_k_informing(r.witness, k)
+                assert r.refuted_depth == min_calls - 1
+            else:
+                assert (r.min_calls, r.witness.calls) == (min_calls, calls)
             assert r.nodes <= nodes
             if n <= 6:
                 assert _reference_search(n, k, plain=True)[:2] == (min_calls, calls)
+
+    @pytest.mark.parametrize("n,k", [(9, 6), (10, 6), (10, 7)])
+    def test_doubling_certificate_settles_the_frontier(self, n, k):
+        """Only refutations run: the find pass here took most of the search."""
+        r = min_calls_bruteforce(n, k)
+        assert (r.status, r.min_calls) == (FOUND, p_min_calls(n, k))
+        assert len(r.witness.calls) == r.min_calls and is_k_informing(r.witness, k)
+        assert r.refuted_depth == r.min_calls - 1
+        assert r.stats["find_nodes"] == 0
+
+    @pytest.mark.parametrize("n,k", [(5, 4), (8, 5), (9, 6)])
+    def test_depth_below_the_minimum_is_exhausted(self, n, k):
+        p = p_min_calls(n, k)
+        r = min_calls_bruteforce(n, k, SearchConfig(max_depth=p - 1))
+        assert (r.status, r.min_calls, r.witness) == (DEPTH_EXHAUSTED, None, None)
+        assert r.refuted_depth == p - 1
+
+    @pytest.mark.parametrize("broken", ["short", "long", "raises"])
+    @pytest.mark.parametrize("n,k", [(5, 4), (8, 5)])
+    def test_broken_synthesizer_falls_back_to_the_find_pass(self, monkeypatch, n, k, broken):
+        """A candidate that fails the simulation, is too long or is missing costs only time."""
+        synth = oracle.synth_doubling
+
+        def fake(n, k, i):
+            calls = synth(n, k, i).calls
+            if broken == "short":  # not k-informing
+                return Schedule(n, calls[:-1])
+            if broken == "long":  # k-informing, one call past the minimum
+                return Schedule(n, calls + ((0, 1),))
+            raise ValidationError("no candidate")
+
+        monkeypatch.setattr(oracle, "synth_doubling", fake)
+        r = min_calls_bruteforce(n, k)
+        min_calls, calls, _ = _reference_search(n, k)
+        assert (r.status, r.min_calls) == (FOUND, min_calls) == (FOUND, p_min_calls(n, k))
+        assert r.witness.calls == calls and is_k_informing(r.witness, k)
+        assert r.refuted_depth == min_calls - 1
+        assert r.stats["find_nodes"] > 0
 
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
