@@ -214,7 +214,10 @@ def _cmd_oracle(args) -> int:
         print(f"{result.status}: no schedule with <= {result.refuted_depth} calls exists "
               f"({result.nodes} nodes searched)")
     if args.stats and args.format != "json":
-        print("  stats: " + " ".join(f"{name}={value}" for name, value in result.stats.items()))
+        flat = {name: value for name, value in result.stats.items() if name != "passes"}
+        print("  stats: " + " ".join(f"{name}={value}" for name, value in flat.items()))
+        for entry in result.stats["passes"]:
+            print("  pass: " + " ".join(f"{name}={value}" for name, value in entry.items()))
     return EXIT_OK if result.status == FOUND else EXIT_VIOLATION
 
 

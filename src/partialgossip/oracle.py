@@ -35,7 +35,13 @@ knowledge states.  Soundness levers:
   orbit-cut), keeping those that share no participant with the child's
   call.  If state s refutes call t with r calls left and c commutes with
   t, then s.c.t = s.t.c cannot finish within r - 2 either.  Calls skipped
-  as no-ops never join a sleep set.
+  as no-ops never join a sleep set;
+* no keys near the leaves: a node with at most _UNKEYED_PLIES calls left
+  gets no canonical form, so it has no memo lookup or store and no orbit
+  cut, while its sleep set and the bound still apply.  There a key costs
+  more than the memo and the orbit cut save.  Both only skip calls that
+  provably cannot finish, so exploring those calls instead changes neither
+  the answer nor the first call sequence found.
 
 Every child cut by these levers provably cannot finish within the calls
 left, so a memo entry stays a fact about its state alone.
@@ -73,6 +79,14 @@ FOUND = "found"
 TIMEOUT = "timeout"
 DEPTH_EXHAUSTED = "depth-exhausted"
 
+# Nodes with at most this many calls left get no canonical form, memo entry
+# or orbit cut (see the module docstring).  Median CPU seconds of five fresh
+# processes per cut-off of 0, 1, 2 and 3 plies (2-vCPU VM, Python 3.11.7):
+# the perfbench oracle_search instances 0.69/0.60/0.50/0.58, (12,4)
+# 2.36/2.39/2.07/2.98, (11,6) 1.53/2.12/1.57/1.37.  Three plies quadruple
+# (12,4)'s nodes, whose find pass then loses.
+_UNKEYED_PLIES = 2
+
 # States whose color cells admit more twin-class arrangements than this are
 # keyed by a single deterministic relabeling instead of the true minimum;
 # that only costs memo hits, never correctness (any relabeling of a state
@@ -106,11 +120,15 @@ class SearchResult:
     # per-search counters: memo_hits (states cut by the memo), memo_stores
     # (refuted states memoized), memo_refused (refuted states not memoized
     # because the memo held memo_limit entries), lb_prunes (states cut by
-    # the lower bound), orbit_cuts (calls skipped as isomorphic to an earlier
-    # sibling), sleep_cuts (calls skipped by the sleep set) and canon_inexact
-    # (memo keys that fell back past _CANON_PERM_CAP), find_nodes (nodes of
-    # the pass that found the witness; 0 when the doubling schedule is it)
-    stats: dict[str, int] = field(default_factory=dict)
+    # the lower bound), unkeyed (refuted states left without a key within
+    # _UNKEYED_PLIES of the depth), orbit_cuts (calls skipped as isomorphic
+    # to an earlier sibling), sleep_cuts (calls skipped by the sleep set),
+    # canon_inexact (memo keys that fell back past _CANON_PERM_CAP),
+    # find_nodes (nodes of the pass that found the witness; 0 when the
+    # doubling schedule is it) and passes (one dict per depth searched: the
+    # depth, then that pass's share of the nodes and of the counters before
+    # find_nodes)
+    stats: dict[str, int | list[dict[str, int]]] = field(default_factory=dict)
 
     @property
     def timed_out(self) -> bool:
@@ -125,17 +143,25 @@ class _BudgetExceeded(Exception):
 # canonical forms under joint person/gossip relabeling
 # ---------------------------------------------------------------------------
 
-def _bits(x: int) -> list[int]:
-    """Indices of the set bits of x, ascending."""
+@functools.lru_cache(maxsize=1 << 16)  # every row of up to 16 persons
+def _bits(x: int) -> tuple[int, ...]:
+    """Indices of the set bits of x, ascending.
+
+    Tabled: the rows and columns of searched states repeat across states.
+    The table is bounded, since it outlives the search, and holds tuples,
+    since every caller shares its results.
+    """
     out = []
     while x:
         low = x & -x
         out.append(low.bit_length() - 1)
         x ^= low
-    return out
+    return tuple(out)
 
 
-def _refine_colors(known: list[list[int]], knowers: list[list[int]]) -> list[int]:
+def _refine_colors(
+    known: list[tuple[int, ...]], knowers: list[tuple[int, ...]]
+) -> list[int]:
     """Partition persons by iterated structural signatures.
 
     ``known[p]`` lists the gossips p knows and ``knowers[p]`` the persons who
@@ -152,10 +178,9 @@ def _refine_colors(known: list[list[int]], knowers: list[list[int]]) -> list[int
     colors = [ranking[s] for s in sigs]
     cells = len(ranking)
     while cells < n:
+        color = colors.__getitem__
         sigs = [
-            (colors[p],
-             tuple(sorted([colors[g] for g in known[p]])),
-             tuple(sorted([colors[q] for q in knowers[p]])))
+            (colors[p], tuple(sorted(map(color, known[p]))), tuple(sorted(map(color, knowers[p]))))
             for p in range(n)
         ]
         ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
@@ -211,7 +236,7 @@ def _placements(
             yield head + tail
 
 
-def _relabel(known: list[list[int]], perm: list[int]) -> tuple[int, ...]:
+def _relabel(known: list[tuple[int, ...]], perm: list[int]) -> tuple[int, ...]:
     """Apply person permutation perm (old -> new) to indices and gossip bits."""
     bit = [1 << q for q in perm]
     out = [0] * len(perm)
@@ -236,13 +261,12 @@ def canonical_form(state: tuple[int, ...], n: int) -> tuple[tuple[int, ...], lis
     past the cap, gives the whole twin partition.
     """
     known = [_bits(row) for row in state]
-    knowers: list[list[int]] = [[] for _ in range(n)]
     col = [0] * n  # col[g]: the persons who know gossip g, as a bitmask
     for p, gs in enumerate(known):
         bit = 1 << p
         for g in gs:
-            knowers[g].append(p)
             col[g] |= bit
+    knowers = [_bits(c) for c in col]
     colors = _refine_colors(known, knowers)
     cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
     for p in range(n):
@@ -376,8 +400,16 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
     initial = tuple(1 << p for p in range(n))
     memo: dict[tuple[int, ...], int] = {}
     nodes = memo_hits = memo_stores = memo_refused = lb_prunes = orbit_cuts = sleep_cuts = 0
-    canon_inexact = find_nodes = 0
+    unkeyed = canon_inexact = find_nodes = 0
+    passes: list[dict[str, int]] = []
     next_clock_check = 4096
+
+    def counters() -> dict[str, int]:
+        """The nodes and the counters that every pass reports."""
+        return {"nodes": nodes, "memo_hits": memo_hits, "memo_stores": memo_stores,
+                "memo_refused": memo_refused, "lb_prunes": lb_prunes, "unkeyed": unkeyed,
+                "orbit_cuts": orbit_cuts, "sleep_cuts": sleep_cuts,
+                "canon_inexact": canon_inexact}
 
     def dfs(state: tuple[int, ...], remaining: int, sleep: int) -> list[tuple[int, int]] | None:
         """Suffix of calls completing the goal within ``remaining``, or None.
@@ -390,7 +422,7 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
         from this state; they are skipped.
         """
         nonlocal nodes, memo_hits, memo_stores, memo_refused, lb_prunes
-        nonlocal orbit_cuts, sleep_cuts, canon_inexact, next_clock_check
+        nonlocal orbit_cuts, sleep_cuts, unkeyed, canon_inexact, next_clock_check
         nodes += 1
         if nodes >= next_clock_check:
             next_clock_check = nodes + 4096
@@ -400,13 +432,17 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
         below = sum(1 for c in counts if c < k)
         if below == 0:
             return []
-        key, rep, exact = canonical_form(state, n)
-        canon_inexact += not exact
-        if memo.get(key, -1) >= remaining:
-            memo_hits += 1
-            return None
+        keyed = remaining > _UNKEYED_PLIES
+        if keyed:
+            key, rep, exact = canonical_form(state, n)
+            canon_inexact += not exact
+            if memo.get(key, -1) >= remaining:
+                memo_hits += 1
+                return None
+            duplicate = _orbit_duplicates(rep, pairs)
+        else:
+            duplicate = 0
         best = max(counts)
-        duplicate = _orbit_duplicates(rep, pairs)
         handled = 0  # calls refuted here so far: explored, bound-cut or orbit-cut
         for j, (a, b) in enumerate(pairs):
             sa, sb = state[a], state[b]
@@ -431,7 +467,9 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
             tail = dfs(child, remaining - 1, (sleep | handled) & commute[j])
             if tail is not None:
                 return [(a, b)] + tail
-        if len(memo) < cfg.memo_limit:
+        if not keyed:
+            unkeyed += 1
+        elif len(memo) < cfg.memo_limit:
             memo[key] = remaining
             memo_stores += 1
         else:
@@ -439,6 +477,8 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
         return None
 
     def result(status: str, found: list[tuple[int, int]] | None = None) -> SearchResult:
+        stats = counters()
+        del stats["nodes"]
         return SearchResult(
             status,
             len(found) if found is not None else None,
@@ -446,9 +486,7 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
             refuted,
             nodes,
             time.monotonic() - start_time,
-            {"memo_hits": memo_hits, "memo_stores": memo_stores, "memo_refused": memo_refused,
-             "lb_prunes": lb_prunes, "orbit_cuts": orbit_cuts, "sleep_cuts": sleep_cuts,
-             "canon_inexact": canon_inexact, "find_nodes": find_nodes},
+            stats | {"find_nodes": find_nodes, "passes": passes},
         )
 
     depth = _lower_bound(initial, k)
@@ -457,10 +495,14 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
         while depth <= cfg.max_depth:
             if certificate is not None and depth == len(certificate.calls):
                 return result(FOUND, list(certificate.calls))
-            before = nodes
-            found = dfs(initial, depth, 0)
+            before = counters()
+            try:
+                found = dfs(initial, depth, 0)
+            finally:  # a pass cut by the budget reports its work too
+                passes.append({"depth": depth} | {
+                    name: now - before[name] for name, now in counters().items()})
             if found is not None:
-                find_nodes = nodes - before
+                find_nodes = passes[-1]["nodes"]
                 return result(FOUND, found)
             refuted = depth
             depth += 1

@@ -205,12 +205,19 @@ class TestOracleCommand:
         assert list(doc) == ["n", "k", "status", "min_calls", "refuted_depth", "nodes",
                              "witness", "stats"]
         assert set(doc["stats"]) == {"memo_hits", "memo_stores", "memo_refused", "lb_prunes",
-                                     "orbit_cuts", "sleep_cuts", "canon_inexact",
-                                     "find_nodes"}
+                                     "unkeyed", "orbit_cuts", "sleep_cuts", "canon_inexact",
+                                     "find_nodes", "passes"}
+        assert doc["stats"]["passes"] == [{"depth": 4, "nodes": 4, "memo_hits": 0,
+                                           "memo_stores": 2, "memo_refused": 0, "lb_prunes": 2,
+                                           "unkeyed": 0, "orbit_cuts": 16, "sleep_cuts": 0,
+                                           "canon_inexact": 0}]
         code, out, _ = run(capsys, "oracle", "5", "4", "--stats")
         assert code == EXIT_OK
         lines = out.splitlines()
-        assert len(lines) == 3 and lines[2].startswith("  stats: memo_hits=")
+        assert len(lines) == 4 and lines[2].startswith("  stats: memo_hits=")
+        assert "passes" not in lines[2]
+        assert lines[3] == ("  pass: depth=4 nodes=4 memo_hits=0 memo_stores=2 memo_refused=0 "
+                            "lb_prunes=2 unkeyed=0 orbit_cuts=16 sleep_cuts=0 canon_inexact=0")
 
 
 class TestCheckLemmaCommand:

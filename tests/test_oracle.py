@@ -75,20 +75,31 @@ class TestMinCalls:
     def test_stats_counted_per_search(self):
         r = min_calls_bruteforce(6, 6)
         assert set(r.stats) == {"memo_hits", "memo_stores", "memo_refused", "lb_prunes",
-                                "orbit_cuts", "sleep_cuts", "canon_inexact", "find_nodes"}
-        for name in ("memo_hits", "lb_prunes", "orbit_cuts", "sleep_cuts"):
+                                "unkeyed", "orbit_cuts", "sleep_cuts", "canon_inexact",
+                                "find_nodes", "passes"}
+        for name in ("memo_hits", "lb_prunes", "unkeyed", "orbit_cuts", "sleep_cuts"):
             assert r.stats[name] > 0, name
         assert r.stats["memo_refused"] == r.stats["canon_inexact"] == r.stats["find_nodes"] == 0
         # the doubling schedule settled the search: every node was refuted
         assert (r.stats["memo_hits"] + r.stats["memo_stores"] + r.stats["memo_refused"]
-                + r.stats["lb_prunes"]) == r.nodes
+                + r.stats["lb_prunes"] + r.stats["unkeyed"]) == r.nodes
         assert min_calls_bruteforce(6, 6).stats == r.stats
+        _assert_passes_add_up(r, range(5, 8))
         # first regime: the find pass runs, and goals and the nodes on the
         # witness path are neither pruned nor stored
         r = min_calls_bruteforce(6, 3)
         assert 0 < r.stats["find_nodes"] < r.nodes
         assert (r.stats["memo_hits"] + r.stats["memo_stores"] + r.stats["memo_refused"]
-                + r.stats["lb_prunes"]) < r.nodes
+                + r.stats["lb_prunes"] + r.stats["unkeyed"]) < r.nodes
+        _assert_passes_add_up(r, range(4, 6))
+        assert r.stats["passes"][-1]["nodes"] == r.stats["find_nodes"]
+
+    def test_timed_out_pass_is_reported(self):
+        r = min_calls_bruteforce(8, 8, SearchConfig(time_budget=0.05))
+        assert r.status == TIMEOUT
+        # the passes refuted and the one the budget cut
+        first = _lower_bound(tuple(1 << p for p in range(8)), 8)
+        _assert_passes_add_up(r, range(first, r.refuted_depth + 2))
 
     def test_memo_limit_refusals_are_counted(self):
         r = min_calls_bruteforce(5, 5, SearchConfig(memo_limit=0))
@@ -96,20 +107,32 @@ class TestMinCalls:
         assert r.stats["memo_stores"] == 0 and r.stats["memo_refused"] > 0
 
     def test_inexact_keys_are_counted(self):
-        # two of the searched states have more twin-class arrangements than the cap
+        # one keyed state has more twin-class arrangements than the cap
+        r = min_calls_bruteforce(12, 4)
+        assert r.min_calls == p_min_calls(12, 4)
+        assert r.stats["canon_inexact"] == 1
+        # (12,2) meets states past the cap only within the unkeyed plies:
+        # four or five disjoint calls, 8!/2^4 and 10!/2^5 arrangements
         r = min_calls_bruteforce(12, 2)
         assert r.min_calls == p_min_calls(12, 2)
-        assert r.stats["canon_inexact"] == 2
+        assert r.stats["canon_inexact"] == 0
+        for calls, exact in ((3, True), (4, False), (5, False)):
+            state = tuple(0b11 << (p & ~1) if p < 2 * calls else 1 << p for p in range(12))
+            assert canonical_form(state, 12)[2] is exact, calls
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_reference_search(self, n):
-        """The cuts and the doubling certificate keep the answer and add no node.
+        """The cuts and the doubling certificate keep the answer and add no keyed node.
 
         A search the find pass settled gives the reference's witness; one
         the doubling schedule settled gives a k-informing witness of the
-        same length.  Up to six persons the plain reference, keyed by raw
-        states and expanding no-op calls, gives the same answer and witness
-        too.
+        same length and visits no more nodes.  The nodes near the leaves
+        go without a key, so a find pass may visit more nodes than the
+        reference, which keys all of them; the keyed nodes, at most the
+        memo's hits, stores and refusals plus those on the witness path,
+        are never more.  Up to six persons the plain reference, keyed by
+        raw states and expanding no-op calls, gives the same answer and
+        witness too.
         """
         for k in range(2, (6 if n == 8 else n) + 1):
             r = min_calls_bruteforce(n, k)
@@ -118,9 +141,11 @@ class TestMinCalls:
                 assert r.min_calls == min_calls
                 assert len(r.witness.calls) == min_calls and is_k_informing(r.witness, k)
                 assert r.refuted_depth == min_calls - 1
+                assert r.nodes <= nodes
             else:
                 assert (r.min_calls, r.witness.calls) == (min_calls, calls)
-            assert r.nodes <= nodes
+            keyed = r.stats["memo_hits"] + r.stats["memo_stores"] + r.stats["memo_refused"]
+            assert keyed + len(r.witness.calls) <= nodes
             if n <= 6:
                 assert _reference_search(n, k, plain=True)[:2] == (min_calls, calls)
 
@@ -162,6 +187,25 @@ class TestMinCalls:
         assert r.refuted_depth == min_calls - 1
         assert r.stats["find_nodes"] > 0
 
+    def test_unchanged_by_tabled_bits(self, monkeypatch):
+        """Searches and tree classes come out the same when _bits recomputes every row."""
+
+        def run():
+            informing_tree_classes.cache_clear()
+            searches = []
+            for n in range(2, 9):
+                for k in range(2, (6 if n == 8 else n) + 1):
+                    r = min_calls_bruteforce(n, k)
+                    searches.append((r.status, r.min_calls, r.witness.calls, r.nodes, r.stats))
+            return searches, [informing_tree_classes(m, 4, 1) for m in range(1, 10)]
+
+        ours = run()
+        monkeypatch.setattr(oracle, "_bits", oracle._bits.__wrapped__)
+        try:
+            assert run() == ours
+        finally:
+            informing_tree_classes.cache_clear()
+
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
             min_calls_bruteforce(3, 1)
@@ -171,6 +215,17 @@ class TestMinCalls:
             SearchConfig(time_budget=0)
         with pytest.raises(ValidationError):
             SearchConfig(memo_limit=-1)
+
+
+def _assert_passes_add_up(r, depths):
+    """One pass per depth searched, in order, whose counters sum to the flat ones."""
+    passes = r.stats["passes"]
+    assert [entry["depth"] for entry in passes] == list(depths)
+    flat = set(r.stats) - {"find_nodes", "passes"}
+    assert all(set(entry) == {"depth", "nodes", *flat} for entry in passes)
+    assert sum(entry["nodes"] for entry in passes) == r.nodes
+    for name in flat:
+        assert sum(entry[name] for entry in passes) == r.stats[name], name
 
 
 def _reference_search(n: int, k: int, plain: bool = False):
