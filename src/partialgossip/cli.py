@@ -317,10 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lemma", choices=LEMMA_IDS)
     p.add_argument("--max-n", type=int, default=8,
                    help="largest sampled scheme size, at most 30 "
-                        "(L1a, L1b, L3, L4a, L4b and L5a ignore it)")
+                        "(L1a, L1b, L3, L4a, L4b, L5a and L6s1 ignore it)")
     p.add_argument("--samples", type=int, default=400,
                    help="random instances per sampled size "
-                        "(L1a, L1b, L3, L4a, L4b and L5a ignore it)")
+                        "(L1a, L1b, L3, L4a, L4b, L5a and L6s1 ignore it)")
     p.add_argument("--prelim-max", type=int, default=3,
                    help=f"largest preliminary-call count, at most {MAX_PRELIM}")
     p.add_argument("--seed", type=int, default=0)

@@ -30,7 +30,7 @@ Documented instance ranges (defaults in LemmaParams):
   for m = 8, 9, 10 and 1, 4, 17, 67 and 257 for m = 5, ..., 9, and none
   below;
 * the six tree suites take their largest m from ``max_exhaustive_n``,
-  within _TREE_SIZES (L1a, L1b: 2..10; L3: 4..10; L4a, L4b: 8..11; L5a:
+  within _SIZES (L1a, L1b: 2..10; L3: 4..10; L4a, L4b: 8..11; L5a:
   5..11); ``max_sampled_n`` and ``samples`` do not apply to them;
 * unicyclic schemes: exhaustive for n <= 4, sampled for n in {5, ...,
   min(max_sampled_n, 8)}, the enumerator's limit;
@@ -42,14 +42,15 @@ Documented instance ranges (defaults in LemmaParams):
 * L2: an exhaustive box over n in {3, 4}, up to 4 base calls and
   ell <= min(2, max_prelim) preliminary calls (only ell = 0 when
   max_prelim is 0), plus ``samples`` random instances on 5..max_sampled_n
-  persons when max_sampled_n >= 5 and max_prelim >= 1;
-* call-sequence suites: exhaustive while the sequence space is small,
-  sampled beyond.  The exhaustive sequences of L6s1 come in product
-  order, and each prefix before the last call is simulated once
-  (_product_informed); L2's box simulates each base once for all its
-  preliminary lists.  L5b rejects unsimulated every candidate of a scheme
-  whose own minimum awareness is below 4, by the L2 argument of
-  _check_tree_prelim; every report is as if each candidate were simulated.
+  persons when max_sampled_n >= 5 and max_prelim >= 1.  The box simulates
+  each base once for all its preliminary lists.  L5b rejects unsimulated
+  every candidate of a scheme whose own minimum awareness is below 4, by
+  the L2 argument of _check_tree_prelim; every report is as if each
+  candidate were simulated;
+* L6s1: every (n, k, i) with k in {4, 5, 6}, i <= min(k - 4, max_prelim)
+  and n <= t_{i-1}(k) - 1, on k to ``max_exhaustive_n`` persons (default
+  10: 25 tuples).  Its candidates are facts, 154 by default, each decided
+  by an exhaustive search (_check_l6s1), so nothing is sampled.
 """
 from __future__ import annotations
 
@@ -63,27 +64,28 @@ from dataclasses import dataclass, field
 
 from .core import ValidationError, run_calls
 from .formulas import lemma1b_bound, t_value
-from .oracle import SCHEME_SIZE_LIMIT, enumerate_unicyclic_schemes, informing_tree_classes
+from .oracle import (SCHEME_SIZE_LIMIT, SearchConfig, enumerate_unicyclic_schemes,
+                     informing_tree_classes, min_calls_bruteforce)
 
 LEMMA_IDS = (
     "L1a", "L1b", "L1c", "L2", "L3", "L4a", "L4b", "L5a", "L5b", "L6s1",
 )
 
-# max_exhaustive_n of the tree-class suites, their largest tree size:
-# (smallest, largest, default).  Below the smallest no tree meets a suite's
-# hypotheses, so it would check nothing and still report ok: L3 needs an
-# exact k-informing tree with 3 <= k < n (4 persons), a tree leaving
-# everyone 4-informed has at least 2^3 persons (L1a), one leaving all but
-# one person 4-informed at least 5.  The largest caps the enumeration's cost
-# (informing_tree_classes(10, 1, 0) takes about 6 s).
-_TREE_SIZES = {
+# max_exhaustive_n of the suites that read it, their largest tree size (L6s1:
+# persons): (smallest, largest, default).  Below the smallest no instance
+# meets a suite's hypotheses, so it would check nothing and still report ok:
+# L3 needs an exact k-informing tree with 3 <= k < n (4 persons), a tree
+# leaving everyone 4-informed has at least 2^3 persons (L1a), one leaving all
+# but one person 4-informed at least 5, and L6s1 n >= k >= 4.  The largest
+# caps the cost: informing_tree_classes(10, 1, 0) takes about 6 s, L6s1 19 s.
+_SIZES = {
     "L1a": (2, 10, 8), "L1b": (2, 10, 8), "L3": (4, 10, 8),
     "L4a": (8, 11, 10), "L4b": (8, 11, 10), "L5a": (5, 11, 9),
+    "L6s1": (4, 12, 10),
 }
 
-# largest max_sampled_n accepted: no suite reads more (L6s1 stops at
-# t_{-1}(6) - 1 = 30, the scheme enumerators at 8), and L2 builds every pair
-# of an n-person universe for each sample
+# largest max_sampled_n accepted: L2 builds every pair of an n-person
+# universe for each sample, and the scheme enumerators stop at 8
 MAX_SAMPLED_N = 30
 
 # largest max_prelim accepted: no suite but L2 can check more preliminary
@@ -141,9 +143,10 @@ class LemmaParams:
     """Instance-generation ranges; defaults are the documented ranges.
 
     L1a, L1b, L3, L4a, L4b and L5a enumerate tree classes on up to
-    ``max_exhaustive_n`` persons and ignore ``max_sampled_n`` and
-    ``samples``.  ``max_sampled_n`` is at most MAX_SAMPLED_N and
-    ``max_prelim`` at most MAX_PRELIM.
+    ``max_exhaustive_n`` persons, and L6s1 searches instances of up to that
+    many persons; all seven ignore ``max_sampled_n`` and ``samples``.
+    ``max_sampled_n`` is at most MAX_SAMPLED_N and ``max_prelim`` at most
+    MAX_PRELIM.
     """
 
     max_exhaustive_n: int | None = None  # per-lemma default when None
@@ -173,8 +176,8 @@ def check_lemma(lemma_id: str, params: LemmaParams | None = None) -> LemmaReport
             f"max_sampled_n must be in [2, {MAX_SAMPLED_N}], got {params.max_sampled_n}"
         )
     top = params.max_exhaustive_n
-    if lemma_id in _TREE_SIZES and top is not None:
-        low, high, _ = _TREE_SIZES[lemma_id]
+    if lemma_id in _SIZES and top is not None:
+        low, high, _ = _SIZES[lemma_id]
         if not low <= top <= high:
             raise ValidationError(
                 f"{lemma_id} needs {low} <= max_exhaustive_n <= {high}, got {top}"
@@ -194,13 +197,13 @@ def _tree_classes(params: LemmaParams, lemma_id: str, k: int = 1, spare: int = 0
     """(m, pairs): one scheme per class of ``informing_tree_classes(m, k, spare)``.
 
     m runs from 2 to the suite's ``max_exhaustive_n`` (default in
-    _TREE_SIZES).  A class is a tree's final state up to joint relabeling of
+    _SIZES).  A class is a tree's final state up to joint relabeling of
     persons and gossips; with k = 1 every tree is in one.  L1a and L1b read
     only the awareness profile, and L3 the outcome of preliminary calls run
     before the tree, which relabels with the final state (see
     _check_tree_prelim), so one member per class checks them all.
     """
-    for m in range(2, (params.max_exhaustive_n or _TREE_SIZES[lemma_id][2]) + 1):
+    for m in range(2, (params.max_exhaustive_n or _SIZES[lemma_id][2]) + 1):
         for pairs in informing_tree_classes(m, k, spare):
             yield m, pairs
 
@@ -507,52 +510,33 @@ def _check_l5b(params: LemmaParams):
                 yield _judge_prelim_bound(params, m, k, 1, m, pairs, prelim)
 
 
-def _product_informed(n: int, pairs, length: int, k: int):
-    """(seq, persons knowing >= k gossips after seq) for each seq of ``length`` calls.
-
-    The seqs come in ``itertools.product(pairs, repeat=length)`` order, which
-    runs every last call under one prefix before the next prefix.  Each
-    prefix is simulated once; a last call (a, b) changes rows a and b only,
-    so its count is the prefix's minus their old states plus twice the
-    state of their union.
-    """
-    for prefix in itertools.product(pairs, repeat=length - 1):
-        know = run_calls([1 << p for p in range(n)], prefix)
-        up = [x.bit_count() >= k for x in know]
-        base = sum(up)
-        for a, b in pairs:
-            informed = base - up[a] - up[b] + 2 * ((know[a] | know[b]).bit_count() >= k)
-            yield prefix + ((a, b),), informed
-
-
 def _check_l6s1(params: LemmaParams):
-    """With n <= t_{i-1}(k)-1, any i+j calls leave at most j persons k-informed."""
-    rng = params.rng()
-    exhaustive_cap = 70_000
+    """With n <= t_{i-1}(k)-1, any i+j calls leave at most j persons k-informed.
+
+    Put another way, m = j+1 persons k-informed take at least m+i calls, for
+    j = 1, ..., n-1.  One search for m persons per (n, k, m), as deep as the
+    largest i needs, decides that fact for every i: it fails when the search
+    finds a schedule of at most m + i - 1 + bound_slack calls, and holds once
+    the search refuted that depth.  A timed-out search leaves the facts past
+    its refuted depth undecided, counted as rejected, never as proved.
+    """
+    slack, top = params.bound_slack, params.max_exhaustive_n or _SIZES["L6s1"][2]
     for k in (4, 5, 6):
-        for i in range(0, min(k - 4, params.max_prelim) + 1):
-            n_hi = min(t_value(i - 1, k) - 1, params.max_sampled_n)
-            for n in range(k, n_hi + 1):
-                pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-                for j in range(1, n + 1):
-                    length = i + j
-                    space = len(pairs) ** length
-                    if space <= exhaustive_cap:
-                        counted = _product_informed(n, pairs, length, k)
+        for n in range(k, min(top, t_value(-1, k) - 1) + 1):  # i = 0 is always a band
+            bands = [i for i in range(0, min(k - 4, params.max_prelim) + 1)
+                     if n <= t_value(i - 1, k) - 1]
+            for m in range(2, n + 1):
+                cfg = SearchConfig(max_depth=max(0, m + bands[-1] - 1 + slack))
+                result = min_calls_bruteforce(n, k, cfg, goal=m)
+                for i in bands:
+                    depth = m + i - 1 + slack
+                    if result.min_calls is not None and result.min_calls <= depth:
+                        calls, j = result.witness.calls, result.min_calls - i
+                        informed = sum(1 for a in _aw(n, calls) if a >= k)
+                        yield (n, k, i), Violation(_describe(
+                            n, calls, k=k, i=i, j=j, informed=informed), j - slack, informed)
                     else:
-                        seqs = (
-                            tuple(pairs[rng.randrange(len(pairs))] for _ in range(length))
-                            for _ in range(params.samples)
-                        )
-                        counted = ((seq, sum(1 for a in _aw(n, seq) if a >= k)) for seq in seqs)
-                    allowed = j - params.bound_slack
-                    key = (n, k, i)
-                    for seq, informed in counted:
-                        yield key, informed > allowed and Violation(
-                            _describe(n, seq, k=k, i=i, j=j, informed=informed),
-                            allowed,
-                            informed,
-                        )
+                        yield ((n, k, i), None) if result.refuted_depth >= depth else None
 
 
 _CHECKERS = {

@@ -1,8 +1,9 @@
 """Ground-truth engines: exhaustive minimum-call search and scheme enumerators.
 
-The searcher answers "what is the true minimum number of calls so that all
-n persons know at least k gossips" by iterative-deepening DFS over raw
-knowledge states.  Soundness levers:
+The searcher answers "what is the true minimum number of calls so that
+``goal`` of the n persons (by default all) know at least k gossips" by
+iterative-deepening DFS over raw knowledge states.  Soundness levers, each
+relying on a goal invariant under relabeling that no extra call undoes:
 
 * no-op pruning: a call between two persons with identical knowledge can be
   deleted from any sequence without changing the outcome, so no minimal
@@ -17,9 +18,9 @@ knowledge states.  Soundness levers:
   classes are tried; a state with more than _CANON_PERM_CAP arrangements
   gets one deterministic relabeling instead (counted as canon_inexact);
 * an admissible lower bound on remaining calls (each call informs at most
-  two persons, and the maximum awareness can at most double per call).  A
-  child's bound follows from its parent's counts and the two merged rows,
-  so it is tested before the child state is built;
+  two of the persons the goal misses, and the maximum awareness can at
+  most double per call).  A child's bound follows from its parent's counts
+  and the two merged rows, so it is tested before the child state is built;
 * orbit cuts (McKay, *Isomorph-free exhaustive generation*, J. Algorithms
   26, 1998): any permutation inside a twin class is an automorphism of the
   state, so two calls whose participants lie in the same unordered pair of
@@ -46,16 +47,17 @@ knowledge states.  Soundness levers:
 Every child cut by these levers provably cannot finish within the calls
 left, so a memo entry stays a fact about its state alone.
 
-In the band regime the find pass is skipped.  ``synth_doubling`` builds a
-candidate of n+i calls; if simulation shows it is k-informing, the passes
-below its length are refuted exhaustively and the candidate is the
-witness.  An extra call never removes knowledge, so that proves the
-minimum; the closed form only picks the candidate.  A candidate that is
-missing, fails the simulation or exceeds ``max_depth``, or a shallower
-pass that finds a schedule, leaves the search as it would be without it,
-so a wrong formula can cost time but never give a wrong number.  Without
-the candidate the search returns the first feasible call sequence in pair
-order: the same witness as a search without the cuts.
+In the band regime the full goal skips the find pass (a partial goal gets
+no candidate).  ``synth_doubling`` builds a candidate of n+i calls; if
+simulation shows it is k-informing, the passes below its length are refuted
+exhaustively and the candidate is the witness.  An extra call never removes
+knowledge, so that proves the minimum; the closed form only picks the
+candidate.  A candidate that is missing, fails the simulation or exceeds
+``max_depth``, or a shallower pass that finds a schedule, leaves the search
+as it would be without it, so a wrong formula can cost time but never give
+a wrong number.  Without the candidate the search returns the first
+feasible call sequence in pair order: the same witness as a search without
+the cuts.
 
 Exceeding the time budget yields a Timeout-style result carrying how far
 the refutation got; it never yields a wrong number.
@@ -336,15 +338,15 @@ def _orbit_duplicates(rep: list[int], pairs: list[tuple[int, int]]) -> int:
 # minimum-call search
 # ---------------------------------------------------------------------------
 
-def _lower_bound(state: tuple[int, ...], k: int) -> int:
-    """Admissible bound on calls still needed to make everyone k-informed."""
+def _lower_bound(state: tuple[int, ...], k: int, spare: int = 0) -> int:
+    """Admissible bound on calls still needed to leave at most ``spare`` persons below k."""
     counts = [x.bit_count() for x in state]
-    return _bound(sum(1 for c in counts if c < k), max(counts), k)
+    return _bound(sum(1 for c in counts if c < k) - spare, max(counts), k)
 
 
 def _bound(below: int, best: int, k: int) -> int:
-    """_lower_bound of a state with ``below`` persons under k and maximum awareness ``best``."""
-    if below == 0:
+    """_lower_bound of a state ``below`` persons short of its goal, at top awareness ``best``."""
+    if below <= 0:
         return 0
     if best >= k:
         return (below + 1) // 2
@@ -373,20 +375,25 @@ def _doubling_certificate(n: int, k: int) -> Schedule | None:
     return cand if cand.n == n and is_k_informing(cand, k) else None
 
 
-def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> SearchResult:
-    """Exact minimum length of a call sequence making all n persons k-informed.
+def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
+                         goal: int | None = None) -> SearchResult:
+    """Exact minimum length of a call sequence making ``goal`` (default n) persons k-informed.
 
     Iterative deepening: depth d is only reported once every depth < d has
-    been exhaustively refuted, so a FOUND result is the true minimum.  At
-    the length of a k-informing doubling schedule the search stops and
-    returns that schedule instead of running the find pass.
+    been exhaustively refuted, so a FOUND result is the true minimum.  Only
+    with the full goal, at the length of a k-informing doubling schedule the
+    search stops and returns that schedule instead of running the find pass.
     """
     if not 2 <= k <= n:
         raise ValidationError(f"need 2 <= k <= n, got n={n}, k={k}")
     if n > 64:
         raise ValidationError(f"search supports n <= 64, got n={n}")
+    goal = n if goal is None else goal
+    if not 1 <= goal <= n:
+        raise ValidationError(f"need 1 <= goal <= n, got goal={goal}, n={n}")
+    spare = n - goal  # persons that may stay below k
     cfg = cfg or SearchConfig()
-    certificate = _doubling_certificate(n, k)
+    certificate = _doubling_certificate(n, k) if spare == 0 else None
     deadline = time.monotonic() + cfg.time_budget
     start_time = time.monotonic()
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
@@ -429,8 +436,8 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
             if time.monotonic() > deadline:
                 raise _BudgetExceeded
         counts = [x.bit_count() for x in state]
-        below = sum(1 for c in counts if c < k)
-        if below == 0:
+        below = sum(1 for c in counts if c < k) - spare  # persons the goal still misses
+        if below <= 0:
             return []
         keyed = remaining > _UNKEYED_PLIES
         if keyed:
@@ -489,7 +496,7 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None) -> Sea
             stats | {"find_nodes": find_nodes, "passes": passes},
         )
 
-    depth = _lower_bound(initial, k)
+    depth = _lower_bound(initial, k, spare)
     refuted = depth - 1
     try:
         while depth <= cfg.max_depth:

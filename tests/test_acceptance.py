@@ -118,7 +118,7 @@ def test_criterion_4_threshold_sequence_properties():
 _DEFAULT_COUNTS = {
     "L1a": (1254, 1254), "L1b": (1254, 1254), "L1c": (177, 3960), "L2": (67162, 67162),
     "L3": (2, 707), "L4a": (190, 4807), "L4b": (259, 7087), "L5a": (9483, 75085),
-    "L5b": (844, 200840), "L6s1": (525171, 525171),
+    "L5b": (844, 200840), "L6s1": (154, 154),
 }
 
 

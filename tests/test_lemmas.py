@@ -21,7 +21,7 @@ from partialgossip import (
 )
 from partialgossip import lemmas, minimal_informing_tree
 from partialgossip.core import run_calls
-from partialgossip.oracle import informing_tree_classes
+from partialgossip.oracle import TIMEOUT, SearchResult, informing_tree_classes
 from partialgossip.lemmas import LEMMA_IDS
 
 # small ranges so the whole file stays fast; the acceptance suite runs the
@@ -66,8 +66,12 @@ _FAST_COUNTS = {
         (8, 6, 2): 504, (9, 4, 0): 256, (9, 5, 0): 1, (9, 5, 1): 3334, (9, 6, 1): 1,
         (9, 6, 2): 1865, (10, 5, 1): 727, (10, 6, 1): 3, (10, 6, 2): 661, (10, 7, 2): 1}),
     "L5b": (100, 36290, {(4, 4, 0): 96, (5, 4, 0): 2, (5, 5, 1): 2}),
-    "L6s1": (35034, 35034, {
-        (4, 4, 0): 1554, (5, 4, 0): 11150, (5, 5, 0): 11150, (5, 5, 1): 11180}),
+    "L6s1": (154, 154, {
+        (4, 4, 0): 3, (5, 4, 0): 4, (5, 5, 0): 4, (5, 5, 1): 4, (6, 4, 0): 5, (6, 5, 0): 5,
+        (6, 5, 1): 5, (6, 6, 0): 5, (6, 6, 1): 5, (6, 6, 2): 5, (7, 5, 0): 6, (7, 5, 1): 6,
+        (7, 6, 0): 6, (7, 6, 1): 6, (7, 6, 2): 6, (8, 5, 0): 7, (8, 6, 0): 7, (8, 6, 1): 7,
+        (8, 6, 2): 7, (9, 5, 0): 8, (9, 6, 0): 8, (9, 6, 1): 8, (10, 5, 0): 9, (10, 6, 0): 9,
+        (10, 6, 1): 9}),
 }
 
 
@@ -92,16 +96,16 @@ def test_unknown_lemma_id_rejected():
 
 @pytest.mark.parametrize("lemma_id,top", [
     ("L4a", 0), ("L4a", 5), ("L4a", 7), ("L4b", 6), ("L5a", 4), ("L5a", 12), ("L4b", 12),
-    ("L1a", 1), ("L1b", 11), ("L3", 3), ("L3", 11),
+    ("L1a", 1), ("L1b", 11), ("L3", 3), ("L3", 11), ("L6s1", 3), ("L6s1", 13),
 ])
 def test_tree_class_suites_reject_ranges_without_instances(lemma_id, top):
-    """Too few tree persons would check nothing and report ok; too many do not run."""
+    """Too few persons would check nothing and report ok; too many do not run."""
     with pytest.raises(ValidationError):
         check_lemma(lemma_id, LemmaParams(max_exhaustive_n=top))
 
 
 @pytest.mark.parametrize("lemma_id,top", [
-    ("L4a", 8), ("L4b", 8), ("L5a", 5), ("L1a", 2), ("L1b", 2), ("L3", 4),
+    ("L4a", 8), ("L4b", 8), ("L5a", 5), ("L1a", 2), ("L1b", 2), ("L3", 4), ("L6s1", 4),
 ])
 def test_tree_class_suites_check_instances_at_smallest_range(lemma_id, top):
     report = check_lemma(lemma_id, LemmaParams(max_exhaustive_n=top))
@@ -373,31 +377,6 @@ def _reference_check_l2(params):
             yield judge(n, base, prelim)
 
 
-def _reference_check_l6s1(params):
-    """L6s1 as it was before exhaustive prefixes were shared: one _aw per sequence."""
-    rng = params.rng()
-    for k in (4, 5, 6):
-        for i in range(0, min(k - 4, params.max_prelim) + 1):
-            n_hi = min(lemmas.t_value(i - 1, k) - 1, params.max_sampled_n)
-            for n in range(k, n_hi + 1):
-                pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-                for j in range(1, n + 1):
-                    length = i + j
-                    if len(pairs) ** length <= 70_000:
-                        seqs = itertools.product(pairs, repeat=length)
-                    else:
-                        seqs = (
-                            tuple(pairs[rng.randrange(len(pairs))] for _ in range(length))
-                            for _ in range(params.samples)
-                        )
-                    allowed = j - params.bound_slack
-                    for seq in seqs:
-                        informed = sum(1 for a in lemmas._aw(n, seq) if a >= k)
-                        yield (n, k, i), informed > allowed and lemmas.Violation(
-                            lemmas._describe(n, seq, k=k, i=i, j=j, informed=informed),
-                            allowed, informed)
-
-
 def _same_report(ours, ref):
     assert ours.to_json_dict() == ref.to_json_dict()
     assert (ours.generated, ours.rejected, ours.coverage) == (
@@ -414,9 +393,7 @@ def test_l5b_unchanged_by_skipping_small_universes(bound_slack):
 
 
 @pytest.mark.parametrize("bound_slack", [0, 1])
-@pytest.mark.parametrize("lemma_id,reference", [
-    ("L2", _reference_check_l2), ("L6s1", _reference_check_l6s1),
-])
+@pytest.mark.parametrize("lemma_id,reference", [("L2", _reference_check_l2)])
 def test_shared_simulation_matches_reference(lemma_id, reference, bound_slack):
     params = LemmaParams(**FAST, bound_slack=bound_slack)
     ours, ref = check_lemma(lemma_id, params), lemmas._report(lemma_id, reference(params))
@@ -424,15 +401,73 @@ def test_shared_simulation_matches_reference(lemma_id, reference, bound_slack):
     assert ours.ok == (bound_slack == 0)
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
-def test_product_informed_matches_simulation(n):
+def _most_informed(n: int, k: int, length: int) -> list[int]:
+    """Most persons k-informed after each number of calls up to ``length``.
+
+    Every call sequence of each length is extended by every call; sequences
+    that end in the same state are merged, since the rest depends on the
+    state alone.
+    """
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    for length in range(1, 5):
-        seqs = list(itertools.product(pairs, repeat=length))
-        profiles = [lemmas._aw(n, seq) for seq in seqs]
-        for k in (2, 3, 4):
-            want = [(seq, sum(a >= k for a in aw)) for seq, aw in zip(seqs, profiles)]
-            assert list(lemmas._product_informed(n, pairs, length, k)) == want, (length, k)
+    layer = {tuple(1 << p for p in range(n))}
+    most = []
+    for _ in range(length + 1):
+        most.append(max(sum(x.bit_count() >= k for x in state) for state in layer))
+        layer = {
+            state[:a] + (state[a] | state[b],) + state[a + 1 : b] + (state[a] | state[b],)
+            + state[b + 1 :]
+            for state in layer for a, b in pairs
+        }
+    return most
+
+
+@pytest.mark.parametrize("bound_slack", [0, 1])
+def test_l6s1_facts_match_every_call_sequence(bound_slack):
+    """Each fact "m persons k-informed take more than m + i - 1 + slack calls" on n <= 5.
+
+    A fact fails when some sequence of that many calls leaves m persons
+    k-informed; the violation is then a shortest such sequence.
+    """
+    report = check_lemma("L6s1", LemmaParams(max_exhaustive_n=5, bound_slack=bound_slack))
+    tuples = [(4, 4, 0), (5, 4, 0), (5, 5, 0), (5, 5, 1)]
+    assert dict(report.coverage) == {(n, k, i): n - 1 for n, k, i in tuples}
+    assert report.instances_checked == report.generated == 15
+    want = []
+    for n, k, i in tuples:
+        most = _most_informed(n, k, n + i - 1 + bound_slack)
+        for m in range(2, n + 1):
+            if most[m + i - 1 + bound_slack] >= m:
+                shortest = min(d for d, informed in enumerate(most) if informed >= m)
+                want.append((n, k, i, shortest - i))
+    got = []
+    for v in report.violations:
+        inst = v.instance
+        n, k, i, j = inst["n"], inst["k"], inst["i"], inst["j"]
+        got.append((n, k, i, j))
+        assert len(inst["calls"]) == i + j
+        informed = sum(a >= k for a in awareness(simulate(Schedule(n, inst["calls"]))))
+        assert inst["informed"] == v.observed_n == informed > v.expected_bound == j - bound_slack
+    assert sorted(got) == sorted(want)
+    assert bool(want) == (bound_slack == 1)
+
+
+@pytest.mark.parametrize("refuted", [0, 4])
+def test_l6s1_proves_nothing_past_a_timed_out_search(monkeypatch, refuted):
+    """A search cut by its budget decides only the facts its refuted depth covers."""
+    def timed_out(n, k, cfg=None, goal=None):
+        return SearchResult(TIMEOUT, None, None, refuted, 0, 0.0)
+
+    monkeypatch.setattr(lemmas, "min_calls_bruteforce", timed_out)
+    report = check_lemma("L6s1", LemmaParams())
+    assert report.violations == []
+    assert report.generated == 154
+    # FAST changes nothing L6s1 reads (its i stay at most k - 4 = 2), so its
+    # pinned coverage is that of the defaults
+    proved = sum(  # the m in [2, n] with m + i - 1 <= refuted
+        max(0, min(n, refuted - i + 1) - 1) for n, k, i in _FAST_COUNTS["L6s1"][2]
+    )
+    assert report.instances_checked == sum(report.coverage.values()) == proved
+    assert (proved > 0) == (refuted > 0)
 
 
 @pytest.mark.parametrize("top", [9, lemmas.MAX_SAMPLED_N])

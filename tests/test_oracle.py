@@ -12,6 +12,7 @@ from partialgossip import (
     Schedule,
     SearchConfig,
     ValidationError,
+    awareness,
     canonical_key,
     enumerate_tree_schemes,
     enumerate_unicyclic_schemes,
@@ -20,6 +21,7 @@ from partialgossip import (
     min_calls_bruteforce,
     minimal_informing_tree,
     p_min_calls,
+    simulate,
 )
 from partialgossip.graph import full_graph, classify_components, ComponentKind
 from partialgossip import oracle
@@ -206,11 +208,41 @@ class TestMinCalls:
         finally:
             informing_tree_classes.cache_clear()
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_partial_goal_matches_breadth_first_reference(self, n):
+        """For every k and goal m, the minimum of a plain breadth-first search.
+
+        Each witness has that many calls and leaves at least m persons
+        k-informed.
+        """
+        minima = _goal_minima(n)
+        for k in range(2, n + 1):
+            for m in range(1, n + 1):
+                r = min_calls_bruteforce(n, k, goal=m)
+                assert (r.status, r.min_calls) == (FOUND, minima[k, m]), (k, m)
+                assert r.refuted_depth == r.min_calls - 1
+                assert len(r.witness.calls) == r.min_calls
+                assert sum(a >= k for a in awareness(simulate(r.witness))) >= m, (k, m)
+
+    @pytest.mark.parametrize("n,k", [
+        *((n, k) for n in range(2, 7) for k in range(2, n + 1)),
+        (8, 5), (8, 6), (9, 6), (10, 5), (10, 6),
+    ])
+    def test_full_goal_is_the_default(self, n, k):
+        """goal=n searches exactly as the default: same witness, nodes and stats."""
+        ours, default = min_calls_bruteforce(n, k, goal=n), min_calls_bruteforce(n, k)
+        assert (ours.status, ours.min_calls, ours.witness, ours.refuted_depth, ours.nodes,
+                ours.stats) == (default.status, default.min_calls, default.witness,
+                                default.refuted_depth, default.nodes, default.stats)
+
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
             min_calls_bruteforce(3, 1)
         with pytest.raises(ValidationError):
             min_calls_bruteforce(2, 3)
+        for goal in (0, 5, -1):
+            with pytest.raises(ValidationError):
+                min_calls_bruteforce(4, 3, goal=goal)
         with pytest.raises(ValidationError):
             SearchConfig(time_budget=0)
         with pytest.raises(ValidationError):
@@ -226,6 +258,41 @@ def _assert_passes_add_up(r, depths):
     assert sum(entry["nodes"] for entry in passes) == r.nodes
     for name in flat:
         assert sum(entry[name] for entry in passes) == r.stats[name], name
+
+
+def _goal_minima(n: int) -> dict[tuple[int, int], int]:
+    """Fewest calls leaving m of n persons k-informed, for 2 <= k <= n and 1 <= m <= n.
+
+    A plain breadth-first search over the reachable states, with no bound,
+    key or cut.  Each state keeps its rows sorted: a call merges two rows
+    whichever persons hold them, so reordering rows commutes with calls and
+    keeps the number of k-informed persons.  On 6 persons there are 45,672
+    such states against about a million raw ones.
+    """
+    initial = tuple(1 << p for p in range(n))
+    minima: dict[tuple[int, int], int] = {}
+    seen = {initial}
+    frontier = [initial]
+    depth = 0
+    while len(minima) < (n - 1) * n:
+        depth += 1
+        nxt = []
+        for state in frontier:
+            for a in range(n):
+                for b in range(a + 1, n):
+                    u = state[a] | state[b]
+                    child = tuple(sorted(state[:a] + (u,) + state[a + 1 : b] + (u,)
+                                         + state[b + 1 :]))
+                    if child in seen:
+                        continue
+                    seen.add(child)
+                    nxt.append(child)
+                    counts = [x.bit_count() for x in child]
+                    for k in range(2, n + 1):
+                        for m in range(1, sum(c >= k for c in counts) + 1):
+                            minima.setdefault((k, m), depth)
+        frontier = nxt
+    return minima
 
 
 def _reference_search(n: int, k: int, plain: bool = False):
