@@ -8,6 +8,7 @@ All JSON output has a fixed key order so golden-file comparisons are stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -235,6 +236,7 @@ def _cmd_check_lemma(args) -> int:
         doc["stats"] = {
             "generated": report.generated,
             "rejected": report.rejected,
+            "undecided": report.undecided,
             "checked": report.instances_checked,
             "elapsed_s": round(report.elapsed, 3),
         }
@@ -327,16 +329,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound-slack", type=int, default=0,
                    help="tighten bounds by this much (negative-control mode)")
     p.add_argument("--stats", action="store_true",
-                   help="also report candidates generated, rejected by hypothesis and "
-                        "checked, and the suite's time")
+                   help="also report candidates generated, rejected by hypothesis, "
+                        "left undecided by a search's budget and checked, and the "
+                        "suite's time")
     add_format(p)
     p.set_defaults(func=_cmd_check_lemma)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on its first call, then reused."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as e:

@@ -53,6 +53,8 @@ class Schedule:
     prelim: int = 0
 
     def __init__(self, n: int, calls: Iterable = (), prelim: int = 0):
+        if type(n) is not int:  # bool and float would not print as a JSON integer
+            raise ValidationError(f"person count must be an int, got {n!r}")
         if n < 1:
             raise ValidationError(f"person count must be >= 1, got {n}")
         normalized = tuple(c if type(c) is Call else Call(*c) for c in calls)
@@ -161,15 +163,23 @@ def is_exact_k_informing(s: Schedule, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def schedule_to_json(s: Schedule, *, indent: int | None = None) -> str:
-    doc = {"n": s.n, "preliminary": s.calls[: s.prelim], "calls": s.calls[s.prelim :]}
+    """The document as ``json.dumps`` lays it out: compact separators without
+    ``indent``, else its indented layout, built directly from the pairs."""
     if indent is None:
-        return json.dumps(doc, separators=(",", ":"))
-    return json.dumps(doc, indent=indent)
+        nl, colon, pad = "", ":", ""
+    else:
+        nl, colon, pad = "\n", ": ", " " * indent
+    in1 = nl + pad
+    in2 = in1 + pad
+    in3 = in2 + pad
+    pair = f"[{in3}%d,{in3}%d{in2}]".__mod__
+    sep = "," + in2
 
+    def array(calls) -> str:
+        return f"[{in2}{sep.join(map(pair, calls))}{in1}]" if calls else "[]"
 
-def _is_json_int(x) -> bool:
-    """A JSON integer; true and false parse to bool, a subclass of int."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    return (f'{{{in1}"n"{colon}{s.n},{in1}"preliminary"{colon}{array(s.calls[: s.prelim])},'
+            f'{in1}"calls"{colon}{array(s.calls[s.prelim :])}{nl}}}')
 
 
 def schedule_from_json(text: str) -> Schedule:
@@ -179,19 +189,20 @@ def schedule_from_json(text: str) -> Schedule:
     except (ValueError, RecursionError) as e:
         # ValueError covers JSONDecodeError and integers too long to convert
         raise ValidationError(f"not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
+    if type(doc) is not dict:
         raise ValidationError("schedule document must be a JSON object")
     if "n" not in doc or "calls" not in doc:
         raise ValidationError('schedule document needs "n" and "calls" keys')
+    # json.loads gives exact types: true and false parse to bool, not int
     n = doc["n"]
-    if not _is_json_int(n):
+    if type(n) is not int:
         raise ValidationError('"n" must be an integer')
     raw_calls = doc["calls"]
     raw_pre = doc.get("preliminary", [])
     for name, raw in (("calls", raw_calls), ("preliminary", raw_pre)):
-        if not isinstance(raw, list) or not all(
-            isinstance(c, list) and len(c) == 2 and all(_is_json_int(x) for x in c)
-            for c in raw
-        ):
+        if type(raw) is not list:
             raise ValidationError(f'"{name}" must be a list of [a,b] integer pairs')
+        for c in raw:
+            if type(c) is not list or len(c) != 2 or type(c[0]) is not int or type(c[1]) is not int:
+                raise ValidationError(f'"{name}" must be a list of [a,b] integer pairs')
     return Schedule(n, raw_pre + raw_calls, prelim=len(raw_pre))

@@ -4,6 +4,8 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, groupby
+from operator import ge, itemgetter
 from typing import Iterable
 
 from .core import Call, Schedule, ValidationError, simulate
@@ -30,20 +32,20 @@ class CommGraph:
     edges: tuple[tuple[Call, int], ...]  # (call, timestamp), timestamps strictly increasing
 
     def __post_init__(self):
-        stamps = [t for _, t in self.edges]
-        if any(s >= t for s, t in zip(stamps, stamps[1:])):
+        stamps = list(map(itemgetter(1), self.edges))
+        if any(map(ge, stamps, stamps[1:])):
             raise ValidationError("edge timestamps must strictly increase")
-        for c, _ in self.edges:
-            if c.a not in self.vertices or c.b not in self.vertices:
-                raise ValidationError(f"edge ({c.a},{c.b}) endpoint outside vertex set")
+        if not self.vertices.issuperset(chain.from_iterable(self.calls())):
+            a, b = next(c for c in self.calls() if not self.vertices.issuperset(c))
+            raise ValidationError(f"edge ({a},{b}) endpoint outside vertex set")
 
     def calls(self) -> list[Call]:
-        return [c for c, _ in self.edges]
+        return list(map(itemgetter(0), self.edges))
 
 
 def full_graph(s: Schedule) -> CommGraph:
     """Communication graph generated by every call of the schedule."""
-    return build_subgraph(s, range(len(s.calls)))
+    return CommGraph(frozenset(chain.from_iterable(s.calls)), tuple(zip(s.calls, range(len(s)))))
 
 
 def build_subgraph(s: Schedule, call_indices: Iterable[int]) -> CommGraph:
@@ -51,44 +53,43 @@ def build_subgraph(s: Schedule, call_indices: Iterable[int]) -> CommGraph:
     idx = sorted(set(call_indices))
     if idx and (idx[0] < 0 or idx[-1] >= len(s.calls)):
         raise ValidationError(f"call index out of range [0, {len(s.calls)})")
-    edges = tuple((s.calls[i], i) for i in idx)
-    verts = frozenset(v for c, _ in edges for v in (c.a, c.b))
-    return CommGraph(verts, edges)
+    calls = list(map(s.calls.__getitem__, idx))
+    return CommGraph(frozenset(chain.from_iterable(calls)), tuple(zip(calls, idx)))
 
 
-def _components(vertices: Iterable[int], calls: Iterable[Call]) -> list[set[int]]:
-    """Connected components of the multigraph, in order of their smallest vertex."""
-    adjacency: dict[int, set[int]] = {v: set() for v in vertices}
+def _components(vertices: Iterable[int], calls: list[Call]) -> list[tuple[set[int], int]]:
+    """Connected components of the multigraph with their edge counts, in order
+    of their smallest vertex.
+
+    Union-find with path halving (Tarjan, JACM 1975; Tarjan and van Leeuwen,
+    JACM 1984); a last pass points every vertex straight at its root.
+    """
+    parent = {v: v for v in vertices}
     for a, b in calls:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    seen: set[int] = set()
-    out = []
-    for start in sorted(adjacency):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        out.append(comp)
-    return out
+        while (up := parent[a]) != a:
+            parent[a] = a = parent[up]
+        while (up := parent[b]) != b:
+            parent[b] = b = parent[up]
+        parent[a] = b
+    for v in parent:
+        root = v
+        while (up := parent[root]) != root:
+            parent[root] = root = parent[up]
+        parent[v] = root
+    root_of = parent.__getitem__
+    n_edges = Counter(map(root_of, map(itemgetter(0), calls)))  # b shares a's root
+    groups = groupby(sorted(parent, key=root_of), key=root_of)
+    return sorted(((set(members), n_edges[root]) for root, members in groups),
+                  key=lambda comp: min(comp[0]))
 
 
 def classify_components(g: CommGraph) -> list[tuple[frozenset[int], ComponentKind]]:
     """Partition into connected components, each labeled tree / unicyclic / other."""
-    comps = _components(g.vertices, g.calls())
-    owner = {v: j for j, comp in enumerate(comps) for v in comp}
-    n_edges = Counter(owner[c.a] for c, _ in g.edges)  # c.b is in the same component
     out = []
-    for j, comp in enumerate(comps):
-        if n_edges[j] == len(comp) - 1:
+    for comp, n_edges in _components(g.vertices, g.calls()):
+        if n_edges == len(comp) - 1:
             kind = ComponentKind.TREE
-        elif n_edges[j] == len(comp):
+        elif n_edges == len(comp):
             kind = ComponentKind.UNICYCLIC
         else:
             kind = ComponentKind.OTHER
@@ -121,7 +122,7 @@ def first_call_split(s: Schedule) -> tuple[CommGraph, CommGraph]:
         raise ValidationError("first_call_split requires a single tree communication graph")
     a, b = s.calls[0]
     rest = build_subgraph(s, range(1, len(s.calls)))
-    comps = _components(g.vertices, rest.calls())
+    comps = [comp for comp, _ in _components(g.vertices, rest.calls())]
     side_a = next(comp for comp in comps if a in comp)
     side_b = next(comp for comp in comps if b in comp)
     def induced(side: set[int]) -> CommGraph:

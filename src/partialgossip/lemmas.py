@@ -114,8 +114,11 @@ class LemmaReport:
     # checked at and its preliminary calls (0 without any); empty for L2,
     # whose hypothesis names no k; not part of the JSON
     coverage: Counter = field(default_factory=Counter)
-    # candidates that missed the hypotheses: generated - instances_checked
+    # candidates that missed the hypotheses:
+    # generated - instances_checked - undecided
     rejected: int = 0
+    # candidates a budget-cut search left neither proved nor refuted (L6s1)
+    undecided: int = 0
     # seconds the suite took to generate and judge its candidates
     elapsed: float = field(default=0.0, compare=False)
 
@@ -314,20 +317,28 @@ def _describe(n: int, pairs, prelim=None, **extra) -> dict:
 # the ten suites
 # ---------------------------------------------------------------------------
 
+# the outcome of a candidate that a search cut by its budget left undecided
+_UNDECIDED = object()
+
+
 def _report(lemma_id: str, outcomes) -> LemmaReport:
     """The report of a suite, from one outcome per candidate it generated.
 
     An outcome is None for a candidate that misses the lemma's hypotheses,
-    else (coverage key, a Violation or a falsy value).  L2's key is None,
-    which leaves its coverage empty.
+    _UNDECIDED for one its search could not decide, else (coverage key, a
+    Violation or a falsy value).  L2's key is None, which leaves its
+    coverage empty.
     """
     start = time.perf_counter()
-    generated = checked = 0
+    generated = checked = undecided = 0
     violations = []
     coverage = Counter()
     for outcome in outcomes:
         generated += 1
         if outcome is None:
+            continue
+        if outcome is _UNDECIDED:
+            undecided += 1
             continue
         key, violation = outcome
         checked += 1
@@ -336,7 +347,8 @@ def _report(lemma_id: str, outcomes) -> LemmaReport:
         if violation:
             violations.append(violation)
     return LemmaReport(lemma_id, checked, violations, generated, coverage,
-                       generated - checked, time.perf_counter() - start)
+                       generated - checked - undecided, undecided,
+                       time.perf_counter() - start)
 
 
 def _check_l1a(params: LemmaParams):
@@ -518,7 +530,7 @@ def _check_l6s1(params: LemmaParams):
     largest i needs, decides that fact for every i: it fails when the search
     finds a schedule of at most m + i - 1 + bound_slack calls, and holds once
     the search refuted that depth.  A timed-out search leaves the facts past
-    its refuted depth undecided, counted as rejected, never as proved.
+    its refuted depth undecided, counted as such, never as proved.
     """
     slack, top = params.bound_slack, params.max_exhaustive_n or _SIZES["L6s1"][2]
     for k in (4, 5, 6):
@@ -536,7 +548,7 @@ def _check_l6s1(params: LemmaParams):
                         yield (n, k, i), Violation(_describe(
                             n, calls, k=k, i=i, j=j, informed=informed), j - slack, informed)
                     else:
-                        yield ((n, k, i), None) if result.refuted_depth >= depth else None
+                        yield ((n, k, i), None) if result.refuted_depth >= depth else _UNDECIDED
 
 
 _CHECKERS = {

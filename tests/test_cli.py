@@ -14,6 +14,7 @@ from partialgossip.cli import (
     EXIT_OK, EXIT_VALIDATION, EXIT_VIOLATION, MAX_PERSONS, MAX_ROWS, main,
 )
 from partialgossip.lemmas import MAX_PRELIM
+from partialgossip.oracle import TIMEOUT, SearchResult
 
 
 def run(capsys, *argv):
@@ -115,6 +116,19 @@ class TestSynthAndVerify:
                            "--format", "json")
         assert code == EXIT_OK
         assert len(json.loads(out)["calls"]) == calls
+
+    def test_wide_schedule_file_is_json_dumps_layout(self, capsys, tmp_path):
+        """The indented file is json.dumps(indent=2) byte for byte, and verifies."""
+        out_file = tmp_path / "wide.json"
+        code, _, _ = run(capsys, "synth", "doubling", "4096", "14", "0", "--out", str(out_file))
+        assert code == EXIT_OK
+        text = out_file.read_text()
+        doc = json.loads(text)
+        assert len(doc["calls"]) == 4096 and doc["preliminary"] == []
+        assert text == json.dumps(doc, indent=2) + "\n"
+        code, out, _ = run(capsys, "verify", str(out_file), "14", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["k_informing"] is True
 
     def test_verify_below_target_exits_two(self, capsys, tmp_path, hub_tree_8):
         f = tmp_path / "hub.json"
@@ -263,8 +277,9 @@ class TestCheckLemmaCommand:
         doc = json.loads(out)
         assert list(doc) == ["lemma", "checked", "violations", "stats"]
         stats = doc["stats"]
-        assert list(stats) == ["generated", "rejected", "checked", "elapsed_s"]
+        assert list(stats) == ["generated", "rejected", "undecided", "checked", "elapsed_s"]
         assert stats["checked"] == doc["checked"] > 0
+        assert stats["undecided"] == 0
         assert stats["generated"] == stats["rejected"] + stats["checked"]
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert out == f'{{"lemma":"L1c","checked":{doc["checked"]},"violations":[]}}\n'
@@ -272,6 +287,19 @@ class TestCheckLemmaCommand:
         assert code == EXIT_OK
         lines = out.splitlines()
         assert len(lines) == 2 and lines[1].startswith("  stats: generated=")
+
+    def test_stats_count_undecided_facts(self, capsys, monkeypatch):
+        """Facts a budget-cut search leaves open are undecided, not rejected."""
+        def timed_out(n, k, cfg=None, goal=None):
+            return SearchResult(TIMEOUT, None, None, 0, 0, 0.0)
+
+        monkeypatch.setattr(lemmas, "min_calls_bruteforce", timed_out)
+        code, out, _ = run(capsys, "check-lemma", "L6s1", "--stats", "--format", "json")
+        stats = json.loads(out)["stats"]
+        assert (stats["checked"], stats["rejected"]) == (0, 0)
+        assert stats["undecided"] == stats["generated"] == 154
+        code, out, _ = run(capsys, "check-lemma", "L6s1", "--stats")
+        assert " undecided=154 " in out.splitlines()[1]
 
     @pytest.mark.parametrize("lemma,flag,value", [
         ("L3", "--samples", "-1"),

@@ -46,6 +46,12 @@ class TestCallAndSchedule:
         with pytest.raises(ValidationError):
             Schedule(0, [])
 
+    @pytest.mark.parametrize("n", [True, 3.0, "3", None])
+    def test_schedule_rejects_non_int_n(self, n):
+        # bool is an int subclass, but no person count
+        with pytest.raises(ValidationError):
+            Schedule(n, [(0, 1)])
+
     def test_repeated_pairs_allowed(self):
         s = Schedule(2, [(0, 1), (0, 1)])
         assert len(s.calls) == 2
@@ -205,6 +211,27 @@ class TestScheduleJson:
         # nesting deeper than the recursion limit, integers too long to convert
         with pytest.raises(ValidationError):
             schedule_from_json(text)
+
+
+@st.composite
+def _any_schedules(draw):
+    """Schedules with or without preliminary calls, empty call lists included."""
+    n = draw(st.integers(1, 40))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda c: c[0] != c[1])
+    calls = draw(st.lists(pair, max_size=12)) if n > 1 else []
+    return Schedule(n, calls, prelim=draw(st.integers(0, len(calls))))
+
+
+@given(_any_schedules(), st.sampled_from([None, 0, 1, 2, 4]))
+def test_writer_matches_json_dumps(s, indent):
+    """The writer is byte for byte the json.dumps layout of the document."""
+    doc = {"n": s.n, "preliminary": [list(c) for c in s.calls[: s.prelim]],
+           "calls": [list(c) for c in s.calls[s.prelim :]]}
+    if indent is None:
+        want = json.dumps(doc, separators=(",", ":"))
+    else:
+        want = json.dumps(doc, indent=indent)
+    assert schedule_to_json(s, indent=indent) == want
 
 
 _json_values = st.recursive(

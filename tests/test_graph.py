@@ -1,10 +1,13 @@
 """Multigraph classification, first-call splits, block swaps, DOT export."""
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 from hypothesis import given, strategies as st
 
 from partialgossip import (
+    Call,
     Schedule,
     ValidationError,
     are_equivalent,
@@ -16,7 +19,7 @@ from partialgossip import (
     swap_blocks,
     to_dot,
 )
-from partialgossip.graph import ComponentKind
+from partialgossip.graph import CommGraph, ComponentKind
 
 
 @st.composite
@@ -36,6 +39,16 @@ class TestBuildSubgraph:
         g = build_subgraph(hub_tree_8, [])
         assert g.vertices == frozenset()
         assert g.edges == ()
+
+    @pytest.mark.parametrize("vertices,edges,message", [
+        ({0, 1}, ((Call(0, 1), 1), (Call(0, 1), 1)), "timestamps must strictly increase"),
+        ({0, 1}, ((Call(0, 1), 2), (Call(0, 1), 1)), "timestamps must strictly increase"),
+        ({0, 1, 3}, ((Call(0, 1), 0), (Call(1, 2), 1), (Call(2, 3), 2)),
+         r"edge \(1,2\) endpoint outside vertex set"),
+    ])
+    def test_graph_rejects_bad_edges(self, vertices, edges, message):
+        with pytest.raises(ValidationError, match=message):
+            CommGraph(frozenset(vertices), edges)
 
     def test_doubled_edge_is_degenerate_unicyclic(self):
         s = Schedule(2, [(0, 1), (0, 1)])
@@ -89,6 +102,41 @@ class TestClassifyComponents:
                 assert n_edges == len(vs)
             else:
                 assert n_edges > len(vs)
+
+    @given(st.data())
+    def test_matches_breadth_first_reference(self, data):
+        """Same components, order and kinds as a plain breadth-first search, on
+        multigraphs with isolated vertices, repeated pairs and gaps in the ids."""
+        vertices = data.draw(st.sets(st.integers(0, 60), min_size=1, max_size=14))
+        ids = sorted(vertices)
+        pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda c: c[0] != c[1])
+        calls = data.draw(st.lists(pair, max_size=20)) if len(ids) > 1 else []
+        g = CommGraph(frozenset(vertices), tuple((Call(a, b), t) for t, (a, b) in enumerate(calls)))
+        assert classify_components(g) == _reference_components(vertices, g.calls())
+
+
+def _reference_components(vertices, calls):
+    """Breadth-first components in order of their smallest vertex, labeled by edge count."""
+    adjacency = {v: [] for v in vertices}
+    for a, b in calls:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    seen, out = set(), []
+    for start in sorted(vertices):
+        if start in seen:
+            continue
+        comp, queue = {start}, deque([start])
+        while queue:
+            for w in adjacency[queue.popleft()]:
+                if w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        seen |= comp
+        n_edges = sum(1 for a, _ in calls if a in comp)
+        kind = (ComponentKind.TREE if n_edges == len(comp) - 1
+                else ComponentKind.UNICYCLIC if n_edges == len(comp) else ComponentKind.OTHER)
+        out.append((frozenset(comp), kind))
+    return out
 
 
 class TestFirstCallSplit:
