@@ -2,7 +2,8 @@
 
 Commands: pvalue, table, synth, verify, oracle, check-lemma.
 Exit codes: 0 success, 1 validation/usage error, 2 violation or timeout
-(verification target missed, lemma violations found, search budget spent).
+(verification target missed, lemma violations found, search budget spent,
+also when it leaves a lemma's facts undecided).
 All JSON output has a fixed key order so golden-file comparisons are stable.
 """
 from __future__ import annotations
@@ -243,15 +244,16 @@ def _cmd_check_lemma(args) -> int:
     if args.format == "json":
         print(json.dumps(doc, separators=(",", ":")))
     else:
+        undecided = f", {report.undecided} undecided" if report.undecided else ""
         print(f"{report.lemma_id}: {report.instances_checked} instances, "
-              f"{len(report.violations)} violations")
+              f"{len(report.violations)} violations{undecided}")
         for v in report.violations[:10]:
             print(f"  bound {v.expected_bound} violated (observed {v.observed_n}): {v.instance}")
         if len(report.violations) > 10:
             print(f"  ... and {len(report.violations) - 10} more")
         if args.stats:
             print("  stats: " + " ".join(f"{name}={value}" for name, value in doc["stats"].items()))
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    return EXIT_OK if report.ok and not report.undecided else EXIT_VIOLATION
 
 
 class _Parser(argparse.ArgumentParser):

@@ -272,37 +272,52 @@ def _all_matchings(n: int, size: int) -> tuple:
     return tuple(_matching_at(n, size, i) for i in range(_matching_count(n, size)))
 
 
+def _drawn_matchings(n: int, size: int, rng: random.Random, cap: float = 48):
+    """Indices, in the order of ``_all_matchings``, of the matchings _matchings yields.
+
+    All of them while there are at most ``cap``, else ``cap`` drawn by one
+    ``rng.sample`` over the whole index range, so the seeded stream, and
+    hence every suite's instances, match an enumeration that lists every
+    matching and samples from the list.
+    """
+    count = _matching_count(n, size)
+    return range(count) if count <= cap else rng.sample(range(count), cap)
+
+
 def _matchings(n: int, size: int, rng: random.Random, cap: float = 48):
     """Preliminary graphs that are unions of ``size`` disjoint edges.
 
     Exhaustive while there are at most ``cap`` of them, else ``cap`` sampled
-    by index in the order of ``_all_matchings``, so larger sets are never
-    listed.  Each call makes one ``rng.sample`` draw over the whole index
-    range, so the seeded stream, and hence every suite's instances, match
-    an enumeration that lists every matching and samples from the list.
+    by index (_drawn_matchings), so larger sets are never listed.
     """
-    count = _matching_count(n, size)
-    if count <= cap:
+    drawn = _drawn_matchings(n, size, rng, cap)
+    if isinstance(drawn, range):
         yield from map(list, _all_matchings(n, size))
     else:
-        for idx in rng.sample(range(count), cap):
+        for idx in drawn:
             yield list(_matching_at(n, size, idx))
 
 
 def _prelim_lists(n: int, size: int, rng: random.Random, general_samples: int = 10,
-                  cap: float = 48):
+                  cap: float = 48, build: bool = True):
     """Preliminary call lists: disjoint-edge matchings first, then denser samples.
 
     ``cap`` is _matchings's: with ``math.inf`` every matching is listed.
+    Without ``build`` each list is drawn but not built: it comes out as
+    None, and the seeded stream moves on exactly as if it had been built.
     """
     if size == 0:
-        yield []
+        yield [] if build else None
         return
-    yield from _matchings(n, size, rng, cap)
+    if build:
+        yield from _matchings(n, size, rng, cap)
+    else:
+        yield from itertools.repeat(None, len(_drawn_matchings(n, size, rng, cap)))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     if size >= 2 and len(pairs) >= 2:
         for _ in range(general_samples):
-            yield [pairs[rng.randrange(len(pairs))] for _ in range(size)]
+            drawn = [rng.randrange(len(pairs)) for _ in range(size)]
+            yield [pairs[j] for j in drawn] if build else None
 
 
 def _describe(n: int, pairs, prelim=None, **extra) -> dict:
@@ -507,15 +522,17 @@ def _check_l5b(params: LemmaParams):
     That is the tree suites' bound with one cycle in place of one spare person.
     A scheme whose own minimum awareness is below 4 can never end with
     k >= 4 + i (point 2 of _check_tree_prelim), so its candidates are
-    rejected unsimulated; like those with i > m - 4, they are still drawn,
-    which keeps the seeded stream and ``generated`` as if each were judged.
+    rejected unsimulated; like those with i > m - 4, they are still drawn
+    but never built, which keeps the seeded stream and ``generated`` as if
+    each were judged.
     """
     rng = params.rng()
     for m, pairs in _unicyclic_schemes(params):
         low = min(_aw(m, pairs)) < 4
         for i in range(0, params.max_prelim + 1):
-            for prelim in _prelim_lists(m, i, rng, general_samples=5):
-                if low or i > m - 4:  # i > m - 4 >= k - 4
+            judged = not low and i <= m - 4  # i > m - 4 >= k - 4 fails
+            for prelim in _prelim_lists(m, i, rng, general_samples=5, build=judged):
+                if not judged:
                     yield None
                     continue
                 k = min(_aw(m, list(prelim) + list(pairs)))

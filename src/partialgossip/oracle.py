@@ -47,6 +47,21 @@ relying on a goal invariant under relabeling that no extra call undoes:
 Every child cut by these levers provably cannot finish within the calls
 left, so a memo entry stays a fact about its state alone.
 
+Cost levers that change no answer, witness or counter:
+
+* bound cuts counted by class mask: once someone knows k gossips a child's
+  bound is ceil(child_below / 2), and a call lowers the count below k by 0,
+  1 or 2.  So a node's slack says by the class of a call alone (between two
+  persons below k, touching one, or any) whether it can pass the bound.  A
+  node visits only the calls of that class that are neither no-ops, asleep
+  nor orbit-cut, and counts the rest by popcount of their masks, as a
+  visit in pair order would have counted them;
+* refinement only of shared color cells: a person alone in its cell keeps
+  its place in the order, so a round computes signatures only for the
+  persons that share a cell;
+* a bounded table of canonical forms per search (_FORM_CACHE): iterative
+  deepening enters each keyed state again in the next pass, one ply deeper.
+
 In the band regime the full goal skips the find pass (a partial goal gets
 no candidate).  ``synth_doubling`` builds a candidate of n+i calls; if
 simulation shows it is k-informing, the passes below its length are refuted
@@ -83,11 +98,17 @@ DEPTH_EXHAUSTED = "depth-exhausted"
 
 # Nodes with at most this many calls left get no canonical form, memo entry
 # or orbit cut (see the module docstring).  Median CPU seconds of five fresh
-# processes per cut-off of 0, 1, 2 and 3 plies (2-vCPU VM, Python 3.11.7):
-# the perfbench oracle_search instances 0.69/0.60/0.50/0.58, (12,4)
-# 2.36/2.39/2.07/2.98, (11,6) 1.53/2.12/1.57/1.37.  Three plies quadruple
-# (12,4)'s nodes, whose find pass then loses.
+# processes per cut-off of 1, 2 and 3 plies, with bound-cut calls counted by
+# class mask (2-vCPU VM, Python 3.11.7): the perfbench oracle_search
+# instances 0.28/0.26/0.27, (12,4) 1.26/0.83/1.14, (11,6) 1.00/0.81/0.54.
+# Three plies quadruple (12,4)'s nodes, whose find pass then loses.
 _UNKEYED_PLIES = 2
+
+# How many keyed states a search keeps the canonical form of, the first it
+# meets: the shallow ones recur in every later pass.  The perfbench
+# oracle_search instances' 4,239 canonical forms become 2,787 (no repeat
+# left), (11,6)'s 13,470 become 11,070, for a few hundred bytes an entry.
+_FORM_CACHE = 2048
 
 # States whose color cells admit more twin-class arrangements than this are
 # keyed by a single deterministic relabeling instead of the true minimum;
@@ -171,25 +192,49 @@ def _refine_colors(
     widely p's gossip is known, then (iterated) adds the colors of the
     gossips p knows and of the persons who know p.  Signatures are converted
     to ranks by sorting, so the resulting color vector is invariant under
-    joint relabeling.  Refinement stops once a round splits no cell or every
-    cell is a single person.
+    joint relabeling.  A round ranks persons by their old color first, so a
+    cell only splits and a person alone in its cell keeps its place in the
+    order: only persons in cells of two or more get a signature.  Refinement
+    stops once a round splits no cell or every cell is a single person.
     """
     n = len(known)
-    sigs: list = [(len(known[p]), len(knowers[p])) for p in range(n)]
+    width = n.bit_length()  # fits n, the most a signature counts of anything
+    # (len(known[p]), len(knowers[p])) as one integer, in the same order
+    sigs = [len(known[p]) << width | len(knowers[p]) for p in range(n)]
     ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
     colors = [ranking[s] for s in sigs]
-    cells = len(ranking)
-    while cells < n:
-        color = colors.__getitem__
-        sigs = [
-            (colors[p], tuple(sorted(map(color, known[p]))), tuple(sorted(map(color, knowers[p]))))
-            for p in range(n)
-        ]
-        ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        if len(ranking) == cells:
+    cells: list[list[int]] = [[] for _ in ranking]
+    for p, c in enumerate(colors):
+        cells[c].append(p)
+    while len(cells) < n:
+        # a multiset of colors as one integer: equal exactly when the sorted
+        # color tuples are, which then order the cells that do split
+        weight = [1 << (width * c) for c in colors].__getitem__
+        split: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            groups: dict[tuple[int, int], list[int]] = {}
+            for p in cell:
+                sig = (sum(map(weight, known[p])), sum(map(weight, knowers[p])))
+                groups.setdefault(sig, []).append(p)
+            if len(groups) == 1:
+                split.append(cell)
+                continue
+            color = colors.__getitem__
+            order = sorted(
+                (tuple(sorted(map(color, known[group[0]]))),
+                 tuple(sorted(map(color, knowers[group[0]]))), group)
+                for group in groups.values()
+            )
+            split.extend(group for _, _, group in order)
+        if len(split) == len(cells):
             break
-        colors = [ranking[s] for s in sigs]
-        cells = len(ranking)
+        cells = split
+        for c, cell in enumerate(cells):
+            for p in cell:
+                colors[p] = c
     return colors
 
 
@@ -279,25 +324,27 @@ def canonical_form(state: tuple[int, ...], n: int) -> tuple[tuple[int, ...], lis
     arrangements = 1
     pos = 0
     for cell in cells:
-        positions = list(range(pos, pos + len(cell)))
-        for p, q in zip(cell, positions):
-            perm[p] = q
-        pos += len(cell)
-        if len(cell) == 1:
+        start = pos
+        for p in cell:
+            perm[p] = pos
+            pos += 1
+        if pos - start == 1:
             continue
         classes = _twin_classes(cell, state, col)
         for cls in classes:
             for p in cls[1:]:
                 rep[p] = cls[0]
         if len(classes) > 1:
-            free.append((classes, positions))
+            free.append((classes, list(range(start, pos))))
             count = math.factorial(len(cell))
             for cls in classes:
                 count //= math.factorial(len(cls))
             arrangements *= count
+    if not free:  # one arrangement: the cells in order
+        return _relabel(known, perm), rep, True
     if arrangements > _CANON_PERM_CAP:
         return _relabel(known, perm), rep, False
-    best: tuple[int, ...] | None = None  # product() of no cells yields perm itself
+    best: tuple[int, ...] | None = None
     for choice in itertools.product(*(_placements(c, ps) for c, ps in free)):
         for placement in choice:
             for p, q in placement:
@@ -313,25 +360,43 @@ def canonical_key(state: tuple[int, ...], n: int) -> tuple[int, ...]:
     return canonical_form(state, n)[0]
 
 
-def _orbit_duplicates(rep: list[int], pairs: list[tuple[int, int]]) -> int:
+@functools.lru_cache(maxsize=64)  # one entry per n <= 64
+def _pair_tables(n: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The calls of n persons in pair order, and the bits of those each person takes part in.
+
+    ``pairs[j]`` is the j-th pair (a, b), a < b, in lexicographic order, and
+    bit j of ``touches[p]`` is set when p is a or b; ``touches[a] &
+    touches[b]`` is the bit of pair (a, b).  Every caller shares the
+    tables, so none may change them.
+    """
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    touches = [0] * n
+    for j, (a, b) in enumerate(pairs):
+        touches[a] |= 1 << j
+        touches[b] |= 1 << j
+    return pairs, touches
+
+
+def _orbit_duplicates(rep: list[int]) -> int:
     """Bitmask of the pair indices whose twin classes repeat an earlier pair's.
 
     ``rep`` maps every person to the first member of its twin class.  Each
     such call gives a child isomorphic to the first call's with the same
-    unordered (twin class, twin class) pair.
+    unordered (twin class, twin class) pair.  In pair order the first call
+    of two classes is between their first members, and the first call inside
+    a class is between its first two, so the duplicates are the calls that
+    touch a later member, apart from each class's call of its first two.
     """
-    if len(set(rep)) == len(rep):
-        return 0
+    touches = _pair_tables(len(rep))[1]
+    dup = keep = 0
     seen = set()
-    dup = 0
-    for j, (a, b) in enumerate(pairs):
-        ra, rb = rep[a], rep[b]
-        cls = (ra, rb) if ra <= rb else (rb, ra)
-        if cls in seen:
-            dup |= 1 << j
-        else:
-            seen.add(cls)
-    return dup
+    for p, r in enumerate(rep):
+        if r != p:
+            dup |= touches[p]
+            if r not in seen:
+                seen.add(r)
+                keep |= touches[r] & touches[p]
+    return dup & ~keep
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +461,14 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
     certificate = _doubling_certificate(n, k) if spare == 0 else None
     deadline = time.monotonic() + cfg.time_budget
     start_time = time.monotonic()
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    # commute[j]: the calls sharing no participant with call j
-    touches = [0] * n
-    for j, (a, b) in enumerate(pairs):
-        touches[a] |= 1 << j
-        touches[b] |= 1 << j
+    pairs, touches = _pair_tables(n)
     every = (1 << len(pairs)) - 1
+    # commute[j]: the calls sharing no participant with call j
     commute = [every & ~(touches[a] | touches[b]) for a, b in pairs]
     initial = tuple(1 << p for p in range(n))
     memo: dict[tuple[int, ...], int] = {}
+    # keyed state -> (canonical key, orbit-duplicate mask, exact)
+    forms: dict[tuple[int, ...], tuple[tuple[int, ...], int, bool]] = {}
     nodes = memo_hits = memo_stores = memo_refused = lb_prunes = orbit_cuts = sleep_cuts = 0
     unkeyed = canon_inexact = find_nodes = 0
     passes: list[dict[str, int]] = []
@@ -418,15 +481,26 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
                 "orbit_cuts": orbit_cuts, "sleep_cuts": sleep_cuts,
                 "canon_inexact": canon_inexact}
 
-    def dfs(state: tuple[int, ...], remaining: int, sleep: int) -> list[tuple[int, int]] | None:
+    def dfs(state: tuple[int, ...], remaining: int, sleep: int, below: int,
+            best: int) -> list[tuple[int, int]] | None:
         """Suffix of calls completing the goal within ``remaining``, or None.
 
-        The caller has checked that the state's lower bound is at most
-        ``remaining``.  A child whose bound exceeds what is left is cut in
-        the loop, before it is built; it still counts as one node and one
+        ``below`` is how many persons the goal still misses and ``best`` the
+        top awareness.  The caller has checked that the state's lower bound
+        is at most ``remaining``.  A child whose bound exceeds what is left
+        is cut before it is built; it still counts as one node and one
         lower-bound prune, as if it had been entered.  ``sleep`` holds the
         pair indices of calls known not to finish within ``remaining - 1``
         from this state; they are skipped.
+
+        Calls are taken in pair order, but only those that can pass the
+        bound are visited.  Once someone knows k gossips, ``slack = 2 *
+        (remaining - 1) - below`` (at least -2) decides that by the call's
+        class: at -2 only a call between two persons below k can pass, at
+        -1 only one that touches such a person, at 0 or more every call.
+        The no-op, asleep, orbit-cut and class-cut calls are counted by
+        popcount of their masks, up to the first call that finishes or all
+        of them, which gives the counters of a visit to every call.
         """
         nonlocal nodes, memo_hits, memo_stores, memo_refused, lb_prunes
         nonlocal orbit_cuts, sleep_cuts, unkeyed, canon_inexact, next_clock_check
@@ -435,45 +509,82 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
             next_clock_check = nodes + 4096
             if time.monotonic() > deadline:
                 raise _BudgetExceeded
-        counts = [x.bit_count() for x in state]
-        below = sum(1 for c in counts if c < k) - spare  # persons the goal still misses
         if below <= 0:
             return []
         keyed = remaining > _UNKEYED_PLIES
         if keyed:
-            key, rep, exact = canonical_form(state, n)
+            form = forms.get(state)
+            if form is None:
+                key, rep, exact = canonical_form(state, n)
+                form = key, _orbit_duplicates(rep), exact
+                if len(forms) < _FORM_CACHE:
+                    forms[state] = form
+            key, duplicate, exact = form
             canon_inexact += not exact
             if memo.get(key, -1) >= remaining:
                 memo_hits += 1
                 return None
-            duplicate = _orbit_duplicates(rep, pairs)
         else:
             duplicate = 0
-        best = max(counts)
-        handled = 0  # calls refuted here so far: explored, bound-cut or orbit-cut
-        for j, (a, b) in enumerate(pairs):
-            sa, sb = state[a], state[b]
-            if sa == sb:
-                continue
-            bit = 1 << j
-            if sleep & bit:
-                sleep_cuts += 1
-                continue
-            handled |= bit
-            if duplicate & bit:
-                orbit_cuts += 1
-                continue
-            u = sa | sb
+        noop = 0  # calls between persons with equal rows
+        earlier: dict[int, int] = {}  # row -> the calls of the persons seen with it
+        for p, x in enumerate(state):
+            calls = earlier.get(x, 0)
+            noop |= touches[p] & calls
+            earlier[x] = calls | touches[p]
+        asleep = sleep & ~noop
+        handled = every & ~(noop | sleep)  # explored, bound-cut or orbit-cut
+        orbit = handled & duplicate
+        expandable = handled & ~duplicate  # explored or bound-cut
+        counts = [x.bit_count() for x in state]
+        informed = best >= k
+        slack = 2 * (remaining - 1) - below
+        eligible = expandable
+        if informed and slack < 0:
+            # at -1 a call must touch a person below k, at -2 it must touch
+            # nobody informed
+            touching = 0
+            for p, c in enumerate(counts):
+                if (c < k) == (slack == -1):
+                    touching |= touches[p]
+            eligible &= touching if slack == -1 else ~touching
+        visited = every  # the calls a visit in pair order reaches
+        found = None
+        todo = eligible
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            j = low.bit_length() - 1
+            a, b = pairs[j]
+            u = state[a] | state[b]
             c = u.bit_count()
-            child_below = below + 2 * (c < k) - (counts[a] < k) - (counts[b] < k)
-            if _bound(child_below, max(best, c), k) >= remaining:
+            if c < k:
+                child_below = below
+            else:
+                child_below = below - (counts[a] < k) - (counts[b] < k)
+            child_best = best if best >= c else c
+            if informed:
+                cut = slack < 0 and c < k
+            else:
+                cut = _bound(child_below, child_best, k) >= remaining
+            if cut:
                 nodes += 1
                 lb_prunes += 1
                 continue
             child = state[:a] + (u,) + state[a + 1 : b] + (u,) + state[b + 1 :]
-            tail = dfs(child, remaining - 1, (sleep | handled) & commute[j])
+            tail = dfs(child, remaining - 1, (sleep | (handled & (low - 1))) & commute[j],
+                       child_below, child_best)
             if tail is not None:
-                return [(a, b)] + tail
+                visited = low - 1
+                found = [(a, b)] + tail
+                break
+        sleep_cuts += (asleep & visited).bit_count()
+        orbit_cuts += (orbit & visited).bit_count()
+        pruned = (expandable & ~eligible & visited).bit_count()
+        nodes += pruned
+        lb_prunes += pruned
+        if found is not None:
+            return found
         if not keyed:
             unkeyed += 1
         elif len(memo) < cfg.memo_limit:
@@ -504,7 +615,7 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
                 return result(FOUND, list(certificate.calls))
             before = counters()
             try:
-                found = dfs(initial, depth, 0)
+                found = dfs(initial, depth, 0, n - spare, 1)  # everyone knows 1 < k
             finally:  # a pass cut by the budget reports its work too
                 passes.append({"depth": depth} | {
                     name: now - before[name] for name, now in counters().items()})
@@ -648,7 +759,7 @@ def informing_tree_classes(m: int, k: int, spare: int) -> tuple[tuple[tuple[int,
     initial = tuple(1 << p for p in range(m))
     if hopeless(initial, m - 1):
         return ()
-    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    pairs = _pair_tables(m)[0]
     key, rep, _ = canonical_form(initial, m)
     layer = {key: (initial, (), rep)}
     for calls_left in range(m - 2, -1, -1):
@@ -659,7 +770,7 @@ def informing_tree_classes(m: int, k: int, spare: int) -> tuple[tuple[tuple[int,
                 joined = comp[a] | comp[b]
                 for p in _bits(joined):
                     comp[p] = joined
-            duplicate = _orbit_duplicates(rep, pairs)
+            duplicate = _orbit_duplicates(rep)
             for j, (a, b) in enumerate(pairs):
                 if comp[a] >> b & 1 or duplicate >> j & 1:
                     continue

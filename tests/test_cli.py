@@ -295,11 +295,19 @@ class TestCheckLemmaCommand:
 
         monkeypatch.setattr(lemmas, "min_calls_bruteforce", timed_out)
         code, out, _ = run(capsys, "check-lemma", "L6s1", "--stats", "--format", "json")
+        assert code == EXIT_VIOLATION  # a spent search budget
         stats = json.loads(out)["stats"]
         assert (stats["checked"], stats["rejected"]) == (0, 0)
         assert stats["undecided"] == stats["generated"] == 154
         code, out, _ = run(capsys, "check-lemma", "L6s1", "--stats")
+        assert code == EXIT_VIOLATION
+        assert out.splitlines()[0] == "L6s1: 0 instances, 0 violations, 154 undecided"
         assert " undecided=154 " in out.splitlines()[1]
+
+    def test_decided_facts_exit_zero(self, capsys):
+        code, out, _ = run(capsys, "check-lemma", "L6s1")
+        assert code == EXIT_OK
+        assert out == "L6s1: 154 instances, 0 violations\n"
 
     @pytest.mark.parametrize("lemma,flag,value", [
         ("L3", "--samples", "-1"),

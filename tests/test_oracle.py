@@ -30,6 +30,66 @@ from partialgossip.oracle import (
 )
 
 
+# (n, k, goal): min_calls, witness, refuted_depth, nodes, the stats counters
+# in _PINNED_STATS order, and per pass (depth, nodes, counters but find_nodes).
+# Band-regime refutations, find passes and partial goals; (8,6) keys one
+# state inexactly.
+_PINNED_STATS = ("memo_hits", "memo_stores", "memo_refused", "lb_prunes", "unkeyed",
+                 "orbit_cuts", "sleep_cuts", "canon_inexact", "find_nodes")
+_PINNED = {
+    (8, 6, None): (10,
+        [(0, 2), (1, 2), (2, 3), (4, 5), (2, 4), (3, 5), (0, 2), (1, 2), (2, 6), (2, 7)],
+        9, 40559,
+        (337, 633, 0, 37236, 2353, 3250, 28420, 1, 0),
+        [(6, 10, 0, 3, 0, 7, 0, 73, 0, 0),
+         (7, 54, 2, 10, 0, 42, 0, 177, 36, 0),
+         (8, 725, 23, 58, 0, 632, 12, 525, 578, 0),
+         (9, 39770, 312, 562, 0, 36555, 2341, 2475, 27806, 1)]),
+    (9, 6, None): (10,
+        [(0, 1), (1, 2), (3, 4), (1, 3), (2, 4), (1, 5), (2, 6), (3, 7), (4, 8), (0, 1)],
+        9, 3647,
+        (174, 154, 0, 3219, 100, 1775, 3043, 0, 0),
+        [(7, 10, 0, 3, 0, 7, 0, 97, 0, 0),
+         (8, 54, 2, 10, 0, 42, 0, 248, 45, 0),
+         (9, 3583, 172, 141, 0, 3170, 100, 1430, 2998, 0)]),
+    (10, 5, None): (10,
+        [(0, 1), (2, 3), (0, 2), (1, 3), (0, 4), (1, 5), (2, 6), (3, 7), (0, 8), (0, 9)],
+        9, 7376,
+        (220, 320, 0, 6690, 146, 5612, 6831, 0, 0),
+        [(7, 10, 0, 3, 0, 7, 0, 124, 0, 0),
+         (8, 174, 3, 21, 0, 150, 0, 549, 190, 0),
+         (9, 7192, 217, 296, 0, 6533, 146, 4939, 6641, 0)]),
+    (6, 3, None): (5,
+        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)],
+        4, 190,
+        (0, 2, 0, 167, 15, 26, 24, 0, 139),
+        [(4, 51, 0, 2, 0, 45, 4, 26, 6, 0),
+         (5, 139, 0, 0, 0, 122, 11, 0, 18, 0)]),
+    (7, 4, None): (7,
+        [(0, 1), (0, 2), (0, 1), (0, 3), (0, 4), (1, 5), (2, 6)],
+        6, 744,
+        (0, 9, 0, 677, 50, 125, 240, 0, 82),
+        [(5, 4, 0, 2, 0, 2, 0, 38, 0, 0),
+         (6, 658, 0, 7, 0, 605, 46, 86, 225, 0),
+         (7, 82, 0, 0, 0, 70, 4, 1, 15, 0)]),
+    (8, 6, 5): (7,
+        [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 1), (4, 6)],
+        6, 121,
+        (2, 18, 0, 93, 0, 343, 45, 0, 57),
+        [(5, 10, 0, 3, 0, 7, 0, 73, 0, 0),
+         (6, 54, 2, 10, 0, 42, 0, 177, 36, 0),
+         (7, 57, 0, 5, 0, 44, 0, 93, 9, 0)]),
+    (10, 6, 7): (9,
+        [(0, 1), (0, 2), (0, 3), (0, 4), (0, 1), (0, 5), (0, 2), (1, 6), (4, 7)],
+        8, 31325,
+        (31, 113, 0, 29933, 1238, 2600, 21782, 0, 15300),
+        [(6, 10, 0, 3, 0, 7, 0, 124, 0, 0),
+         (7, 54, 2, 10, 0, 42, 0, 329, 54, 0),
+         (8, 15961, 23, 58, 0, 15255, 625, 1264, 11162, 0),
+         (9, 15300, 6, 42, 0, 14629, 613, 883, 10566, 0)]),
+}
+
+
 class TestMinCalls:
     def test_two_persons(self):
         r = min_calls_bruteforce(2, 2)
@@ -150,6 +210,21 @@ class TestMinCalls:
             assert keyed + len(r.witness.calls) <= nodes
             if n <= 6:
                 assert _reference_search(n, k, plain=True)[:2] == (min_calls, calls)
+
+    @pytest.mark.parametrize("n,k,goal", list(_PINNED))
+    def test_results_pinned(self, n, k, goal):
+        """Answer, witness, refuted depth, nodes and every counter, per pass too.
+
+        The values were recorded from the search that visited every call of
+        a node in pair order, before bound-cut calls were counted by class
+        mask, so they show that the counting is exact.
+        """
+        min_calls, calls, refuted, nodes, totals, passes = _PINNED[n, k, goal]
+        stats = dict(zip(_PINNED_STATS, totals))
+        stats["passes"] = [dict(zip(("depth", "nodes", *_PINNED_STATS[:-1]), p)) for p in passes]
+        r = min_calls_bruteforce(n, k, goal=goal)
+        assert (r.status, r.min_calls, r.witness.calls, r.refuted_depth, r.nodes, r.stats) == (
+            FOUND, min_calls, tuple(calls), refuted, nodes, stats)
 
     @pytest.mark.parametrize("n,k", [(9, 6), (10, 6), (10, 7)])
     def test_doubling_certificate_settles_the_frontier(self, n, k):
@@ -486,6 +561,21 @@ class TestCanonicalKey:
             for state in _reachable_states(n, max_calls=4):
                 assert canonical_key(state, n) == _reference_key(state, n)
 
+    def test_refinement_matches_reference_beyond_six(self):
+        """Random reachable states on 7 to 12 persons: lone persons skip a round's signatures."""
+        rng = random.Random(13)
+        mixed = 0
+        for _ in range(600):
+            n = rng.randrange(7, 13)
+            state = _random_state(rng, n, max_calls=2 * n)
+            known = [[g for g in range(n) if (state[p] >> g) & 1] for p in range(n)]
+            knowers = [[q for q in range(n) if (state[q] >> g) & 1] for g in range(n)]
+            colors = oracle._refine_colors(known, knowers)
+            assert colors == _reference_refine_colors(state, n), state
+            sizes = {colors.count(c) for c in colors}
+            mixed += 1 in sizes and len(sizes) > 1  # a lone person beside a shared cell
+        assert mixed > 300
+
     def test_keys_separate_exactly_the_relabeling_classes(self):
         for n in range(2, 6):
             states = _reachable_states(n)
@@ -595,7 +685,7 @@ class TestOrbitCut:
             n = rng.randrange(2, 7)
             state = _random_state(rng, n, max_calls=n)
             pairs = list(itertools.combinations(range(n), 2))
-            duplicate = oracle._orbit_duplicates(canonical_form(state, n)[1], pairs)
+            duplicate = oracle._orbit_duplicates(canonical_form(state, n)[1])
             keys = []
             for j, (a, b) in enumerate(pairs):
                 u = state[a] | state[b]
