@@ -313,18 +313,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("--budget-secs", type=float, default=600.0)
     p.add_argument("--stats", action="store_true",
-                   help="also report the search counters (memo, bound, orbit and sleep cuts)")
+                   help="also report the search counters (memo, bound, orbit and sleep "
+                        "cuts); after a timeout the cut counts can read low, since the "
+                        "interrupted nodes' class-counted cuts are never added")
     add_format(p)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("check-lemma", help="run one lemma verification suite")
     p.add_argument("lemma", choices=LEMMA_IDS)
     p.add_argument("--max-n", type=int, default=8,
-                   help="largest sampled scheme size, at most 30 "
-                        "(L1a, L1b, L3, L4a, L4b, L5a and L6s1 ignore it)")
+                   help="largest sampled scheme size, at most 30; L1c and L5b need 4 "
+                        "and stop at 8 (L1a, L1b, L3, L4a, L4b, L5a and L6s1 ignore it)")
     p.add_argument("--samples", type=int, default=400,
                    help="random instances per sampled size "
-                        "(L1a, L1b, L3, L4a, L4b, L5a and L6s1 ignore it)")
+                        "(L1a, L1b, L1c, L3, L4a, L4b, L5a and L6s1 ignore it)")
     p.add_argument("--prelim-max", type=int, default=3,
                    help=f"largest preliminary-call count, at most {MAX_PRELIM}")
     p.add_argument("--seed", type=int, default=0)

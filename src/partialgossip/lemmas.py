@@ -1,13 +1,13 @@
 """Empirical verification harnesses for the structural lower-bound lemmas.
 
-Each suite enumerates candidate communication schemes (exhaustively on
-small sizes, by seeded sampling beyond) and yields one outcome per
-candidate: None when it misses the lemma's hypotheses, else the checked
-instance's coverage key and a violation of the lemma's conclusion or
-nothing.  One loop, _report, turns any suite's outcomes into its
-LemmaReport, so violations are reported instead of raised.  The harness
-can be pointed at a deliberately falsified bound (``bound_slack``) to prove
-it is able to fail.
+Each suite enumerates candidate communication schemes (isomorph-free
+classes, or labeled schemes exhaustively on small sizes and by seeded
+sampling beyond) and yields one outcome per candidate: None when it misses
+the lemma's hypotheses, else the checked instance's coverage key and a
+violation of the lemma's conclusion or nothing.  One loop, _report, turns
+any suite's outcomes into its LemmaReport, so violations are reported
+instead of raised.  The harness can be pointed at a deliberately falsified
+bound (``bound_slack``) to prove it is able to fail.
 
 L4a, L4b and L5a are one statement with a moving bound index: a tree plus
 i preliminary calls has n >= t_{i-1+spare}(k), with k the (spare+1)-th
@@ -32,21 +32,23 @@ Documented instance ranges (defaults in LemmaParams):
 * the six tree suites take their largest m from ``max_exhaustive_n``,
   within _SIZES (L1a, L1b: 2..10; L3: 4..10; L4a, L4b: 8..11; L5a:
   5..11); ``max_sampled_n`` and ``samples`` do not apply to them;
-* unicyclic schemes: exhaustive for n <= 4, sampled for n in {5, ...,
-  min(max_sampled_n, 8)}, the enumerator's limit;
+* unicyclic schemes on m in {4, ..., min(max_sampled_n, 8)} persons
+  (max_sampled_n >= 4): for L1c every class, up to joint relabeling of
+  the final state, that leaves everyone knowing at least 4 gossips (1, 2,
+  16, 78 and 427 for m = 4, ..., 8); for L5b every labeled scheme on 4
+  persons and ``samples`` random ones on each larger m (see _check_l5b);
 * preliminary-call counts: up to ``max_prelim`` (default 3, at most
   MAX_PRELIM = 9).  Unions of disjoint edges (single calls included) are
   listed in full for L3's exact trees, and elsewhere while a given
   (n, size) has at most 48 of them; above that, 48 are sampled per tree.
-  Denser preliminary lists are sampled: 10 per call, 5 in L5b;
+  Denser preliminary lists are sampled: 10 per call, 5 in L5b.  The lists
+  of each (outsiders, size) come from their own seeded stream, so a larger
+  ``max_prelim`` adds instances and moves none (_streams);
 * L2: an exhaustive box over n in {3, 4}, up to 4 base calls and
   ell <= min(2, max_prelim) preliminary calls (only ell = 0 when
   max_prelim is 0), plus ``samples`` random instances on 5..max_sampled_n
   persons when max_sampled_n >= 5 and max_prelim >= 1.  The box simulates
-  each base once for all its preliminary lists.  L5b rejects unsimulated
-  every candidate of a scheme whose own minimum awareness is below 4, by
-  the L2 argument of _check_tree_prelim; every report is as if each
-  candidate were simulated;
+  each base once for all its preliminary lists;
 * L6s1: every (n, k, i) with k in {4, 5, 6}, i <= min(k - 4, max_prelim)
   and n <= t_{i-1}(k) - 1, on k to ``max_exhaustive_n`` persons (default
   10: 25 tuples).  Its candidates are facts, 154 by default, each decided
@@ -147,7 +149,9 @@ class LemmaParams:
 
     L1a, L1b, L3, L4a, L4b and L5a enumerate tree classes on up to
     ``max_exhaustive_n`` persons, and L6s1 searches instances of up to that
-    many persons; all seven ignore ``max_sampled_n`` and ``samples``.
+    many persons; all seven ignore ``max_sampled_n`` and ``samples``.  L1c
+    and L5b take unicyclic schemes on 4 to min(``max_sampled_n``, 8)
+    persons; L1c lists their classes and ignores ``samples`` and ``seed``.
     ``max_sampled_n`` is at most MAX_SAMPLED_N and ``max_prelim`` at most
     MAX_PRELIM.
     """
@@ -178,6 +182,9 @@ def check_lemma(lemma_id: str, params: LemmaParams | None = None) -> LemmaReport
         raise ValidationError(
             f"max_sampled_n must be in [2, {MAX_SAMPLED_N}], got {params.max_sampled_n}"
         )
+    if lemma_id in ("L1c", "L5b") and params.max_sampled_n < 4:
+        # no unicyclic scheme on fewer than 4 persons leaves everyone 4-informed
+        raise ValidationError(f"{lemma_id} needs max_sampled_n >= 4, got {params.max_sampled_n}")
     top = params.max_exhaustive_n
     if lemma_id in _SIZES and top is not None:
         low, high, _ = _SIZES[lemma_id]
@@ -209,15 +216,6 @@ def _tree_classes(params: LemmaParams, lemma_id: str, k: int = 1, spare: int = 0
     for m in range(2, (params.max_exhaustive_n or _SIZES[lemma_id][2]) + 1):
         for pairs in informing_tree_classes(m, k, spare):
             yield m, pairs
-
-
-def _unicyclic_schemes(params: LemmaParams, exhaustive_to: int = 4):
-    """(n, pairs) for unicyclic schemes on 2 to min(max_sampled_n, 8) persons."""
-    for n in range(2, min(params.max_sampled_n, SCHEME_SIZE_LIMIT) + 1):
-        limit = None if n <= exhaustive_to else params.samples
-        stream = enumerate_unicyclic_schemes(n, limit=limit, seed=params.seed)
-        for s in stream.schedules:
-            yield n, s.calls
 
 
 @functools.lru_cache(maxsize=None)
@@ -272,52 +270,40 @@ def _all_matchings(n: int, size: int) -> tuple:
     return tuple(_matching_at(n, size, i) for i in range(_matching_count(n, size)))
 
 
-def _drawn_matchings(n: int, size: int, rng: random.Random, cap: float = 48):
-    """Indices, in the order of ``_all_matchings``, of the matchings _matchings yields.
-
-    All of them while there are at most ``cap``, else ``cap`` drawn by one
-    ``rng.sample`` over the whole index range, so the seeded stream, and
-    hence every suite's instances, match an enumeration that lists every
-    matching and samples from the list.
-    """
-    count = _matching_count(n, size)
-    return range(count) if count <= cap else rng.sample(range(count), cap)
-
-
 def _matchings(n: int, size: int, rng: random.Random, cap: float = 48):
     """Preliminary graphs that are unions of ``size`` disjoint edges.
 
-    Exhaustive while there are at most ``cap`` of them, else ``cap`` sampled
-    by index (_drawn_matchings), so larger sets are never listed.
+    Exhaustive while there are at most ``cap`` of them, else ``cap`` drawn
+    by one ``rng.sample`` over the index range of ``_all_matchings`` and
+    unranked, so larger sets are never listed.
     """
-    drawn = _drawn_matchings(n, size, rng, cap)
-    if isinstance(drawn, range):
+    count = _matching_count(n, size)
+    if count <= cap:
         yield from map(list, _all_matchings(n, size))
     else:
-        for idx in drawn:
+        for idx in rng.sample(range(count), cap):
             yield list(_matching_at(n, size, idx))
 
 
 def _prelim_lists(n: int, size: int, rng: random.Random, general_samples: int = 10,
-                  cap: float = 48, build: bool = True):
+                  cap: float = 48):
     """Preliminary call lists: disjoint-edge matchings first, then denser samples.
 
     ``cap`` is _matchings's: with ``math.inf`` every matching is listed.
-    Without ``build`` each list is drawn but not built: it comes out as
-    None, and the seeded stream moves on exactly as if it had been built.
     """
-    if size == 0:
-        yield [] if build else None
-        return
-    if build:
-        yield from _matchings(n, size, rng, cap)
-    else:
-        yield from itertools.repeat(None, len(_drawn_matchings(n, size, rng, cap)))
+    yield from _matchings(n, size, rng, cap)  # size 0: the empty list
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     if size >= 2 and len(pairs) >= 2:
         for _ in range(general_samples):
-            drawn = [rng.randrange(len(pairs)) for _ in range(size)]
-            yield [pairs[j] for j in drawn] if build else None
+            yield [pairs[rng.randrange(len(pairs))] for _ in range(size)]
+
+
+def _streams(params: LemmaParams):
+    """``rng(o, size)``: one seeded stream per (outsiders, size) of preliminary lists.
+
+    A larger ``max_prelim`` thus adds lists without moving those a smaller one drew.
+    """
+    return functools.cache(lambda o, size: random.Random(f"{params.seed}:{o}:{size}"))
 
 
 def _describe(n: int, pairs, prelim=None, **extra) -> dict:
@@ -386,14 +372,18 @@ def _check_l1b(params: LemmaParams):
 
 
 def _check_l1c(params: LemmaParams):
-    """Unicyclic k-informing scheme (k >= 4) has at least 2^(k-2) vertices."""
-    for n, pairs in _unicyclic_schemes(params):
-        kmax = min(_aw(n, pairs))
-        if kmax < 4:
-            yield None
-            continue
-        bound = (1 << (kmax - 2)) + params.bound_slack
-        yield (n, kmax, 0), n < bound and Violation(_describe(n, pairs, k=kmax), bound, n)
+    """Unicyclic k-informing scheme (k >= 4) has at least 2^(k-2) vertices.
+
+    One scheme per class of ``informing_tree_classes(m, 4, 0, 1)``, m = 4
+    to min(max_sampled_n, 8): the outcome reads only the final awareness
+    profile, and no scheme outside those classes meets k >= 4.  The 2,105
+    classes of m = 9 would take about 2.4 s more.
+    """
+    for m in range(4, min(params.max_sampled_n, SCHEME_SIZE_LIMIT) + 1):
+        for pairs in informing_tree_classes(m, 4, 0, 1):
+            k = min(_aw(m, pairs))
+            bound = (1 << (k - 2)) + params.bound_slack
+            yield (m, k, 0), m < bound and Violation(_describe(m, pairs, k=k), bound, m)
 
 
 def _check_l2(params: LemmaParams):
@@ -446,10 +436,10 @@ def _check_l3(params: LemmaParams):
     sample misses the rare lifting pairs (two calls lift a 10-person exact
     4-informing tree to 6).
     """
-    rng = params.rng()
+    rng = _streams(params)
     for n, k, base in _exact_k_trees(params):
         for ell in range(1, params.max_prelim + 1):
-            for prelim in _prelim_lists(n, ell, rng, cap=math.inf):
+            for prelim in _prelim_lists(n, ell, rng(0, ell), cap=math.inf):
                 if min(_aw(n, list(prelim) + list(base))) < k + ell:
                     yield None  # hypothesis not satisfied
                     continue
@@ -502,18 +492,14 @@ def _check_tree_prelim(params: LemmaParams, lemma_id: str):
     outsiders.
     """
     outsiders, spare = _TREE_PRELIM[lemma_id]
-    rng = params.rng()
+    rng = _streams(params)
     for m, tree in _tree_classes(params, lemma_id, 4, spare):
-        with_prelims = (
-            (m + o, prelim)
-            for o in range(0, outsiders + 1)
-            for ell in range(max(1, o), params.max_prelim + 1)
-            for prelim in _prelim_lists(m + o, ell, rng)
-            if len({v for p in prelim for v in p if v >= m}) == o
-        )
-        for n, prelim in itertools.chain(with_prelims, [(m, [])]):  # then i = 0
-            k = sorted(_aw(n, list(prelim) + list(tree))[:m])[spare]
-            yield _judge_prelim_bound(params, n, k, spare, m, tree, prelim)
+        for o in range(0, outsiders + 1):
+            for ell in range(o, params.max_prelim + 1):  # o = ell = 0: the tree alone
+                for prelim in _prelim_lists(m + o, ell, rng(o, ell)):
+                    if len({v for p in prelim for v in p if v >= m}) == o:
+                        k = sorted(_aw(m + o, list(prelim) + list(tree))[:m])[spare]
+                        yield _judge_prelim_bound(params, m + o, k, spare, m, tree, prelim)
 
 
 def _check_l5b(params: LemmaParams):
@@ -521,22 +507,19 @@ def _check_l5b(params: LemmaParams):
 
     That is the tree suites' bound with one cycle in place of one spare person.
     A scheme whose own minimum awareness is below 4 can never end with
-    k >= 4 + i (point 2 of _check_tree_prelim), so its candidates are
-    rejected unsimulated; like those with i > m - 4, they are still drawn
-    but never built, which keeps the seeded stream and ``generated`` as if
-    each were judged.
+    k >= 4 + i (point 2 of _check_tree_prelim), and i <= k - 4 <= m - 4,
+    so only the other schemes draw lists, of at most m - 4 calls.
     """
-    rng = params.rng()
-    for m, pairs in _unicyclic_schemes(params):
-        low = min(_aw(m, pairs)) < 4
-        for i in range(0, params.max_prelim + 1):
-            judged = not low and i <= m - 4  # i > m - 4 >= k - 4 fails
-            for prelim in _prelim_lists(m, i, rng, general_samples=5, build=judged):
-                if not judged:
-                    yield None
-                    continue
-                k = min(_aw(m, list(prelim) + list(pairs)))
-                yield _judge_prelim_bound(params, m, k, 1, m, pairs, prelim)
+    rng = _streams(params)
+    for m in range(4, min(params.max_sampled_n, SCHEME_SIZE_LIMIT) + 1):
+        limit = None if m == 4 else params.samples
+        for s in enumerate_unicyclic_schemes(m, limit=limit, seed=params.seed).schedules:
+            if min(_aw(m, s.calls)) < 4:
+                continue
+            for i in range(0, min(params.max_prelim, m - 4) + 1):
+                for prelim in _prelim_lists(m, i, rng(0, i), general_samples=5):
+                    k = min(_aw(m, list(prelim) + list(s.calls)))
+                    yield _judge_prelim_bound(params, m, k, 1, m, s.calls, prelim)
 
 
 def _check_l6s1(params: LemmaParams):

@@ -150,7 +150,9 @@ class SearchResult:
     # find_nodes (nodes of the pass that found the witness; 0 when the
     # doubling schedule is it) and passes (one dict per depth searched: the
     # depth, then that pass's share of the nodes and of the counters before
-    # find_nodes)
+    # find_nodes).  On TIMEOUT the nodes, lb_prunes, orbit_cuts and
+    # sleep_cuts can read lower than a call-by-call visit would count: the
+    # class-counted cuts of the nodes the budget interrupted are never added
     stats: dict[str, int | list[dict[str, int]]] = field(default_factory=dict)
 
     @property
@@ -724,26 +726,30 @@ INFORMING_TREE_CLASS_LIMIT = 11  # m = 11, k = 4 takes about a second
 
 
 @functools.lru_cache(maxsize=None)
-def informing_tree_classes(m: int, k: int, spare: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """One call list per class of m-person tree schemes leaving <= ``spare`` persons below k.
+def informing_tree_classes(m: int, k: int, spare: int,
+                           cycles: int = 0) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """One call list per class of m-person schemes leaving <= ``spare`` persons below k.
 
-    A person is below k while knowing fewer than k gossips.  Two schemes
-    are in one class when their final states are equal under a joint
-    relabeling of persons and gossips.  The enumeration is isomorph-free in
-    the manner of McKay (*Isomorph-free exhaustive generation*, J.
-    Algorithms 26, 1998): it grows the schemes one call at a time, each call
-    joining two different components (the state determines the components,
-    and a relabeled state has relabeled extensions), and keeps one state
-    per canonical key in every layer.  A state is dropped once more
-    persons are below k, beyond ``spare``, than the calls still to come can
-    reach, two per call.  Of the calls whose participants lie in the same
-    pair of twin classes only the first is tried: the others give
-    isomorphic children, whose keys ``setdefault`` would drop.  The twin
-    classes are those ``canonical_form`` split its color cells into when it
-    keyed the state; color refinement is invariant under automorphisms, so
-    twins share a cell.  Each class is listed once as long as the key is
-    exact on its states (it is for every class tested); an inexact key
-    could only list a class twice, never omit one.
+    The schemes are trees (``cycles`` = 0, m - 1 calls) or unicyclic (1, m
+    calls, the cycle possibly a repeated call).  A person is below k while
+    knowing fewer than k gossips.  Two schemes are in one class when their
+    final states are equal under a joint relabeling of persons and gossips.
+    The enumeration is isomorph-free in the manner of McKay (*Isomorph-free
+    exhaustive generation*, J. Algorithms 26, 1998): it grows the schemes
+    one call at a time, each call joining two different components or,
+    while the calls left after it can still join every component, two
+    persons of one (the state determines the components, and a relabeled
+    state has relabeled extensions), and keeps one state per canonical key
+    in every layer.  A state is dropped once more persons are below k,
+    beyond ``spare``, than the calls still to come can reach, two per
+    call.  Of the calls whose participants lie in the same pair of twin
+    classes only the first is tried: the others give isomorphic children,
+    whose keys ``setdefault`` would drop.  The twin classes are those
+    ``canonical_form`` split its color cells into when it keyed the state;
+    color refinement is invariant under automorphisms, so twins share a
+    cell.  Each class is listed once as long as the key is exact on its
+    states (it is for every class tested); an inexact key could only list
+    a class twice, never omit one.
     """
     if not 1 <= m <= INFORMING_TREE_CLASS_LIMIT:
         raise ValidationError(
@@ -751,18 +757,20 @@ def informing_tree_classes(m: int, k: int, spare: int) -> tuple[tuple[tuple[int,
         )
     if k < 1 or spare < 0:
         raise ValidationError(f"need k >= 1 and spare >= 0, got k={k}, spare={spare}")
+    if cycles not in (0, 1):
+        raise ValidationError(f"cycles must be 0 or 1, got {cycles}")
 
     def hopeless(state: tuple[int, ...], calls_left: int) -> bool:
         below = sum(1 for x in state if x.bit_count() < k)
         return below - spare > 2 * calls_left
 
     initial = tuple(1 << p for p in range(m))
-    if hopeless(initial, m - 1):
+    if hopeless(initial, m - 1 + cycles):
         return ()
     pairs = _pair_tables(m)[0]
     key, rep, _ = canonical_form(initial, m)
     layer = {key: (initial, (), rep)}
-    for calls_left in range(m - 2, -1, -1):
+    for calls_left in range(m - 2 + cycles, -1, -1):
         grown: dict[tuple[int, ...], tuple] = {}
         for state, calls, rep in layer.values():
             comp = [1 << p for p in range(m)]  # comp[p]: p's component, as a bitmask
@@ -770,9 +778,10 @@ def informing_tree_classes(m: int, k: int, spare: int) -> tuple[tuple[tuple[int,
                 joined = comp[a] | comp[b]
                 for p in _bits(joined):
                     comp[p] = joined
+            inside = len(set(comp)) - 1 <= calls_left  # a call inside a component fits
             duplicate = _orbit_duplicates(rep)
             for j, (a, b) in enumerate(pairs):
-                if comp[a] >> b & 1 or duplicate >> j & 1:
+                if comp[a] >> b & 1 and not inside or duplicate >> j & 1:
                     continue
                 u = state[a] | state[b]
                 child = state[:a] + (u,) + state[a + 1 : b] + (u,) + state[b + 1 :]

@@ -4,11 +4,16 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import partialgossip
 from partialgossip import cli, core, lemmas, schedule_to_json
 from partialgossip.cli import (
     EXIT_OK, EXIT_VALIDATION, EXIT_VIOLATION, MAX_PERSONS, MAX_ROWS, main,
@@ -270,6 +275,13 @@ class TestCheckLemmaCommand:
         assert err == ""
         assert json.loads(out)["checked"] > 0
 
+    @pytest.mark.parametrize("lemma", ["L1c", "L5b"])
+    def test_unicyclic_suites_reject_max_n_below_four(self, capsys, lemma):
+        code, out, err = run(capsys, "check-lemma", lemma, "--max-n", "3")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "max_sampled_n >= 4" in err
+
     def test_stats_flag(self, capsys):
         argv = ("check-lemma", "L1c", "--max-n", "5", "--samples", "10")
         code, out, _ = run(capsys, *argv, "--stats", "--format", "json")
@@ -469,3 +481,13 @@ def test_random_argv_exit_code_contract(schedule_files, data):
             code = e.code
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_VIOLATION), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+def test_import_loads_no_undeclared_dependency():
+    """The package and its CLI import without numpy or networkx: it declares no dependency."""
+    src = str(pathlib.Path(partialgossip.__file__).resolve().parent.parent)
+    code = ("import sys, partialgossip, partialgossip.cli; "
+            "print(sorted({'numpy', 'networkx'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "[]\n"

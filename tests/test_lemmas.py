@@ -52,21 +52,22 @@ _FAST_COUNTS = {
         (2, 2, 0): 1, (3, 3, 0): 1, (4, 2, 0): 1, (4, 3, 0): 3, (5, 2, 0): 3, (5, 3, 0): 7,
         (5, 4, 0): 1, (6, 2, 0): 18, (6, 3, 0): 27, (6, 4, 0): 4, (7, 2, 0): 86,
         (7, 3, 0): 101, (7, 4, 0): 17, (8, 2, 0): 481, (8, 3, 0): 436, (8, 4, 0): 67}),
-    "L1c": (98, 2400, {(4, 4, 0): 96, (5, 4, 0): 2}),
+    "L1c": (3, 3, {(4, 4, 0): 1, (5, 4, 0): 2}),
     "L2": (66802, 66802, {}),
     "L3": (2, 267, {(4, 4, 1): 1, (8, 5, 1): 1}),
-    "L4a": (195, 3067, {
-        (8, 4, 0): 1, (8, 5, 1): 1, (9, 4, 0): 4, (9, 5, 1): 12, (9, 6, 2): 3,
-        (10, 4, 0): 25, (10, 5, 1): 130, (10, 6, 2): 19}),
-    "L4b": (263, 4104, {
-        (8, 4, 0): 1, (8, 5, 1): 1, (9, 4, 0): 4, (9, 5, 1): 14, (9, 6, 2): 3,
-        (10, 4, 0): 25, (10, 5, 1): 138, (10, 6, 2): 21, (11, 5, 1): 42, (11, 6, 2): 14}),
-    "L5a": (8387, 43184, {
-        (5, 4, 0): 1, (5, 5, 1): 1, (6, 4, 0): 4, (6, 5, 1): 19, (6, 6, 2): 18,
-        (7, 4, 0): 17, (7, 5, 1): 126, (7, 6, 2): 106, (8, 4, 0): 67, (8, 5, 1): 675,
-        (8, 6, 2): 504, (9, 4, 0): 256, (9, 5, 0): 1, (9, 5, 1): 3334, (9, 6, 1): 1,
-        (9, 6, 2): 1865, (10, 5, 1): 727, (10, 6, 1): 3, (10, 6, 2): 661, (10, 7, 2): 1}),
-    "L5b": (100, 36290, {(4, 4, 0): 96, (5, 4, 0): 2, (5, 5, 1): 2}),
+    "L4a": (190, 3067, {
+        (8, 4, 0): 1, (8, 5, 1): 1, (9, 4, 0): 4, (9, 5, 1): 12, (9, 6, 2): 1,
+        (10, 4, 0): 25, (10, 5, 1): 130, (10, 6, 2): 16}),
+    "L4b": (258, 4068, {
+        (8, 4, 0): 1, (8, 5, 1): 1, (9, 4, 0): 4, (9, 5, 1): 14, (9, 6, 2): 1,
+        (10, 4, 0): 25, (10, 5, 1): 138, (10, 6, 2): 16, (11, 5, 1): 43, (11, 6, 2): 12,
+        (12, 6, 2): 3}),
+    "L5a": (8368, 43257, {
+        (5, 4, 0): 1, (5, 5, 1): 1, (6, 4, 0): 4, (6, 5, 1): 19, (6, 6, 2): 17,
+        (7, 4, 0): 17, (7, 5, 1): 126, (7, 6, 2): 116, (8, 4, 0): 67, (8, 5, 1): 675,
+        (8, 6, 2): 488, (9, 4, 0): 256, (9, 5, 0): 1, (9, 5, 1): 3334, (9, 6, 1): 1,
+        (9, 6, 2): 1876, (10, 5, 1): 727, (10, 6, 1): 3, (10, 6, 2): 639}),
+    "L5b": (100, 118, {(4, 4, 0): 96, (5, 4, 0): 2, (5, 5, 1): 2}),
     "L6s1": (154, 154, {
         (4, 4, 0): 3, (5, 4, 0): 4, (5, 5, 0): 4, (5, 5, 1): 4, (6, 4, 0): 5, (6, 5, 0): 5,
         (6, 5, 1): 5, (6, 6, 0): 5, (6, 6, 1): 5, (6, 6, 2): 5, (7, 5, 0): 6, (7, 5, 1): 6,
@@ -320,7 +321,7 @@ def test_suites_unchanged_by_matching_cache(monkeypatch, lemma_id, bound_slack):
     assert ours.to_json_dict() == ref.to_json_dict()
     assert ours.generated == ref.generated
     if lemma_id == "L4b":
-        assert ours.generated == 4_104
+        assert ours.generated == 4_068
 
 
 # the suites that draw preliminary calls through _prelim_lists, the only
@@ -333,21 +334,6 @@ def test_suites_unchanged_by_tabled_matching_count(monkeypatch, lemma_id):
     ref = check_lemma(lemma_id, params)
     assert ours.to_json_dict() == ref.to_json_dict()
     assert (ours.generated, ours.coverage) == (ref.generated, ref.coverage)
-
-
-def _reference_check_l5b(params):
-    """L5b as it was before it skipped simulating candidates that cannot meet k >= 4 + i."""
-    rng = params.rng()
-    for m, pairs in lemmas._unicyclic_schemes(params):
-        for i in range(0, params.max_prelim + 1):
-            for prelim in lemmas._prelim_lists(m, i, rng, general_samples=5):
-                k = min(lemmas._aw(m, list(prelim) + list(pairs)))
-                if k < 4 or i > k - 4:
-                    yield None
-                    continue
-                bound = lemmas.t_value(i, k) + params.bound_slack
-                yield (m, k, i), m < bound and lemmas.Violation(
-                    lemmas._describe(m, pairs, prelim, k=k, i=i), bound, m)
 
 
 def _reference_check_l2(params):
@@ -384,15 +370,6 @@ def _same_report(ours, ref):
     assert ours.to_json_dict() == ref.to_json_dict()
     assert (ours.generated, ours.rejected, ours.undecided, ours.coverage) == (
         ref.generated, ref.rejected, ref.undecided, ref.coverage)
-
-
-@pytest.mark.parametrize("bound_slack", [0, 1])
-def test_l5b_unchanged_by_skipping_small_universes(bound_slack):
-    """Neither i > m - 4 nor a scheme below 4 on its own is simulated; the report holds."""
-    for seed in (0, 1):
-        params = LemmaParams(**FAST, bound_slack=bound_slack, seed=seed)
-        ours = check_lemma("L5b", params)
-        _same_report(ours, lemmas._report("L5b", _reference_check_l5b(params)))
 
 
 @pytest.mark.parametrize("bound_slack", [0, 1])
@@ -487,6 +464,40 @@ def test_unicyclic_suites_stop_at_enumerator_limit(lemma_id, top):
     assert ours.instances_checked > 0
 
 
+@pytest.mark.parametrize("lemma_id", ["L1c", "L5b"])
+@pytest.mark.parametrize("top", [2, 3])
+def test_unicyclic_suites_reject_ranges_without_instances(lemma_id, top):
+    """No unicyclic scheme on fewer than 4 persons leaves everyone 4-informed."""
+    with pytest.raises(ValidationError):
+        check_lemma(lemma_id, LemmaParams(max_sampled_n=top))
+
+
+# the suites that draw preliminary lists, each with a range small enough to
+# run ten times
+_PRELIM_RANGES = {
+    "L3": {}, "L4a": {}, "L4b": dict(max_exhaustive_n=9), "L5a": dict(max_exhaustive_n=7),
+    "L5b": dict(max_sampled_n=7, samples=100),
+}
+
+
+@pytest.mark.parametrize("lemma_id", sorted(_PRELIM_RANGES))
+def test_coverage_monotone_in_max_prelim(lemma_id):
+    """One more preliminary call allowed adds instances and moves none.
+
+    Each (outsiders, size) draws its lists from its own seeded stream.
+    """
+    def coverage(max_prelim):
+        params = LemmaParams(max_prelim=max_prelim, **_PRELIM_RANGES[lemma_id])
+        return check_lemma(lemma_id, params).coverage
+
+    before = coverage(0)
+    for p in range(0, 9):
+        after = coverage(p + 1)
+        assert all(after[key] >= c for key, c in before.items()), (lemma_id, p)
+        before = after
+    assert any(i > 0 for n, k, i in before)
+
+
 @pytest.mark.parametrize("lemma_id,shift", [("L4a", 0), ("L4b", 0), ("L5a", 1), ("L5b", 1)])
 def test_prelim_suites_bound_index(lemma_id, shift):
     """L4a and L4b assert n >= t_{i-1}(k), L5a and L5b n >= t_i(k).
@@ -532,6 +543,15 @@ def test_tree_suites_check_every_class_up_to_eight(lemma_id, params):
     classes = sum(len(informing_tree_classes(m, 1, 0)) for m in range(2, 9))
     assert report.instances_checked == len(report.violations) == classes == 1_254
     assert len({_tree_class(v.instance) for v in report.violations}) == classes
+
+
+def test_l1c_checks_every_unicyclic_class_up_to_eight():
+    """One instance per class of unicyclic schemes leaving everyone 4-informed, k = 5 included."""
+    report = check_lemma("L1c", LemmaParams(bound_slack=10**6))
+    classes = sum(len(informing_tree_classes(m, 4, 0, 1)) for m in range(4, 9))
+    assert report.instances_checked == report.generated == len(report.violations) == classes
+    assert len({_tree_class(v.instance) for v in report.violations}) == classes == 524
+    assert report.coverage[(8, 5, 0)] == 1
 
 
 def test_exact_trees_include_minimal_informing_trees():

@@ -858,3 +858,52 @@ class TestInformingTreeClasses:
     def test_out_of_range(self, m, k, spare):
         with pytest.raises(ValidationError):
             informing_tree_classes(m, k, spare)
+
+    @pytest.mark.parametrize("cycles", [-1, 2])
+    def test_cycles_out_of_range(self, cycles):
+        with pytest.raises(ValidationError):
+            informing_tree_classes(5, 4, 0, cycles)
+
+
+class TestUnicyclicClasses:
+    """informing_tree_classes(m, 4, 0, 1): unicyclic schemes leaving everyone 4-informed."""
+
+    def test_class_counts(self):
+        assert [len(informing_tree_classes(m, 4, 0, 1)) for m in range(2, 9)] == [
+            0, 0, 1, 2, 16, 78, 427]
+
+    @pytest.mark.parametrize("m", range(4, 9))
+    def test_schemes_have_one_call_inside_a_component(self, m):
+        for calls in informing_tree_classes(m, 4, 0, 1):
+            assert len(calls) == m
+            comp = list(range(m))  # each person's component, by its smallest member
+            inside = 0
+            for a, b in calls:
+                if comp[a] == comp[b]:
+                    inside += 1
+                else:
+                    old, new = max(comp[a], comp[b]), min(comp[a], comp[b])
+                    comp = [new if c == old else c for c in comp]
+            assert inside == 1 and set(comp) == {0}, calls
+            comps = classify_components(full_graph(Schedule(m, calls)))
+            assert comps == [(frozenset(range(m)), ComponentKind.UNICYCLIC)]
+            assert _meets(_final_state(m, calls), 4, 0)
+
+    @pytest.mark.parametrize("m", range(4, 9))
+    def test_keys_distinct(self, m):
+        keys = [canonical_key(_final_state(m, calls), m)
+                for calls in informing_tree_classes(m, 4, 0, 1)]
+        assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("m,limit", [(4, None), (5, None), (6, 400), (7, 400), (8, 400)])
+    def test_every_labeled_scheme_is_in_a_class(self, m, limit):
+        """Exhaustive against the labeled enumerator for m <= 5, sampled above."""
+        keys = {canonical_key(_final_state(m, calls), m)
+                for calls in informing_tree_classes(m, 4, 0, 1)}
+        met = 0
+        for s in enumerate_unicyclic_schemes(m, limit=limit, seed=0).schedules:
+            state = _final_state(m, s.calls)
+            if _meets(state, 4, 0):
+                met += 1
+                assert canonical_key(state, m) in keys, s.calls
+        assert met > 0
