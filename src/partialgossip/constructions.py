@@ -23,6 +23,15 @@ def _check_base(n: int, k: int, i: int) -> None:
         raise ValidationError(f"bad person count n={n}")
 
 
+def _below_t(n: int, i: int, k: int) -> bool:
+    """n < t_i(k) = i + 2^(k-i-2), for 0 <= i <= k-4.
+
+    Decided on bit lengths, as classify_regime does, so a huge k builds no
+    huge power of two.
+    """
+    return n - i < 1 or k - i - 2 >= (n - i).bit_length()
+
+
 def _doubling_rounds(members: list[int], first_round: int, last_round: int) -> list[tuple[int, int]]:
     """Calls y_m -- y_{m+2^r} for r in [first_round, last_round], increasing m."""
     calls = []
@@ -40,8 +49,10 @@ def synth_doubling(n: int, k: int, i: int) -> Schedule:
     Requires t_i(k) <= n; emits exactly n+i calls, all persons >= k-informed.
     """
     _check_base(n, k, i)
-    if n < t_value(i, k):
-        raise ValidationError(f"doubling scheme needs n >= t_i(k) = {t_value(i, k)}, got n={n}")
+    if _below_t(n, i, k):
+        raise ValidationError(
+            f"doubling scheme needs n >= t_i(k) = i + 2^(k-i-2) = {i} + 2^{k - i - 2}, got n={n}"
+        )
     block = 1 << (k - i - 2)
     ys = list(range(i, i + block))  # ys[0] is y_1
     y1 = ys[0]
@@ -61,15 +72,18 @@ def synth_tree_variant(n: int, k: int, i: int) -> Schedule:
     form a spanning tree.
     """
     _check_base(n, k, i)
-    if n < t_value(i, k) + 1:
+    if _below_t(n - 1, i, k):
         raise ValidationError(
-            f"tree variant needs n >= t_i(k)+1 = {t_value(i, k) + 1}, got n={n}"
+            f"tree variant needs n >= t_i(k)+1 = i + 2^(k-i-2) + 1 = {i} + 2^{k - i - 2} + 1,"
+            f" got n={n}"
         )
     return _hub_scheme(n, k, i, blocks=1)
 
 
 def max_feasible_blocks(n: int, k: int, i: int) -> int:
     """Largest block count the multi-block scheme can fit for these parameters."""
+    if _below_t(n - 1, i, k):  # hub, helpers and the first block need t_i(k) + 1 persons
+        return 0
     best = 0
     used = i + 1
     for j in range(1, k - i):  # block j has 2^(k-i-1-j) members, down to one
@@ -90,6 +104,8 @@ def multiblock_feasible(n: int, k: int, i: int, blocks: int) -> bool:
     if k < 4 or not 0 <= i <= k - 4 or blocks < 1:
         return False
     if blocks > k - i - 1:  # smallest block would be empty
+        return False
+    if _below_t(n - 1, i, k):  # hub, helpers and the first block need t_i(k) + 1 persons
         return False
     need = i + 1 + sum(1 << (k - i - 1 - j) for j in range(1, blocks + 1))
     return need <= n < t_value(i - 1, k)

@@ -41,14 +41,17 @@ Documented instance ranges (defaults in LemmaParams):
   MAX_PRELIM = 9).  Unions of disjoint edges (single calls included) are
   listed in full for L3's exact trees, and elsewhere while a given
   (n, size) has at most 48 of them; above that, 48 are sampled per tree.
-  Denser preliminary lists are sampled: 10 per call, 5 in L5b.  The lists
-  of each (outsiders, size) come from their own seeded stream, so a larger
-  ``max_prelim`` adds instances and moves none (_streams);
+  Either way they are read from one table per (n, size), built once per
+  process (_matching_table).  Denser preliminary lists are sampled: 10 per
+  call, 5 in L5b.  The lists of each (outsiders, size) come from their own
+  seeded stream, so a larger ``max_prelim`` adds instances and moves none
+  (_streams).  Each candidate is one simulation, of its preliminary calls
+  and then its scheme;
 * L2: an exhaustive box over n in {3, 4}, up to 4 base calls and
   ell <= min(2, max_prelim) preliminary calls (only ell = 0 when
   max_prelim is 0), plus ``samples`` random instances on 5..max_sampled_n
-  persons when max_sampled_n >= 5 and max_prelim >= 1.  The box simulates
-  each base once for all its preliminary lists;
+  persons when max_sampled_n >= 5 and max_prelim >= 1.  The box judges
+  each (base final state, preliminary list) once;
 * L6s1: every (n, k, i) with k in {4, 5, 6}, i <= min(k - 4, max_prelim)
   and n <= t_{i-1}(k) - 1, on k to ``max_exhaustive_n`` persons (default
   10: 25 tuples).  Its candidates are facts, 154 by default, each decided
@@ -218,71 +221,58 @@ def _tree_classes(params: LemmaParams, lemma_id: str, k: int = 1, spare: int = 0
             yield m, pairs
 
 
-@functools.lru_cache(maxsize=None)
-def _matching_count(n: int, size: int) -> int:
-    """How many unions of ``size`` disjoint edges n persons have.
+@functools.cache
+def _pairs(n: int) -> tuple:
+    """The pairs of n persons in sorted order, which _matching_table indexes."""
+    return tuple((a, b) for a in range(n) for b in range(a + 1, n))
 
-    Tabled: ``_matching_at`` asks for the same few values at every level of
-    every unranking.
+
+@functools.cache
+def _matching_table(n: int, size: int) -> bytes:
+    """Every union of ``size`` disjoint edges on n <= 23 persons, ``size`` bytes each.
+
+    A byte is an index into _pairs(n), and the matchings come in the order
+    of ``itertools.combinations`` over the sorted pairs.  The pairs of a
+    matching have distinct smaller ends, and a matching whose first pair is
+    (a, b) is completed by a matching of size - 1 on the n - a - 2 persons
+    above a apart from b.  So each (a, b) heads a block read from the
+    (n - a - 2, size - 1) table, relabeled by one ``bytes.translate``, and
+    only tables with entries are built: the cost follows the output.  Size
+    0 is the empty table; its one matching is the empty list.
     """
-    if 2 * size > n:
-        return 0
-    return math.factorial(n) // (
-        2**size * math.factorial(size) * math.factorial(n - 2 * size)
-    )
-
-
-def _matching_at(n: int, size: int, idx: int) -> tuple:
-    """The idx-th union of ``size`` disjoint edges on n persons.
-
-    Matchings are ordered as ``itertools.combinations`` orders them over the
-    sorted pairs.  The pairs of a matching have distinct smaller ends, and a
-    matching whose first pair is (a, b) uses only persons above a apart
-    from b in its other pairs.  Each (a, b) thus heads a block of
-    ``_matching_count(persons above a - 1, size - 1)`` matchings.  Skipping
-    whole blocks and recursing on the persons left unranks idx.
-    """
-    free = list(range(n))
-    out = []
-    for left in range(size, 0, -1):
-        x = 0
-        while True:
-            rest = len(free) - x - 2  # persons above free[x], apart from its partner
-            block = _matching_count(rest, left - 1)
-            if idx < (rest + 1) * block:
-                break
-            idx -= (rest + 1) * block
-            x += 1
-        y = x + 1 + idx // block
-        idx %= block
-        out.append((free[x], free[y]))
-        free = free[x + 1 : y] + free[y + 1 :]
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _all_matchings(n: int, size: int) -> tuple:
-    """Every union of ``size`` disjoint edges on n persons, as tuples of pairs.
-
-    The order is that of ``itertools.combinations`` over the sorted pairs,
-    listed by unranking each index in turn, so the cost follows the output.
-    """
-    return tuple(_matching_at(n, size, i) for i in range(_matching_count(n, size)))
+    if size <= 1:
+        return bytes(range(len(_pairs(n)))) if size else b""
+    index = {p: j for j, p in enumerate(_pairs(n))}
+    out = bytearray()
+    for a in range(n - 2 * size + 1):
+        rest = _matching_table(n - a - 2, size - 1)
+        count = len(rest) // (size - 1)
+        for b in range(a + 1, n):
+            free = [p for p in range(a + 1, n) if p != b]
+            relabel = bytes(index[free[x], free[y]] for x, y in _pairs(n - a - 2))
+            moved = rest.translate(relabel.ljust(256, b"\0"))
+            block = bytearray(count * size)
+            block[::size] = bytes((index[a, b],)) * count
+            for j in range(1, size):
+                block[j::size] = moved[j - 1 :: size - 1]
+            out += block
+    return bytes(out)
 
 
 def _matchings(n: int, size: int, rng: random.Random, cap: float = 48):
-    """Preliminary graphs that are unions of ``size`` disjoint edges.
+    """Preliminary graphs that are unions of ``size`` disjoint edges, as pair lists.
 
     Exhaustive while there are at most ``cap`` of them, else ``cap`` drawn
-    by one ``rng.sample`` over the index range of ``_all_matchings`` and
-    unranked, so larger sets are never listed.
+    by one ``rng.sample`` over their indices.  Either way each is read from
+    the tabled listing of _matching_table.
     """
-    count = _matching_count(n, size)
-    if count <= cap:
-        yield from map(list, _all_matchings(n, size))
-    else:
-        for idx in rng.sample(range(count), cap):
-            yield list(_matching_at(n, size, idx))
+    if not size:
+        yield []
+        return
+    table, pairs = _matching_table(n, size), _pairs(n)
+    count = len(table) // size
+    for idx in range(count) if count <= cap else rng.sample(range(count), cap):
+        yield [pairs[j] for j in table[idx * size : (idx + 1) * size]]
 
 
 def _prelim_lists(n: int, size: int, rng: random.Random, general_samples: int = 10,
@@ -292,7 +282,7 @@ def _prelim_lists(n: int, size: int, rng: random.Random, general_samples: int = 
     ``cap`` is _matchings's: with ``math.inf`` every matching is listed.
     """
     yield from _matchings(n, size, rng, cap)  # size 0: the empty list
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    pairs = _pairs(n)
     if size >= 2 and len(pairs) >= 2:
         for _ in range(general_samples):
             yield [pairs[rng.randrange(len(pairs))] for _ in range(size)]
@@ -387,13 +377,21 @@ def _check_l1c(params: LemmaParams):
 
 
 def _check_l2(params: LemmaParams):
-    """Appending ell preliminary calls raises nobody's awareness by more than ell."""
+    """Appending ell preliminary calls raises nobody's awareness by more than ell.
+
+    The gain depends only on the base's final state and the preliminary
+    list (point 1 of _check_tree_prelim), so the box judges each such pair
+    once, on the first base that reaches the state.  Every candidate still
+    yields its outcome, and a violation names its own base.
+    """
     rng = params.rng()
 
-    def judge(n: int, base, before, prelim):
-        after = _aw(n, list(prelim) + list(base))
+    def gain_of(ident, base, before, prelim):
+        after = run_calls(run_calls(ident.copy(), prelim), base)
+        return max(b.bit_count() - a for a, b in zip(before, after))
+
+    def judge(n: int, base, prelim, gain):
         allowed = len(prelim) - params.bound_slack
-        gain = max(b - a for a, b in zip(before, after))
         return None, gain > allowed and Violation(
             _describe(n, base, prelim, max_gain=gain), allowed, gain
         )
@@ -402,22 +400,28 @@ def _check_l2(params: LemmaParams):
     # to min(2, max_prelim) calls; with max_prelim = 0 only the empty list
     ells = range(1, min(2, params.max_prelim) + 1) if params.max_prelim else (0,)
     for n, max_len in ((3, 4), (4, 4)):
-        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        ident = [1 << p for p in range(n)]
+        prelims = [prelim for ell in ells for prelim in itertools.product(_pairs(n), repeat=ell)]
+        gains = {}  # base final state -> the gain of each preliminary list
         for length in range(0, max_len + 1):
-            for base in itertools.product(pairs, repeat=length):
-                before = _aw(n, base)
-                for ell in ells:
-                    for prelim in itertools.product(pairs, repeat=ell):
-                        yield judge(n, base, before, prelim)
+            for base in itertools.product(_pairs(n), repeat=length):
+                final = tuple(run_calls(ident.copy(), base))
+                if final not in gains:
+                    before = [x.bit_count() for x in final]
+                    gains[final] = [gain_of(ident, base, before, p) for p in prelims]
+                for prelim, gain in zip(prelims, gains[final]):
+                    yield judge(n, base, prelim, gain)
     # sampled larger instances; they need n >= 5 and at least one preliminary call
     if params.max_sampled_n >= 5 and params.max_prelim >= 1:
         for _ in range(params.samples):
             n = rng.randrange(5, params.max_sampled_n + 1)
-            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            pairs = _pairs(n)
             base = [pairs[rng.randrange(len(pairs))] for _ in range(rng.randrange(0, 9))]
             ell = rng.randrange(1, params.max_prelim + 1)
             prelim = [pairs[rng.randrange(len(pairs))] for _ in range(ell)]
-            yield judge(n, base, _aw(n, base), prelim)
+            ident = [1 << p for p in range(n)]
+            before = [x.bit_count() for x in run_calls(ident.copy(), base)]
+            yield judge(n, base, prelim, gain_of(ident, base, before, prelim))
 
 
 def _exact_k_trees(params: LemmaParams):
@@ -438,9 +442,11 @@ def _check_l3(params: LemmaParams):
     """
     rng = _streams(params)
     for n, k, base in _exact_k_trees(params):
+        ident = [1 << p for p in range(n)]
         for ell in range(1, params.max_prelim + 1):
             for prelim in _prelim_lists(n, ell, rng(0, ell), cap=math.inf):
-                if min(_aw(n, list(prelim) + list(base))) < k + ell:
+                final = run_calls(run_calls(ident.copy(), prelim), base)
+                if min(map(int.bit_count, final)) < k + ell:
                     yield None  # hypothesis not satisfied
                     continue
                 bound = (1 << (k - 1)) + ell - 1 + params.bound_slack
@@ -495,11 +501,15 @@ def _check_tree_prelim(params: LemmaParams, lemma_id: str):
     rng = _streams(params)
     for m, tree in _tree_classes(params, lemma_id, 4, spare):
         for o in range(0, outsiders + 1):
+            ident = [1 << p for p in range(m + o)]
             for ell in range(o, params.max_prelim + 1):  # o = ell = 0: the tree alone
                 for prelim in _prelim_lists(m + o, ell, rng(o, ell)):
-                    if len({v for p in prelim for v in p if v >= m}) == o:
-                        k = sorted(_aw(m + o, list(prelim) + list(tree))[:m])[spare]
-                        yield _judge_prelim_bound(params, m + o, k, spare, m, tree, prelim)
+                    if o and len({v for p in prelim for v in p if v >= m}) != o:
+                        continue
+                    final = run_calls(run_calls(ident.copy(), prelim), tree)
+                    aw = [x.bit_count() for x in final[:m]]
+                    aw.sort()
+                    yield _judge_prelim_bound(params, m + o, aw[spare], spare, m, tree, prelim)
 
 
 def _check_l5b(params: LemmaParams):
@@ -512,13 +522,15 @@ def _check_l5b(params: LemmaParams):
     """
     rng = _streams(params)
     for m in range(4, min(params.max_sampled_n, SCHEME_SIZE_LIMIT) + 1):
+        ident = [1 << p for p in range(m)]
         limit = None if m == 4 else params.samples
         for s in enumerate_unicyclic_schemes(m, limit=limit, seed=params.seed).schedules:
             if min(_aw(m, s.calls)) < 4:
                 continue
             for i in range(0, min(params.max_prelim, m - 4) + 1):
                 for prelim in _prelim_lists(m, i, rng(0, i), general_samples=5):
-                    k = min(_aw(m, list(prelim) + list(s.calls)))
+                    final = run_calls(run_calls(ident.copy(), prelim), s.calls)
+                    k = min(map(int.bit_count, final))
                     yield _judge_prelim_bound(params, m, k, 1, m, s.calls, prelim)
 
 

@@ -358,6 +358,12 @@ class TestSizeCaps:
         monkeypatch.setitem(cli._METHODS, method, _must_not_run)
         self.assert_rejected(capsys, "synth", method, str(n), "5", "1")
 
+    @pytest.mark.parametrize("method", ["doubling", "tree", "multiblock"])
+    @pytest.mark.parametrize("k", [50_000, 10**9, 10**12])
+    def test_synth_huge_k(self, capsys, method, k):
+        """The threshold 2^(k-i-2) is compared by bit length, never built or printed."""
+        self.assert_rejected(capsys, "synth", method, "60000", str(k), "3")
+
     @pytest.mark.parametrize("n", [MAX_PERSONS + 1, 2**20])
     def test_verify_persons(self, capsys, tmp_path, n):
         f = tmp_path / "big.json"

@@ -126,6 +126,29 @@ class TestMultiblock:
             synth_multiblock(18, 9, 4, 5)
 
 
+class TestHugeK:
+    """A huge k is rejected by comparing bit lengths: 2^(k-i-2) is never built."""
+
+    @pytest.mark.parametrize("k", [50_000, 10**9, 10**12])
+    @pytest.mark.parametrize("synth", [synth_doubling, synth_tree_variant, synth_multiblock])
+    def test_synthesizers_reject(self, synth, k):
+        with pytest.raises(ValidationError) as e:
+            synth(60_000, k, 3)
+        assert len(str(e.value)) < 200
+
+    @pytest.mark.parametrize("k", [50_000, 10**9, 10**12])
+    def test_block_counts(self, k):
+        assert max_feasible_blocks(60_000, k, 3) == 0
+        assert not multiblock_feasible(60_000, k, 3, 1)
+        assert not multiblock_feasible(60_000, k, 3, 2)
+
+    def test_message_names_the_threshold(self):
+        with pytest.raises(ValidationError, match=r"= 1 \+ 2\^2, got n=4"):
+            synth_doubling(4, 5, 1)
+        with pytest.raises(ValidationError, match=r"= 0 \+ 2\^2 \+ 1, got n=4"):
+            synth_tree_variant(4, 4, 0)
+
+
 class TestSweep:
     """Every band position, all three methods, k up to 8 (acceptance goes to 10)."""
 

@@ -1,6 +1,7 @@
 """Lemma suites: zero violations on valid ranges, controls that must fail."""
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -21,7 +22,8 @@ from partialgossip import (
 )
 from partialgossip import lemmas, minimal_informing_tree
 from partialgossip.core import run_calls
-from partialgossip.oracle import TIMEOUT, SearchResult, informing_tree_classes
+from partialgossip.oracle import (TIMEOUT, SearchResult, enumerate_unicyclic_schemes,
+                                  informing_tree_classes)
 from partialgossip.lemmas import LEMMA_IDS
 
 # small ranges so the whole file stays fast; the acceptance suite runs the
@@ -227,6 +229,7 @@ def test_l2_box_respects_max_prelim(max_prelim, expected):
     assert {len(v.instance["preliminary"]) for v in report.violations} == {max_prelim}
 
 
+@functools.cache
 def _reference_all_matchings(n, size):
     """Disjoint-edge unions by filtering every combination of pairs."""
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
@@ -266,39 +269,43 @@ def test_cached_matchings_match_reference(seed):
                 assert ours.getstate() == ref.getstate(), (n, size)
 
 
+def _table_listing(n, size):
+    """The matchings of lemmas._matching_table(n, size) as tuples of pairs."""
+    if not size:
+        return ((),)
+    table, pairs = lemmas._matching_table(n, size), lemmas._pairs(n)
+    return tuple(tuple(pairs[j] for j in table[i : i + size]) for i in range(0, len(table), size))
+
+
 def test_all_matchings_match_reference():
     for n in range(0, 11):
         for size in range(0, 5):
-            assert lemmas._all_matchings(n, size) == _reference_all_matchings(n, size), (n, size)
-
-
-def test_matching_at_unranks_the_listed_order():
-    for n in range(0, 11):
-        for size in range(0, 5):
-            listed = lemmas._all_matchings(n, size)
-            assert lemmas._matching_count(n, size) == len(listed), (n, size)
-            assert [lemmas._matching_at(n, size, i) for i in range(len(listed))] == list(listed)
+            assert _table_listing(n, size) == _reference_all_matchings(n, size), (n, size)
 
 
 def test_all_matchings_cost_follows_output(monkeypatch):
-    """One unranking per listed matching; filtering combinations takes seconds on (10, 6)."""
-    unranked = 0
-    matching_at = lemmas._matching_at
+    """Only tables with entries are built; filtering combinations takes seconds on (10, 6).
 
-    def counting(n, size, idx):
-        nonlocal unranked
-        unranked += 1
-        return matching_at(n, size, idx)
+    Each build is counted with the length of its table: (10, 6) builds
+    itself alone, empty, and (10, 5) only the tables its 945 entries are
+    read from.
+    """
+    builds = []
+    build = lemmas._matching_table.__wrapped__
 
-    monkeypatch.setattr(lemmas, "_matching_at", counting)
-    lemmas._all_matchings.cache_clear()
-    try:
-        assert lemmas._all_matchings(10, 6) == ()
-        assert unranked == 0
-        assert len(lemmas._all_matchings(10, 5)) == 945
-        assert unranked == 945
-    finally:
-        lemmas._all_matchings.cache_clear()
+    @functools.cache
+    def counting(n, size):
+        table = build(n, size)
+        builds.append((n, size, len(table)))
+        return table
+
+    monkeypatch.setattr(lemmas, "_matching_table", counting)
+    assert counting(10, 6) == b""
+    assert builds == [(10, 6, 0)]
+    builds.clear()
+    assert len(counting(10, 5)) == 945 * 5
+    assert builds[-1] == (10, 5, 945 * 5)
+    assert all(length > 0 for n, size, length in builds)
 
 
 def test_all_matchings_count():
@@ -308,7 +315,7 @@ def test_all_matchings_count():
                 math.factorial(n) // (2**s * math.factorial(s) * math.factorial(n - 2 * s))
                 if 2 * s <= n else 0
             )
-            assert len(lemmas._all_matchings(n, s)) == expected, (n, s)
+            assert len(_table_listing(n, s)) == expected, (n, s)
 
 
 @pytest.mark.parametrize("bound_slack", [0, 1])
@@ -325,18 +332,19 @@ def test_suites_unchanged_by_matching_cache(monkeypatch, lemma_id, bound_slack):
 
 
 # the suites that draw preliminary calls through _prelim_lists, the only
-# caller of _matching_count; the other five never read a matching count
+# reader of the matching tables; the other five never read one
 @pytest.mark.parametrize("lemma_id", ["L3", "L4a", "L4b", "L5a", "L5b"])
 def test_suites_unchanged_by_tabled_matching_count(monkeypatch, lemma_id):
     params = LemmaParams(**FAST)
     ours = check_lemma(lemma_id, params)
-    monkeypatch.setattr(lemmas, "_matching_count", lemmas._matching_count.__wrapped__)
+    # every read rebuilds its table, and the tables below it, from scratch
+    monkeypatch.setattr(lemmas, "_matching_table", lemmas._matching_table.__wrapped__)
     ref = check_lemma(lemma_id, params)
     assert ours.to_json_dict() == ref.to_json_dict()
     assert (ours.generated, ours.coverage) == (ref.generated, ref.coverage)
 
 
-def _reference_check_l2(params):
+def _reference_check_l2(params, lemma_id="L2"):
     """L2 as it was before each base was simulated once: two _aw per candidate."""
     rng = params.rng()
 
@@ -366,19 +374,98 @@ def _reference_check_l2(params):
             yield judge(n, base, prelim)
 
 
+def _reference_prelim_lists(n, size, rng, general_samples=10, cap=48):
+    """lemmas._prelim_lists over the reference matchings."""
+    yield from _reference_matchings(n, size, rng, cap)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    if size >= 2 and len(pairs) >= 2:
+        for _ in range(general_samples):
+            yield [pairs[rng.randrange(len(pairs))] for _ in range(size)]
+
+
+def _reference_check_tree_prelim(params, lemma_id):
+    """L3, L4a, L4b, L5a and L5b as they were before each candidate was
+    simulated once: the preliminary list and the base concatenated and run
+    by _aw, the lists read from the reference matchings."""
+    rng, judge = lemmas._streams(params), lemmas._judge_prelim_bound
+    if lemma_id == "L3":
+        for n, k, base in lemmas._exact_k_trees(params):
+            for ell in range(1, params.max_prelim + 1):
+                for prelim in _reference_prelim_lists(n, ell, rng(0, ell), cap=math.inf):
+                    if min(lemmas._aw(n, list(prelim) + list(base))) < k + ell:
+                        yield None
+                        continue
+                    bound = (1 << (k - 1)) + ell - 1 + params.bound_slack
+                    yield (n, k + ell, ell), n < bound and lemmas.Violation(
+                        lemmas._describe(n, base, prelim, k=k, ell=ell), bound, n)
+    elif lemma_id == "L5b":
+        for m in range(4, min(params.max_sampled_n, 8) + 1):
+            limit = None if m == 4 else params.samples
+            for s in enumerate_unicyclic_schemes(m, limit=limit, seed=params.seed).schedules:
+                if min(lemmas._aw(m, s.calls)) < 4:
+                    continue
+                for i in range(0, min(params.max_prelim, m - 4) + 1):
+                    for prelim in _reference_prelim_lists(m, i, rng(0, i), general_samples=5):
+                        k = min(lemmas._aw(m, list(prelim) + list(s.calls)))
+                        yield judge(params, m, k, 1, m, s.calls, prelim)
+    else:
+        outsiders, spare = lemmas._TREE_PRELIM[lemma_id]
+        for m, tree in lemmas._tree_classes(params, lemma_id, 4, spare):
+            for o in range(0, outsiders + 1):
+                for ell in range(o, params.max_prelim + 1):
+                    for prelim in _reference_prelim_lists(m + o, ell, rng(o, ell)):
+                        if len({v for p in prelim for v in p if v >= m}) == o:
+                            k = sorted(lemmas._aw(m + o, list(prelim) + list(tree))[:m])[spare]
+                            yield judge(params, m + o, k, spare, m, tree, prelim)
+
+
 def _same_report(ours, ref):
     assert ours.to_json_dict() == ref.to_json_dict()
     assert (ours.generated, ours.rejected, ours.undecided, ours.coverage) == (
         ref.generated, ref.rejected, ref.undecided, ref.coverage)
 
 
+def _check_against_reference(lemma_id, reference, params):
+    ours = check_lemma(lemma_id, params)
+    _same_report(ours, lemmas._report(lemma_id, reference(params, lemma_id)))
+    return ours
+
+
+_REFERENCES = [
+    ("L2", _reference_check_l2),
+    *[(lid, _reference_check_tree_prelim) for lid in ("L3", "L4a", "L4b", "L5a", "L5b")],
+]
+
+
 @pytest.mark.parametrize("bound_slack", [0, 1])
-@pytest.mark.parametrize("lemma_id,reference", [("L2", _reference_check_l2)])
+@pytest.mark.parametrize("lemma_id,reference", _REFERENCES)
 def test_shared_simulation_matches_reference(lemma_id, reference, bound_slack):
     params = LemmaParams(**FAST, bound_slack=bound_slack)
-    ours, ref = check_lemma(lemma_id, params), lemmas._report(lemma_id, reference(params))
-    _same_report(ours, ref)
+    ours = _check_against_reference(lemma_id, reference, params)
     assert ours.ok == (bound_slack == 0)
+
+
+# fewer tree persons where the reference would filter millions of
+# combinations of five pairs (66 pairs on 12 persons)
+_SMALLER = {
+    "L4a": dict(max_exhaustive_n=9), "L4b": dict(max_exhaustive_n=8),
+    "L5a": dict(max_exhaustive_n=7),
+}
+
+
+@pytest.mark.parametrize("lemma_id,reference,max_prelim", [
+    ("L2", _reference_check_l2, 0), ("L2", _reference_check_l2, 1),
+    *[(lid, _reference_check_tree_prelim, p)
+      for lid in ("L3", "L4a", "L4b", "L5a", "L5b") for p in (0, 5)],
+])
+def test_shared_simulation_matches_reference_at_max_prelim(lemma_id, reference, max_prelim):
+    """FAST itself has max_prelim 2; here no list, a single call, or five calls."""
+    ranges = _SMALLER.get(lemma_id, {}) if max_prelim == 5 else {}
+    params = LemmaParams(**{**FAST, "max_prelim": max_prelim, **ranges})
+    ours = _check_against_reference(lemma_id, reference, params)
+    assert ours.instances_checked > 0 or (lemma_id, max_prelim) == ("L3", 0)  # L3 lifts by >= 1
+    if max_prelim == 5 and lemma_id != "L5b":  # L5b's schemes have at most 5 persons here
+        assert any(i > 0 for n, k, i in ours.coverage)
 
 
 def _most_informed(n: int, k: int, length: int) -> list[int]:
