@@ -25,10 +25,9 @@ relying on a goal invariant under relabeling that no extra call undoes:
   26, 1998): any permutation inside a twin class is an automorphism of the
   state, so two calls whose participants lie in the same unordered pair of
   twin classes give isomorphic children.  The twin partition comes from
-  the canonical form's cells: color refinement is invariant under
-  automorphisms, so twins share a color.  Only the first such call at a
-  node is expanded; the others inherit its refutation, whether it was
-  explored, cut by the bound or asleep;
+  the cells of equal (row, column) degrees, which twins share.  Only the
+  first such call at a node is expanded; the others inherit its
+  refutation, whether it was explored, cut by the bound or asleep;
 * sleep sets (Godefroid, *Partial-Order Methods for the Verification of
   Concurrent Systems*, LNCS 1032, 1996): calls with no common participant
   commute.  A child skips the calls in its sleep set: its parent's sleep
@@ -47,8 +46,17 @@ relying on a goal invariant under relabeling that no extra call undoes:
 Every child cut by these levers provably cannot finish within the calls
 left, so a memo entry stays a fact about its state alone.
 
-Cost levers that change no answer, witness or counter:
+Cost levers that change no answer, witness or counter (lazy keys change
+only ``keys`` and ``canon_inexact``, which count the keys computed):
 
+* lazy keys, a cheap invariant before the canonical labelling (McKay &
+  Piperno, *Practical graph isomorphism II*, J. Symb. Comput. 60, 2014):
+  the memo is bucketed by the sorted (row, column) degree pairs, which
+  equal keys share.  A keyed node computes only those degrees and its twin
+  map.  A bucket that holds one raw state is compared by raw equality;
+  ``canonical_form`` runs only when a bucket already holds a different raw
+  state, and then for both.  So the memo hits are those of keying every
+  state;
 * bound cuts counted by class mask: once someone knows k gossips a child's
   bound is ceil(child_below / 2), and a call lowers the count below k by 0,
   1 or 2.  So a node's slack says by the class of a call alone (between two
@@ -59,8 +67,9 @@ Cost levers that change no answer, witness or counter:
 * refinement only of shared color cells: a person alone in its cell keeps
   its place in the order, so a round computes signatures only for the
   persons that share a cell;
-* a bounded table of canonical forms per search (_FORM_CACHE): iterative
-  deepening enters each keyed state again in the next pass, one ply deeper.
+* a bounded table of degree probes and computed keys per search
+  (_FORM_CACHE): iterative deepening enters each keyed state again in the
+  next pass, one ply deeper.
 
 In the band regime the full goal skips the find pass (a partial goal gets
 no candidate).  ``synth_doubling`` builds a candidate of n+i calls; if
@@ -104,10 +113,12 @@ DEPTH_EXHAUSTED = "depth-exhausted"
 # Three plies quadruple (12,4)'s nodes, whose find pass then loses.
 _UNKEYED_PLIES = 2
 
-# How many keyed states a search keeps the canonical form of, the first it
-# meets: the shallow ones recur in every later pass.  The perfbench
-# oracle_search instances' 4,239 canonical forms become 2,787 (no repeat
-# left), (11,6)'s 13,470 become 11,070, for a few hundred bytes an entry.
+# How many keyed states a search keeps the degree probe and, once computed,
+# the canonical key of, the first it meets: the shallow ones recur in every
+# later pass.  On the perfbench oracle_search instances the table turns
+# 4,239 probes into 2,787 and 1,963 keys into 1,311 (no repeat left); at
+# (11,6) 13,470 probes into 11,070 and 8,668 keys into 7,313.  An entry
+# holds a few hundred bytes.
 _FORM_CACHE = 2048
 
 # States whose color cells admit more twin-class arrangements than this are
@@ -146,7 +157,8 @@ class SearchResult:
     # the lower bound), unkeyed (refuted states left without a key within
     # _UNKEYED_PLIES of the depth), orbit_cuts (calls skipped as isomorphic
     # to an earlier sibling), sleep_cuts (calls skipped by the sleep set),
-    # canon_inexact (memo keys that fell back past _CANON_PERM_CAP),
+    # keys (canonical keys computed: a memo bucket held another raw state),
+    # canon_inexact (those of them that fell back past _CANON_PERM_CAP),
     # find_nodes (nodes of the pass that found the witness; 0 when the
     # doubling schedule is it) and passes (one dict per depth searched: the
     # depth, then that pass's share of the nodes and of the counters before
@@ -357,6 +369,36 @@ def canonical_form(state: tuple[int, ...], n: int) -> tuple[tuple[int, ...], lis
     return best, rep, True  # type: ignore[return-value]
 
 
+def _degree_probe(state: tuple[int, ...], n: int) -> tuple[tuple[int, ...], list[int]]:
+    """The degree invariant and the twin map, without the canonical key.
+
+    The invariant is the sorted list of (how much p knows, how widely p's
+    gossip is known) over the persons p: equal keys give equal invariants.
+    Twins share those degrees, so splitting each cell of equal degrees
+    into twin classes, persons in ascending order, gives canonical_form's
+    twin map: the same classes, each with its smallest person first.
+    """
+    col = [0] * n  # col[g]: the persons who know gossip g, as a bitmask
+    for p, row in enumerate(state):
+        bit = 1 << p
+        for g in _bits(row):
+            col[g] |= bit
+    width = n.bit_length()
+    sigs = [row.bit_count() << width | c.bit_count() for row, c in zip(state, col)]
+    cells: dict[int, list[int]] = {}
+    for p, sig in enumerate(sigs):
+        cells.setdefault(sig, []).append(p)
+    rep = list(range(n))
+    if len(cells) < n:
+        for cell in cells.values():
+            if len(cell) > 1:
+                for cls in _twin_classes(cell, state, col):
+                    for p in cls[1:]:
+                        rep[p] = cls[0]
+    sigs.sort()
+    return tuple(sigs), rep
+
+
 def canonical_key(state: tuple[int, ...], n: int) -> tuple[int, ...]:
     """A representative of the state's joint-relabeling equivalence class."""
     return canonical_form(state, n)[0]
@@ -468,11 +510,14 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
     # commute[j]: the calls sharing no participant with call j
     commute = [every & ~(touches[a] | touches[b]) for a, b in pairs]
     initial = tuple(1 << p for p in range(n))
-    memo: dict[tuple[int, ...], int] = {}
-    # keyed state -> (canonical key, orbit-duplicate mask, exact)
-    forms: dict[tuple[int, ...], tuple[tuple[int, ...], int, bool]] = {}
+    # degree invariant -> (the one raw state refuted with it, its depth), or
+    # -> {canonical key: depth} once a second raw state came
+    memo: dict[tuple[int, ...], tuple[tuple[int, ...], int] | dict[tuple[int, ...], int]] = {}
+    entries = 0  # canonical classes in the memo
+    # keyed state -> [degree invariant, orbit-duplicate mask, canonical key or None]
+    forms: dict[tuple[int, ...], list] = {}
     nodes = memo_hits = memo_stores = memo_refused = lb_prunes = orbit_cuts = sleep_cuts = 0
-    unkeyed = canon_inexact = find_nodes = 0
+    unkeyed = keys = canon_inexact = find_nodes = 0
     passes: list[dict[str, int]] = []
     next_clock_check = 4096
 
@@ -480,8 +525,26 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
         """The nodes and the counters that every pass reports."""
         return {"nodes": nodes, "memo_hits": memo_hits, "memo_stores": memo_stores,
                 "memo_refused": memo_refused, "lb_prunes": lb_prunes, "unkeyed": unkeyed,
-                "orbit_cuts": orbit_cuts, "sleep_cuts": sleep_cuts,
+                "orbit_cuts": orbit_cuts, "sleep_cuts": sleep_cuts, "keys": keys,
                 "canon_inexact": canon_inexact}
+
+    def key_of(state: tuple[int, ...], form: list | None) -> tuple[int, ...]:
+        """The canonical key of a state, from its forms entry when that holds it."""
+        nonlocal keys, canon_inexact
+        if form is not None and form[2] is not None:
+            return form[2]
+        key, _, exact = canonical_form(state, n)
+        keys += 1
+        canon_inexact += not exact
+        if form is not None:
+            form[2] = key
+        return key
+
+    def bucket_of(invariant: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        """The invariant's memo entries by canonical key, keying its one raw state."""
+        raw, depth = memo[invariant]
+        bucket = memo[invariant] = {key_of(raw, forms.get(raw)): depth}
+        return bucket
 
     def dfs(state: tuple[int, ...], remaining: int, sleep: int, below: int,
             best: int) -> list[tuple[int, int]] | None:
@@ -505,7 +568,7 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
         of them, which gives the counters of a visit to every call.
         """
         nonlocal nodes, memo_hits, memo_stores, memo_refused, lb_prunes
-        nonlocal orbit_cuts, sleep_cuts, unkeyed, canon_inexact, next_clock_check
+        nonlocal orbit_cuts, sleep_cuts, unkeyed, entries, next_clock_check
         nodes += 1
         if nodes >= next_clock_check:
             next_clock_check = nodes + 4096
@@ -517,15 +580,25 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
         if keyed:
             form = forms.get(state)
             if form is None:
-                key, rep, exact = canonical_form(state, n)
-                form = key, _orbit_duplicates(rep), exact
+                invariant, rep = _degree_probe(state, n)
+                form = [invariant, _orbit_duplicates(rep), None]
                 if len(forms) < _FORM_CACHE:
                     forms[state] = form
-            key, duplicate, exact = form
-            canon_inexact += not exact
-            if memo.get(key, -1) >= remaining:
-                memo_hits += 1
-                return None
+            invariant, duplicate, key = form
+            bucket = memo.get(invariant)
+            if bucket is not None:
+                if type(bucket) is tuple:
+                    if bucket[0] == state:
+                        depth = bucket[1]
+                    else:  # a second raw state: key both
+                        key = key_of(state, form)
+                        depth = bucket_of(invariant).get(key, -1)
+                else:
+                    key = key_of(state, form)
+                    depth = bucket.get(key, -1)
+                if depth >= remaining:
+                    memo_hits += 1
+                    return None
         else:
             duplicate = 0
         noop = 0  # calls between persons with equal rows
@@ -589,8 +662,19 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
             return found
         if not keyed:
             unkeyed += 1
-        elif len(memo) < cfg.memo_limit:
-            memo[key] = remaining
+        elif entries < cfg.memo_limit:
+            # the subtree may have filled or keyed this state's bucket since
+            bucket = memo.get(invariant)
+            if bucket is None or type(bucket) is tuple and bucket[0] == state:
+                entries += bucket is None
+                memo[invariant] = state, remaining
+            else:
+                if type(bucket) is tuple:
+                    bucket = bucket_of(invariant)
+                if key is None:
+                    key = key_of(state, form)
+                entries += key not in bucket
+                bucket[key] = remaining
             memo_stores += 1
         else:
             memo_refused += 1

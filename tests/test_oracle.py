@@ -32,61 +32,60 @@ from partialgossip.oracle import (
 
 # (n, k, goal): min_calls, witness, refuted_depth, nodes, the stats counters
 # in _PINNED_STATS order, and per pass (depth, nodes, counters but find_nodes).
-# Band-regime refutations, find passes and partial goals; (8,6) keys one
-# state inexactly.
+# Band-regime refutations, find passes and partial goals.
 _PINNED_STATS = ("memo_hits", "memo_stores", "memo_refused", "lb_prunes", "unkeyed",
-                 "orbit_cuts", "sleep_cuts", "canon_inexact", "find_nodes")
+                 "orbit_cuts", "sleep_cuts", "keys", "canon_inexact", "find_nodes")
 _PINNED = {
     (8, 6, None): (10,
         [(0, 2), (1, 2), (2, 3), (4, 5), (2, 4), (3, 5), (0, 2), (1, 2), (2, 6), (2, 7)],
         9, 40559,
-        (337, 633, 0, 37236, 2353, 3250, 28420, 1, 0),
-        [(6, 10, 0, 3, 0, 7, 0, 73, 0, 0),
-         (7, 54, 2, 10, 0, 42, 0, 177, 36, 0),
-         (8, 725, 23, 58, 0, 632, 12, 525, 578, 0),
-         (9, 39770, 312, 562, 0, 36555, 2341, 2475, 27806, 1)]),
+        (337, 633, 0, 37236, 2353, 3250, 28420, 297, 0, 0),
+        [(6, 10, 0, 3, 0, 7, 0, 73, 0, 0, 0),
+         (7, 54, 2, 10, 0, 42, 0, 177, 36, 2, 0),
+         (8, 725, 23, 58, 0, 632, 12, 525, 578, 25, 0),
+         (9, 39770, 312, 562, 0, 36555, 2341, 2475, 27806, 270, 0)]),
     (9, 6, None): (10,
         [(0, 1), (1, 2), (3, 4), (1, 3), (2, 4), (1, 5), (2, 6), (3, 7), (4, 8), (0, 1)],
         9, 3647,
-        (174, 154, 0, 3219, 100, 1775, 3043, 0, 0),
-        [(7, 10, 0, 3, 0, 7, 0, 97, 0, 0),
-         (8, 54, 2, 10, 0, 42, 0, 248, 45, 0),
-         (9, 3583, 172, 141, 0, 3170, 100, 1430, 2998, 0)]),
+        (174, 154, 0, 3219, 100, 1775, 3043, 92, 0, 0),
+        [(7, 10, 0, 3, 0, 7, 0, 97, 0, 0, 0),
+         (8, 54, 2, 10, 0, 42, 0, 248, 45, 2, 0),
+         (9, 3583, 172, 141, 0, 3170, 100, 1430, 2998, 90, 0)]),
     (10, 5, None): (10,
         [(0, 1), (2, 3), (0, 2), (1, 3), (0, 4), (1, 5), (2, 6), (3, 7), (0, 8), (0, 9)],
         9, 7376,
-        (220, 320, 0, 6690, 146, 5612, 6831, 0, 0),
-        [(7, 10, 0, 3, 0, 7, 0, 124, 0, 0),
-         (8, 174, 3, 21, 0, 150, 0, 549, 190, 0),
-         (9, 7192, 217, 296, 0, 6533, 146, 4939, 6641, 0)]),
+        (220, 320, 0, 6690, 146, 5612, 6831, 167, 0, 0),
+        [(7, 10, 0, 3, 0, 7, 0, 124, 0, 0, 0),
+         (8, 174, 3, 21, 0, 150, 0, 549, 190, 4, 0),
+         (9, 7192, 217, 296, 0, 6533, 146, 4939, 6641, 163, 0)]),
     (6, 3, None): (5,
         [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)],
         4, 190,
-        (0, 2, 0, 167, 15, 26, 24, 0, 139),
-        [(4, 51, 0, 2, 0, 45, 4, 26, 6, 0),
-         (5, 139, 0, 0, 0, 122, 11, 0, 18, 0)]),
+        (0, 2, 0, 167, 15, 26, 24, 0, 0, 139),
+        [(4, 51, 0, 2, 0, 45, 4, 26, 6, 0, 0),
+         (5, 139, 0, 0, 0, 122, 11, 0, 18, 0, 0)]),
     (7, 4, None): (7,
         [(0, 1), (0, 2), (0, 1), (0, 3), (0, 4), (1, 5), (2, 6)],
         6, 744,
-        (0, 9, 0, 677, 50, 125, 240, 0, 82),
-        [(5, 4, 0, 2, 0, 2, 0, 38, 0, 0),
-         (6, 658, 0, 7, 0, 605, 46, 86, 225, 0),
-         (7, 82, 0, 0, 0, 70, 4, 1, 15, 0)]),
+        (0, 9, 0, 677, 50, 125, 240, 0, 0, 82),
+        [(5, 4, 0, 2, 0, 2, 0, 38, 0, 0, 0),
+         (6, 658, 0, 7, 0, 605, 46, 86, 225, 0, 0),
+         (7, 82, 0, 0, 0, 70, 4, 1, 15, 0, 0)]),
     (8, 6, 5): (7,
         [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 1), (4, 6)],
         6, 121,
-        (2, 18, 0, 93, 0, 343, 45, 0, 57),
-        [(5, 10, 0, 3, 0, 7, 0, 73, 0, 0),
-         (6, 54, 2, 10, 0, 42, 0, 177, 36, 0),
-         (7, 57, 0, 5, 0, 44, 0, 93, 9, 0)]),
+        (2, 18, 0, 93, 0, 343, 45, 2, 0, 57),
+        [(5, 10, 0, 3, 0, 7, 0, 73, 0, 0, 0),
+         (6, 54, 2, 10, 0, 42, 0, 177, 36, 2, 0),
+         (7, 57, 0, 5, 0, 44, 0, 93, 9, 0, 0)]),
     (10, 6, 7): (9,
         [(0, 1), (0, 2), (0, 3), (0, 4), (0, 1), (0, 5), (0, 2), (1, 6), (4, 7)],
         8, 31325,
-        (31, 113, 0, 29933, 1238, 2600, 21782, 0, 15300),
-        [(6, 10, 0, 3, 0, 7, 0, 124, 0, 0),
-         (7, 54, 2, 10, 0, 42, 0, 329, 54, 0),
-         (8, 15961, 23, 58, 0, 15255, 625, 1264, 11162, 0),
-         (9, 15300, 6, 42, 0, 14629, 613, 883, 10566, 0)]),
+        (31, 113, 0, 29933, 1238, 2600, 21782, 27, 0, 15300),
+        [(6, 10, 0, 3, 0, 7, 0, 124, 0, 0, 0),
+         (7, 54, 2, 10, 0, 42, 0, 329, 54, 2, 0),
+         (8, 15961, 23, 58, 0, 15255, 625, 1264, 11162, 25, 0),
+         (9, 15300, 6, 42, 0, 14629, 613, 883, 10566, 0, 0)]),
 }
 
 
@@ -137,9 +136,9 @@ class TestMinCalls:
     def test_stats_counted_per_search(self):
         r = min_calls_bruteforce(6, 6)
         assert set(r.stats) == {"memo_hits", "memo_stores", "memo_refused", "lb_prunes",
-                                "unkeyed", "orbit_cuts", "sleep_cuts", "canon_inexact",
+                                "unkeyed", "orbit_cuts", "sleep_cuts", "keys", "canon_inexact",
                                 "find_nodes", "passes"}
-        for name in ("memo_hits", "lb_prunes", "unkeyed", "orbit_cuts", "sleep_cuts"):
+        for name in ("memo_hits", "lb_prunes", "unkeyed", "orbit_cuts", "sleep_cuts", "keys"):
             assert r.stats[name] > 0, name
         assert r.stats["memo_refused"] == r.stats["canon_inexact"] == r.stats["find_nodes"] == 0
         # the doubling schedule settled the search: every node was refuted
@@ -168,11 +167,23 @@ class TestMinCalls:
         assert r.min_calls == p_min_calls(5, 5)
         assert r.stats["memo_stores"] == 0 and r.stats["memo_refused"] > 0
 
-    def test_inexact_keys_are_counted(self):
-        # one keyed state has more twin-class arrangements than the cap
-        r = min_calls_bruteforce(12, 4)
-        assert r.min_calls == p_min_calls(12, 4)
-        assert r.stats["canon_inexact"] == 1
+    def test_inexact_keys_are_counted(self, monkeypatch):
+        """keys counts the canonical keys computed, canon_inexact those past the cap."""
+        computed = []
+        form = oracle.canonical_form
+
+        def counted(state, n):
+            out = form(state, n)
+            computed.append(out[2])
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "canonical_form", counted)
+            patch.setattr(oracle, "_CANON_PERM_CAP", 2)
+            r = min_calls_bruteforce(10, 6)
+        assert r.min_calls == p_min_calls(10, 6)
+        assert r.stats["keys"] == len(computed) > 0
+        assert r.stats["canon_inexact"] == computed.count(False) > 0
         # (12,2) meets states past the cap only within the unkeyed plies:
         # four or five disjoint calls, 8!/2^4 and 10!/2^5 arrangements
         r = min_calls_bruteforce(12, 2)
@@ -282,6 +293,38 @@ class TestMinCalls:
             assert run() == ours
         finally:
             informing_tree_classes.cache_clear()
+
+    def test_lazy_keys_equal_eager_keys(self, monkeypatch):
+        """Keying every keyed node gives the same search but for the key counters.
+
+        A constant degree invariant puts every state in one memo bucket, so
+        every keyed node after the first computes its canonical key.
+        """
+        cases = [(n, k, goal) for n in range(2, 9) for k in range(2, n + 1)
+                 for goal in (None, n - 2) if goal != 0]
+        cases += [(10, 6, None), (10, 6, 7)]
+
+        def run():
+            searches = []
+            keys = 0
+            for n, k, goal in cases:
+                r = min_calls_bruteforce(n, k, goal=goal)
+                keys += r.stats["keys"]
+                stats = {name: value for name, value in r.stats.items()
+                         if name not in ("keys", "canon_inexact", "passes")}
+                passes = [{name: value for name, value in entry.items()
+                           if name not in ("keys", "canon_inexact")}
+                          for entry in r.stats["passes"]]
+                searches.append((r.status, r.min_calls, r.witness.calls, r.refuted_depth,
+                                 r.nodes, stats, passes))
+            return searches, keys
+
+        lazy, lazy_keys = run()
+        probe = oracle._degree_probe
+        monkeypatch.setattr(oracle, "_degree_probe", lambda state, n: ((), probe(state, n)[1]))
+        eager, eager_keys = run()
+        assert eager == lazy
+        assert eager_keys > lazy_keys
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_partial_goal_matches_breadth_first_reference(self, n):
