@@ -38,6 +38,7 @@ from .constructions import (
     multiblock_feasible,
     synth_doubling,
     synth_multiblock,
+    synth_tree_copies,
     synth_tree_variant,
 )
 from .graph import (
@@ -106,6 +107,7 @@ __all__ = [
     "swap_blocks",
     "synth_doubling",
     "synth_multiblock",
+    "synth_tree_copies",
     "synth_tree_variant",
     "t_value",
     "to_dot",

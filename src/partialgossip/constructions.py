@@ -1,9 +1,10 @@
-"""Deterministic synthesizers emitting provably optimal schedules of n+i calls.
+"""Deterministic synthesizers emitting provably optimal schedules.
 
-All three builders share the doubling idea: repeatedly let the first 2^r
-best-informed members of a block call the next 2^r members, doubling the
-count of maximally informed persons per round.  Person layout is fixed so
-output is reproducible byte for byte:
+The band-regime builders emit n+i calls, the first-regime one (copies of
+the minimal informing tree) n - floor(n/2^(k-1)).  All share the doubling
+idea: repeatedly let the first 2^r best-informed members of a block call
+the next 2^r members, doubling the count of maximally informed persons per
+round.  Person layout is fixed so output is reproducible byte for byte:
 
     helpers X = {0..i-1},  hub A = i (tree/multi-block variants only),
     doubling blocks next, leftover persons Z last.
@@ -142,6 +143,28 @@ def _hub_scheme(n: int, k: int, i: int, blocks: int) -> Schedule:
     calls += [(y1, z) for z in range(next_person, n)]   # sweep leftovers Z
     calls += [(y1, x) for x in range(i)]                # closing: helpers X ...
     calls.append((y1, hub))                             # ... then the hub A
+    return Schedule(n, calls)
+
+
+def synth_tree_copies(n: int, k: int) -> Schedule:
+    """First-regime scheme of n - floor(n/2^(k-1)) calls, for n >= 2^(k-1)-1.
+
+    floor(n/2^(k-1)) disjoint copies of minimal_informing_tree(k), then each
+    leftover person calls the first copy's first person.  With no whole copy
+    (n = 2^(k-1)-1) it is the doubling scheme of n calls for k >= 4 and the
+    triangle for k = 3.
+    """
+    if k < 2:
+        raise ValidationError(f"k must be >= 2, got {k}")
+    if (n + 1).bit_length() < k:  # n < 2^(k-1) - 1, tested without building 2^(k-1)
+        raise ValidationError(f"first regime needs n >= 2^(k-1)-1 = 2^{k - 1} - 1, got n={n}")
+    size = 1 << (k - 1)
+    copies = n // size
+    if not copies:
+        return synth_doubling(n, k, 0) if k >= 4 else Schedule(3, [(0, 1), (1, 2), (0, 2)])
+    tree = minimal_informing_tree(k).calls
+    calls = [(a + c * size, b + c * size) for c in range(copies) for a, b in tree]
+    calls += [(0, z) for z in range(copies * size, n)]
     return Schedule(n, calls)
 
 

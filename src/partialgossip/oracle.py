@@ -71,10 +71,12 @@ only ``keys`` and ``canon_inexact``, which count the keys computed):
   (_FORM_CACHE): iterative deepening enters each keyed state again in the
   next pass, one ply deeper.
 
-In the band regime the full goal skips the find pass (a partial goal gets
-no candidate).  ``synth_doubling`` builds a candidate of n+i calls; if
-simulation shows it is k-informing, the passes below its length are refuted
-exhaustively and the candidate is the witness.  An extra call never removes
+The full goal skips the find pass in both regimes (a partial goal gets no
+candidate).  The closed form's construction builds a candidate:
+``synth_doubling`` of n+i calls in the band regime, ``synth_tree_copies``
+of n - floor(n/2^(k-1)) calls in the first.  If simulation shows it is
+k-informing, the passes below its length are refuted exhaustively and the
+candidate is the witness.  An extra call never removes
 knowledge, so that proves the minimum; the closed form only picks the
 candidate.  A candidate that is missing, fails the simulation or exceeds
 ``max_depth``, or a shallower pass that finds a schedule, leaves the search
@@ -97,7 +99,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .constructions import synth_doubling
+from .constructions import synth_doubling, synth_tree_copies
 from .core import Schedule, ValidationError, is_k_informing, simulate
 from .formulas import REGIME_BAND, classify_regime
 
@@ -160,7 +162,7 @@ class SearchResult:
     # keys (canonical keys computed: a memo bucket held another raw state),
     # canon_inexact (those of them that fell back past _CANON_PERM_CAP),
     # find_nodes (nodes of the pass that found the witness; 0 when the
-    # doubling schedule is it) and passes (one dict per depth searched: the
+    # closed form's schedule is it) and passes (one dict per depth searched: the
     # depth, then that pass's share of the nodes and of the counters before
     # find_nodes).  On TIMEOUT the nodes, lb_prunes, orbit_cuts and
     # sleep_cuts can read lower than a call-by-call visit would count: the
@@ -468,17 +470,20 @@ def _bound(below: int, best: int, k: int) -> int:
     return rounds + max(0, (below - 2 + 1) // 2)
 
 
-def _doubling_certificate(n: int, k: int) -> Schedule | None:
-    """The band-regime doubling schedule on n persons, if simulation shows it k-informing.
+def _certificate(n: int, k: int) -> Schedule | None:
+    """The closed form's schedule on n persons, if simulation shows it k-informing.
 
-    The search uses it only once its length is a depth it may try, so a
-    candidate longer than ``max_depth`` is never returned.
+    In the band regime it is the doubling schedule of n+i calls, in the
+    first the copies of the minimal informing tree.  The search uses it
+    only once its length is a depth it may try, so a candidate longer than
+    ``max_depth`` is never returned.
     """
     regime = classify_regime(n, k)
-    if regime.kind != REGIME_BAND:
-        return None
     try:
-        cand = synth_doubling(n, k, regime.i)
+        if regime.kind == REGIME_BAND:
+            cand = synth_doubling(n, k, regime.i)
+        else:
+            cand = synth_tree_copies(n, k)
     except ValidationError:
         return None
     return cand if cand.n == n and is_k_informing(cand, k) else None
@@ -490,8 +495,9 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
 
     Iterative deepening: depth d is only reported once every depth < d has
     been exhaustively refuted, so a FOUND result is the true minimum.  Only
-    with the full goal, at the length of a k-informing doubling schedule the
-    search stops and returns that schedule instead of running the find pass.
+    with the full goal, at the length of a k-informing schedule built by the
+    closed form's construction, the search stops and returns that schedule
+    instead of running the find pass.
     """
     if not 2 <= k <= n:
         raise ValidationError(f"need 2 <= k <= n, got n={n}, k={k}")
@@ -502,7 +508,7 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
         raise ValidationError(f"need 1 <= goal <= n, got goal={goal}, n={n}")
     spare = n - goal  # persons that may stay below k
     cfg = cfg or SearchConfig()
-    certificate = _doubling_certificate(n, k) if spare == 0 else None
+    certificate = _certificate(n, k) if spare == 0 else None
     deadline = time.monotonic() + cfg.time_budget
     start_time = time.monotonic()
     pairs, touches = _pair_tables(n)

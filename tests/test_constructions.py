@@ -1,4 +1,4 @@
-"""The three schedule synthesizers: exact call counts, informing, structure."""
+"""The schedule synthesizers: exact call counts, informing, structure."""
 from __future__ import annotations
 
 import pytest
@@ -19,6 +19,7 @@ from partialgossip import (
     simulate,
     synth_doubling,
     synth_multiblock,
+    synth_tree_copies,
     synth_tree_variant,
     t_value,
 )
@@ -169,6 +170,31 @@ class TestSweep:
                         assert len(s.calls) == n + i
                         assert is_k_informing(s, k)
                         assert is_spanning_tree(Schedule(n, s.calls[: n - 1]))
+
+
+class TestTreeCopies:
+    """The first-regime builder, n >= 2^(k-1)-1."""
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_exact_counts_and_informing(self, k):
+        for n in range(max(k, (1 << (k - 1)) - 1), 300):
+            s = synth_tree_copies(n, k)
+            assert s.n == n and len(s.calls) == p_min_calls(n, k), n
+            assert is_k_informing(s, k), n
+
+    def test_layout(self):
+        tree = minimal_informing_tree(4).calls
+        s = synth_tree_copies(19, 4)  # two copies of 8 persons, three leftovers
+        assert s.calls == (tree + tuple((a + 8, b + 8) for a, b in tree)
+                           + ((0, 16), (0, 17), (0, 18)))
+        assert synth_tree_copies(3, 3).calls == ((0, 1), (1, 2), (0, 2))
+        assert synth_tree_copies(7, 4).calls == synth_doubling(7, 4, 0).calls
+
+    @pytest.mark.parametrize("n,k", [(6, 4), (2, 3), (3, 1), (60_000, 10**9)])
+    def test_rejects_outside_the_first_regime(self, n, k):
+        with pytest.raises(ValidationError) as e:
+            synth_tree_copies(n, k)
+        assert len(str(e.value)) < 200
 
 
 class TestMinimalInformingTree:

@@ -59,18 +59,16 @@ _PINNED = {
          (8, 174, 3, 21, 0, 150, 0, 549, 190, 4, 0),
          (9, 7192, 217, 296, 0, 6533, 146, 4939, 6641, 163, 0)]),
     (6, 3, None): (5,
-        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)],
-        4, 190,
-        (0, 2, 0, 167, 15, 26, 24, 0, 0, 139),
-        [(4, 51, 0, 2, 0, 45, 4, 26, 6, 0, 0),
-         (5, 139, 0, 0, 0, 122, 11, 0, 18, 0, 0)]),
+        [(0, 1), (0, 2), (1, 3), (0, 4), (0, 5)],
+        4, 51,
+        (0, 2, 0, 45, 4, 26, 6, 0, 0, 0),
+        [(4, 51, 0, 2, 0, 45, 4, 26, 6, 0, 0)]),
     (7, 4, None): (7,
-        [(0, 1), (0, 2), (0, 1), (0, 3), (0, 4), (1, 5), (2, 6)],
-        6, 744,
-        (0, 9, 0, 677, 50, 125, 240, 0, 0, 82),
+        [(0, 1), (2, 3), (0, 2), (1, 3), (0, 4), (0, 5), (0, 6)],
+        6, 662,
+        (0, 9, 0, 607, 46, 124, 225, 0, 0, 0),
         [(5, 4, 0, 2, 0, 2, 0, 38, 0, 0, 0),
-         (6, 658, 0, 7, 0, 605, 46, 86, 225, 0, 0),
-         (7, 82, 0, 0, 0, 70, 4, 1, 15, 0, 0)]),
+         (6, 658, 0, 7, 0, 605, 46, 86, 225, 0, 0)]),
     (8, 6, 5): (7,
         [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 1), (4, 6)],
         6, 121,
@@ -133,7 +131,7 @@ class TestMinCalls:
         finally:
             gc.enable()
 
-    def test_stats_counted_per_search(self):
+    def test_stats_counted_per_search(self, monkeypatch):
         r = min_calls_bruteforce(6, 6)
         assert set(r.stats) == {"memo_hits", "memo_stores", "memo_refused", "lb_prunes",
                                 "unkeyed", "orbit_cuts", "sleep_cuts", "keys", "canon_inexact",
@@ -141,13 +139,14 @@ class TestMinCalls:
         for name in ("memo_hits", "lb_prunes", "unkeyed", "orbit_cuts", "sleep_cuts", "keys"):
             assert r.stats[name] > 0, name
         assert r.stats["memo_refused"] == r.stats["canon_inexact"] == r.stats["find_nodes"] == 0
-        # the doubling schedule settled the search: every node was refuted
+        # the closed form's schedule settled the search: every node was refuted
         assert (r.stats["memo_hits"] + r.stats["memo_stores"] + r.stats["memo_refused"]
                 + r.stats["lb_prunes"] + r.stats["unkeyed"]) == r.nodes
         assert min_calls_bruteforce(6, 6).stats == r.stats
         _assert_passes_add_up(r, range(5, 8))
-        # first regime: the find pass runs, and goals and the nodes on the
-        # witness path are neither pruned nor stored
+        # without a certificate the find pass runs, and goals and the nodes
+        # on the witness path are neither pruned nor stored
+        monkeypatch.setattr(oracle, "_certificate", lambda n, k: None)
         r = min_calls_bruteforce(6, 3)
         assert 0 < r.stats["find_nodes"] < r.nodes
         assert (r.stats["memo_hits"] + r.stats["memo_stores"] + r.stats["memo_refused"]
@@ -194,31 +193,36 @@ class TestMinCalls:
             assert canonical_form(state, 12)[2] is exact, calls
 
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_matches_reference_search(self, n):
-        """The cuts and the doubling certificate keep the answer and add no keyed node.
+    def test_matches_reference_search(self, monkeypatch, n):
+        """The cuts and the certificate keep the answer and add no keyed node.
 
-        A search the find pass settled gives the reference's witness; one
-        the doubling schedule settled gives a k-informing witness of the
-        same length and visits no more nodes.  The nodes near the leaves
-        go without a key, so a find pass may visit more nodes than the
-        reference, which keys all of them; the keyed nodes, at most the
-        memo's hits, stores and refusals plus those on the witness path,
-        are never more.  Up to six persons the plain reference, keyed by
-        raw states and expanding no-op calls, gives the same answer and
-        witness too.
+        The certificate settles every full goal with a k-informing witness
+        of the reference's length.  Up to seven persons the find pass, run
+        with the certificate taken away, gives the reference's witness.
+        The nodes near the leaves go without a key, so a search may visit
+        more nodes than the reference, which keys all of them; the keyed
+        nodes, at most the memo's hits, stores and refusals plus those on
+        the witness path, are never more.  Up to six persons the plain
+        reference, keyed by raw states and expanding no-op calls, gives the
+        same answer and witness too.
         """
         for k in range(2, (6 if n == 8 else n) + 1):
             r = min_calls_bruteforce(n, k)
             min_calls, calls, nodes = _reference_search(n, k)
-            if r.stats["find_nodes"] == 0:
-                assert r.min_calls == min_calls
-                assert len(r.witness.calls) == min_calls and is_k_informing(r.witness, k)
-                assert r.refuted_depth == min_calls - 1
-                assert r.nodes <= nodes
-            else:
-                assert (r.min_calls, r.witness.calls) == (min_calls, calls)
-            keyed = r.stats["memo_hits"] + r.stats["memo_stores"] + r.stats["memo_refused"]
-            assert keyed + len(r.witness.calls) <= nodes
+            assert (r.min_calls, r.stats["find_nodes"]) == (min_calls, 0)
+            assert len(r.witness.calls) == min_calls and is_k_informing(r.witness, k)
+            assert r.refuted_depth == min_calls - 1
+            searches = [r]
+            if n <= 7:
+                with monkeypatch.context() as patch:
+                    patch.setattr(oracle, "_certificate", lambda n, k: None)
+                    found = min_calls_bruteforce(n, k)
+                assert (found.min_calls, found.witness.calls) == (min_calls, calls)
+                assert found.stats["find_nodes"] > 0
+                searches.append(found)
+            for s in searches:
+                keyed = s.stats["memo_hits"] + s.stats["memo_stores"] + s.stats["memo_refused"]
+                assert keyed + len(s.witness.calls) <= nodes
             if n <= 6:
                 assert _reference_search(n, k, plain=True)[:2] == (min_calls, calls)
 
@@ -237,9 +241,17 @@ class TestMinCalls:
         assert (r.status, r.min_calls, r.witness.calls, r.refuted_depth, r.nodes, r.stats) == (
             FOUND, min_calls, tuple(calls), refuted, nodes, stats)
 
-    @pytest.mark.parametrize("n,k", [(9, 6), (10, 6), (10, 7)])
+    @pytest.mark.parametrize("n,k", [
+        (9, 6), (10, 6), (10, 7),
+        *((n, k) for n in range(2, 7) for k in range(2, n + 1)), (7, 3), (7, 4),
+        (8, 5), (8, 6), (10, 5), (11, 4), (12, 3), (12, 4), (13, 4),
+    ])
     def test_doubling_certificate_settles_the_frontier(self, n, k):
-        """Only refutations run: the find pass here took most of the search."""
+        """Only refutations run, in both regimes: a find pass took most of a search.
+
+        The instances are criterion 1's sweep, the benchmark's oracle
+        searches, and the first-regime (11,4), (12,3), (12,4) and (13,4).
+        """
         r = min_calls_bruteforce(n, k)
         assert (r.status, r.min_calls) == (FOUND, p_min_calls(n, k))
         assert len(r.witness.calls) == r.min_calls and is_k_informing(r.witness, k)
