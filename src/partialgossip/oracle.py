@@ -53,10 +53,10 @@ only ``keys`` and ``canon_inexact``, which count the keys computed):
   Piperno, *Practical graph isomorphism II*, J. Symb. Comput. 60, 2014):
   the memo is bucketed by the sorted (row, column) degree pairs, which
   equal keys share.  A keyed node computes only those degrees and its twin
-  map.  A bucket that holds one raw state is compared by raw equality;
-  ``canonical_form`` runs only when a bucket already holds a different raw
-  state, and then for both.  So the memo hits are those of keying every
-  state;
+  map.  A bucket that holds one raw state keeps it as is and compares it
+  by raw equality; ``canonical_form`` runs only when a bucket already
+  holds a different raw state, and then for both, whose keys go to the
+  memo.  So the memo hits are those of keying every state;
 * bound cuts counted by class mask: once someone knows k gossips a child's
   bound is ceil(child_below / 2), and a call lowers the count below k by 0,
   1 or 2.  So a node's slack says by the class of a call alone (between two
@@ -109,11 +109,11 @@ DEPTH_EXHAUSTED = "depth-exhausted"
 
 # Nodes with at most this many calls left get no canonical form, memo entry
 # or orbit cut (see the module docstring).  Median CPU seconds of five fresh
-# processes per cut-off of 1, 2 and 3 plies, with bound-cut calls counted by
-# class mask (2-vCPU VM, Python 3.11.7): the perfbench oracle_search
-# instances 0.28/0.26/0.27, (12,4) 1.26/0.83/1.14, (11,6) 1.00/0.81/0.54.
-# Three plies quadruple (12,4)'s nodes, whose find pass then loses.
-_UNKEYED_PLIES = 2
+# processes per cut-off of 2, 3 and 4 plies, with lazy keys and both
+# regimes certified (2-vCPU VM, Python 3.11.7): the perfbench oracle_search
+# instances 0.23/0.22/0.43, (12,4) 0.24/0.19/0.66, (13,4) 1.62/1.12/3.04,
+# (11,6) 0.95/0.57/1.26, (12,5) 1.22/0.88/2.12, (10,7) 0.63/0.43/0.66.
+_UNKEYED_PLIES = 3
 
 # How many keyed states a search keeps the degree probe and, once computed,
 # the canonical key of, the first it meets: the shallow ones recur in every
@@ -134,7 +134,7 @@ _CANON_PERM_CAP = 1024
 class SearchConfig:
     max_depth: int = 64
     time_budget: float = 600.0  # seconds
-    memo_limit: int = 4_000_000  # about 390 bytes an entry at (10,7): 1.6 GB when full
+    memo_limit: int = 4_000_000  # about 410 bytes an entry at (12,6): 1.7 GB when full
 
     def __post_init__(self):
         if self.max_depth < 0:
@@ -517,9 +517,10 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
     commute = [every & ~(touches[a] | touches[b]) for a, b in pairs]
     initial = tuple(1 << p for p in range(n))
     # degree invariant -> (the one raw state refuted with it, its depth), or
-    # -> {canonical key: depth} once a second raw state came
-    memo: dict[tuple[int, ...], tuple[tuple[int, ...], int] | dict[tuple[int, ...], int]] = {}
-    entries = 0  # canonical classes in the memo
+    # -> () once a second raw state came and its states went to ``memo``
+    single: dict[tuple[int, ...], tuple] = {}
+    memo: dict[tuple[int, ...], int] = {}  # canonical key -> refuted depth
+    entries = 0  # canonical classes refuted: len(memo) plus the single states
     # keyed state -> [degree invariant, orbit-duplicate mask, canonical key or None]
     forms: dict[tuple[int, ...], list] = {}
     nodes = memo_hits = memo_stores = memo_refused = lb_prunes = orbit_cuts = sleep_cuts = 0
@@ -546,11 +547,11 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
             form[2] = key
         return key
 
-    def bucket_of(invariant: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        """The invariant's memo entries by canonical key, keying its one raw state."""
-        raw, depth = memo[invariant]
-        bucket = memo[invariant] = {key_of(raw, forms.get(raw)): depth}
-        return bucket
+    def unsingle(invariant: tuple[int, ...], held: tuple[tuple[int, ...], int]) -> None:
+        """Key the invariant's one raw state into ``memo``: a second one came."""
+        raw, depth = held
+        memo[key_of(raw, forms.get(raw))] = depth
+        single[invariant] = ()
 
     def dfs(state: tuple[int, ...], remaining: int, sleep: int, below: int,
             best: int) -> list[tuple[int, int]] | None:
@@ -591,17 +592,15 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
                 if len(forms) < _FORM_CACHE:
                     forms[state] = form
             invariant, duplicate, key = form
-            bucket = memo.get(invariant)
-            if bucket is not None:
-                if type(bucket) is tuple:
-                    if bucket[0] == state:
-                        depth = bucket[1]
-                    else:  # a second raw state: key both
-                        key = key_of(state, form)
-                        depth = bucket_of(invariant).get(key, -1)
+            held = single.get(invariant)
+            if held is not None:
+                if held and held[0] == state:
+                    depth = held[1]
                 else:
+                    if held:  # a second raw state: key both
+                        unsingle(invariant, held)
                     key = key_of(state, form)
-                    depth = bucket.get(key, -1)
+                    depth = memo.get(key, -1)
                 if depth >= remaining:
                     memo_hits += 1
                     return None
@@ -669,18 +668,18 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
         if not keyed:
             unkeyed += 1
         elif entries < cfg.memo_limit:
-            # the subtree may have filled or keyed this state's bucket since
-            bucket = memo.get(invariant)
-            if bucket is None or type(bucket) is tuple and bucket[0] == state:
-                entries += bucket is None
-                memo[invariant] = state, remaining
+            # the subtree may have stored or keyed this invariant since
+            held = single.get(invariant)
+            if held is None or held and held[0] == state:
+                entries += held is None
+                single[invariant] = state, remaining
             else:
-                if type(bucket) is tuple:
-                    bucket = bucket_of(invariant)
+                if held:
+                    unsingle(invariant, held)
                 if key is None:
                     key = key_of(state, form)
-                entries += key not in bucket
-                bucket[key] = remaining
+                entries += key not in memo
+                memo[key] = remaining
             memo_stores += 1
         else:
             memo_refused += 1

@@ -215,7 +215,7 @@ class TestOracleCommand:
         code, out, _ = run(capsys, "oracle", "5", "4", "--format", "json")
         assert code == EXIT_OK
         assert out == ('{"n":5,"k":4,"status":"found","min_calls":5,"refuted_depth":4,'
-                       '"nodes":4,"witness":[[0,1],[2,3],[0,2],[1,3],[0,4]]}\n')
+                       '"nodes":11,"witness":[[0,1],[2,3],[0,2],[1,3],[0,4]]}\n')
 
     def test_stats_flag(self, capsys):
         code, out, _ = run(capsys, "oracle", "5", "4", "--stats", "--format", "json")
@@ -226,17 +226,17 @@ class TestOracleCommand:
         assert set(doc["stats"]) == {"memo_hits", "memo_stores", "memo_refused", "lb_prunes",
                                      "unkeyed", "orbit_cuts", "sleep_cuts", "keys",
                                      "canon_inexact", "find_nodes", "passes"}
-        assert doc["stats"]["passes"] == [{"depth": 4, "nodes": 4, "memo_hits": 0,
-                                           "memo_stores": 2, "memo_refused": 0, "lb_prunes": 2,
-                                           "unkeyed": 0, "orbit_cuts": 16, "sleep_cuts": 0,
+        assert doc["stats"]["passes"] == [{"depth": 4, "nodes": 11, "memo_hits": 0,
+                                           "memo_stores": 1, "memo_refused": 0, "lb_prunes": 9,
+                                           "unkeyed": 1, "orbit_cuts": 9, "sleep_cuts": 0,
                                            "keys": 0, "canon_inexact": 0}]
         code, out, _ = run(capsys, "oracle", "5", "4", "--stats")
         assert code == EXIT_OK
         lines = out.splitlines()
         assert len(lines) == 4 and lines[2].startswith("  stats: memo_hits=")
         assert "passes" not in lines[2]
-        assert lines[3] == ("  pass: depth=4 nodes=4 memo_hits=0 memo_stores=2 memo_refused=0 "
-                            "lb_prunes=2 unkeyed=0 orbit_cuts=16 sleep_cuts=0 keys=0 "
+        assert lines[3] == ("  pass: depth=4 nodes=11 memo_hits=0 memo_stores=1 memo_refused=0 "
+                            "lb_prunes=9 unkeyed=1 orbit_cuts=9 sleep_cuts=0 keys=0 "
                             "canon_inexact=0")
 
 
