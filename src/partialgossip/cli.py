@@ -117,6 +117,8 @@ def _check_persons(n: int) -> None:
 
 def _cmd_synth(args) -> int:
     _check_persons(args.n)
+    if args.blocks is not None and args.method != "multiblock":
+        raise ValidationError(f"--blocks applies to multiblock only, not {args.method}")
     method = _METHODS[args.method]
     if args.method == "multiblock":
         schedule = method(args.n, args.k, args.i, args.blocks)

@@ -100,7 +100,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .constructions import synth_doubling, synth_tree_copies
-from .core import Schedule, ValidationError, is_k_informing, simulate
+from .core import Call, Schedule, ValidationError, is_k_informing, simulate
 from .formulas import REGIME_BAND, classify_regime
 
 FOUND = "found"
@@ -118,9 +118,9 @@ _UNKEYED_PLIES = 3
 # How many keyed states a search keeps the degree probe and, once computed,
 # the canonical key of, the first it meets: the shallow ones recur in every
 # later pass.  On the perfbench oracle_search instances the table turns
-# 4,239 probes into 2,787 and 1,963 keys into 1,311 (no repeat left); at
-# (11,6) 13,470 probes into 11,070 and 8,668 keys into 7,313.  An entry
-# holds a few hundred bytes.
+# 1,671 probes into 1,144 and 683 keys into 488 (no repeat left); at (11,6)
+# 5,724 probes into 3,657 and 3,270 keys into 2,133.  An entry holds a few
+# hundred bytes.
 _FORM_CACHE = 2048
 
 # States whose color cells admit more twin-class arrangements than this are
@@ -794,7 +794,8 @@ def enumerate_tree_schemes(n: int, limit: int | None = None, seed: int = 0) -> S
 
         def gen_all() -> Iterator[Schedule]:
             for edges in labeled_trees(n):
-                for order in itertools.permutations(edges):
+                calls = [Call(a, b) for a, b in edges]  # built once, permuted as is
+                for order in itertools.permutations(calls):
                     yield Schedule(n, order)
 
         return SchemeStream(n, True, expected, gen_all())
@@ -897,9 +898,11 @@ def enumerate_unicyclic_schemes(n: int, limit: int | None = None, seed: int = 0)
     if n <= 5 and limit is None:
 
         def gen_all() -> Iterator[Schedule]:
+            extras = [Call(a, b) for a, b in all_pairs]  # built once, permuted as is
             for edges in labeled_trees(n):
-                for extra in all_pairs:
-                    for order in itertools.permutations(edges + [extra]):
+                tree = [Call(a, b) for a, b in edges]
+                for extra in extras:
+                    for order in itertools.permutations(tree + [extra]):
                         yield Schedule(n, order)
 
         return SchemeStream(n, True, None, gen_all())

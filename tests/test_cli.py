@@ -174,6 +174,15 @@ class TestSynthAndVerify:
         code, _, err = run(capsys, "synth", "doubling", "4", "5", "1")
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("method", ["doubling", "tree"])
+    def test_blocks_outside_multiblock_exits_one(self, capsys, tmp_path, method):
+        out = tmp_path / "s.json"
+        code, stdout, err = run(capsys, "synth", method, "9", "5", "1", "--blocks", "1",
+                                "--out", str(out))
+        assert (code, stdout) == (EXIT_VALIDATION, "")
+        assert err.splitlines() == [f"error: --blocks applies to multiblock only, not {method}"]
+        assert not out.exists()
+
     def test_dot_output(self, capsys, tmp_path):
         dot_file = tmp_path / "schedule.dot"
         code, out, _ = run(capsys, "synth", "doubling", "4", "4", "0",
