@@ -69,7 +69,11 @@ only ``keys`` and ``canon_inexact``, which count the keys computed):
   persons that share a cell;
 * a bounded table of degree probes and computed keys per search
   (_FORM_CACHE): iterative deepening enters each keyed state again in the
-  next pass, one ply deeper.
+  next pass, one ply deeper;
+* no-op masks passed down: a call changes only its two callers' rows, so
+  a child's calls between equal rows are its parent's, less those of the
+  two callers, plus the callers' own pair, unless a third person already
+  holds the merged row; only then is the mask rebuilt.
 
 The full goal skips the find pass in both regimes (a partial goal gets no
 candidate).  The closed form's construction builds a candidate:
@@ -423,6 +427,17 @@ def _pair_tables(n: int) -> tuple[list[tuple[int, int]], list[int]]:
     return pairs, touches
 
 
+def _noop_mask(state: tuple[int, ...], touches: list[int]) -> int:
+    """The pair bits of the calls between persons with equal rows."""
+    noop = 0
+    earlier: dict[int, int] = {}  # row -> the calls of the persons seen with it
+    for p, x in enumerate(state):
+        calls = earlier.get(x, 0)
+        noop |= touches[p] & calls
+        earlier[x] = calls | touches[p]
+    return noop
+
+
 def _orbit_duplicates(rep: list[int]) -> int:
     """Bitmask of the pair indices whose twin classes repeat an earlier pair's.
 
@@ -554,7 +569,7 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
         single[invariant] = ()
 
     def dfs(state: tuple[int, ...], remaining: int, sleep: int, below: int,
-            best: int) -> list[tuple[int, int]] | None:
+            best: int, noop: int) -> list[tuple[int, int]] | None:
         """Suffix of calls completing the goal within ``remaining``, or None.
 
         ``below`` is how many persons the goal still misses and ``best`` the
@@ -563,7 +578,8 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
         is cut before it is built; it still counts as one node and one
         lower-bound prune, as if it had been entered.  ``sleep`` holds the
         pair indices of calls known not to finish within ``remaining - 1``
-        from this state; they are skipped.
+        from this state; they are skipped, as are those in ``noop``, the
+        calls between persons with equal rows.
 
         Calls are taken in pair order, but only those that can pass the
         bound are visited.  Once someone knows k gossips, ``slack = 2 *
@@ -606,12 +622,6 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
                     return None
         else:
             duplicate = 0
-        noop = 0  # calls between persons with equal rows
-        earlier: dict[int, int] = {}  # row -> the calls of the persons seen with it
-        for p, x in enumerate(state):
-            calls = earlier.get(x, 0)
-            noop |= touches[p] & calls
-            earlier[x] = calls | touches[p]
         asleep = sleep & ~noop
         handled = every & ~(noop | sleep)  # explored, bound-cut or orbit-cut
         orbit = handled & duplicate
@@ -652,8 +662,14 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
                 lb_prunes += 1
                 continue
             child = state[:a] + (u,) + state[a + 1 : b] + (u,) + state[b + 1 :]
+            if state.count(u) == (state[a] == u) + (state[b] == u):
+                # nobody else holds the merged row: a and b now share a row
+                # with each other only
+                child_noop = noop & ~(touches[a] | touches[b]) | low
+            else:
+                child_noop = _noop_mask(child, touches)
             tail = dfs(child, remaining - 1, (sleep | (handled & (low - 1))) & commute[j],
-                       child_below, child_best)
+                       child_below, child_best, child_noop)
             if tail is not None:
                 visited = low - 1
                 found = [(a, b)] + tail
@@ -706,7 +722,7 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
                 return result(FOUND, list(certificate.calls))
             before = counters()
             try:
-                found = dfs(initial, depth, 0, n - spare, 1)  # everyone knows 1 < k
+                found = dfs(initial, depth, 0, n - spare, 1, 0)  # everyone knows 1 < k
             finally:  # a pass cut by the budget reports its work too
                 passes.append({"depth": depth} | {
                     name: now - before[name] for name, now in counters().items()})
