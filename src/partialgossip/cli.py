@@ -316,8 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-secs", type=float, default=600.0)
     p.add_argument("--stats", action="store_true",
                    help="also report the search counters (memo, bound, orbit and sleep "
-                        "cuts, canonical keys computed); after a timeout the cut counts can read low, since the "
-                        "interrupted nodes' class-counted cuts are never added")
+                        "cuts, canonical keys computed); after a timeout the cut counts "
+                        "can read low, since the interrupted nodes' class-counted cuts "
+                        "are never added")
     add_format(p)
     p.set_defaults(func=_cmd_oracle)
 

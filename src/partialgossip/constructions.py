@@ -154,8 +154,8 @@ def synth_tree_copies(n: int, k: int) -> Schedule:
     (n = 2^(k-1)-1) it is the doubling scheme of n calls for k >= 4 and the
     triangle for k = 3.
     """
-    if k < 2:
-        raise ValidationError(f"k must be >= 2, got {k}")
+    if not 2 <= k <= n:
+        raise ValidationError(f"need n >= k >= 2, got n={n}, k={k}")
     if (n + 1).bit_length() < k:  # n < 2^(k-1) - 1, tested without building 2^(k-1)
         raise ValidationError(f"first regime needs n >= 2^(k-1)-1 = 2^{k - 1} - 1, got n={n}")
     size = 1 << (k - 1)

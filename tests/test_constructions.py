@@ -190,7 +190,7 @@ class TestTreeCopies:
         assert synth_tree_copies(3, 3).calls == ((0, 1), (1, 2), (0, 2))
         assert synth_tree_copies(7, 4).calls == synth_doubling(7, 4, 0).calls
 
-    @pytest.mark.parametrize("n,k", [(6, 4), (2, 3), (3, 1), (60_000, 10**9)])
+    @pytest.mark.parametrize("n,k", [(6, 4), (2, 3), (3, 1), (1, 2), (60_000, 10**9)])
     def test_rejects_outside_the_first_regime(self, n, k):
         with pytest.raises(ValidationError) as e:
             synth_tree_copies(n, k)
