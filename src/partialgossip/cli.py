@@ -37,7 +37,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VIOLATION = 2
 
-# digit cap of table's boundary when the interpreter sets no int-to-str
+# digit cap of printed integers when the interpreter sets no int-to-str
 # limit: Python's default limit
 _MAX_DIGITS = 4300
 
@@ -55,6 +55,11 @@ _METHODS = {
 }
 
 
+def _max_digits() -> int:
+    """How many digits an int may have and still print: the int-to-str limit, else _MAX_DIGITS."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or _MAX_DIGITS
+
+
 def _emit(doc: dict, fmt: str, text: str) -> None:
     if fmt == "json":
         print(json.dumps(doc, separators=(",", ":")))
@@ -65,6 +70,9 @@ def _emit(doc: dict, fmt: str, text: str) -> None:
 def _cmd_pvalue(args) -> int:
     regime = classify_regime(args.n, args.k)
     p = p_min_calls(args.n, args.k)
+    digits = _max_digits()
+    if p >= 10**digits:
+        raise ValidationError(f"P(n,{args.k}) has more than {digits} digits")
     doc: dict = {"p": p, "regime": regime.kind}
     if regime.kind == REGIME_BAND:
         doc["i"] = regime.i
@@ -84,7 +92,7 @@ def _cmd_table(args) -> int:
         raise ValidationError(f"at most {MAX_ROWS} rows, got {args.n_max - args.n_min + 1}")
     # 2^(k-1) - 1 < 10^digits iff k <= bit_length(10^digits), so the
     # boundary is only built once it is known to be printable
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _MAX_DIGITS
+    digits = _max_digits()
     if args.k > (10**digits).bit_length():
         raise ValidationError(
             f"k={args.k} too large: the boundary 2^(k-1)-1 has more than {digits} digits"
@@ -127,10 +135,13 @@ def _cmd_synth(args) -> int:
     if not is_k_informing(schedule, args.k):  # validate before writing
         raise AssertionError("synthesized schedule failed its own verification")
     payload = schedule_to_json(schedule, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(payload)
-    if args.dot:
-        Path(args.dot).write_text(to_dot(schedule))
+    try:
+        if args.out:
+            Path(args.out).write_text(payload)
+        if args.dot:
+            Path(args.dot).write_text(to_dot(schedule))
+    except OSError as e:
+        raise ValidationError(f"cannot write {e.filename}: {e}") from e
     doc = {
         "method": args.method,
         "n": args.n,
@@ -158,7 +169,7 @@ def _cmd_synth(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         text = Path(args.file).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read {args.file}: {e}") from e
     s = schedule_from_json(text)
     _check_persons(s.n)

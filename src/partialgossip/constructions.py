@@ -99,17 +99,13 @@ def multiblock_feasible(n: int, k: int, i: int, blocks: int) -> bool:
     """Explicit feasibility predicate for the multi-block scheme.
 
     Blocks halve strictly (sizes 2^(k-i-2), 2^(k-i-3), ...); the persons
-    used by helpers, hub and blocks must fit in n, and n must stay below
-    t_{i-1}(k) so that n+i is the optimal call count for this band.
+    used by helpers, hub and blocks must fit in n, which holds for exactly
+    the counts up to max_feasible_blocks, and n must stay below t_{i-1}(k)
+    so that n+i is the optimal call count for this band.  That comparison
+    comes last: a huge k has no feasible block, so 2^(k-i-1) is never built.
     """
-    if k < 4 or not 0 <= i <= k - 4 or blocks < 1:
-        return False
-    if blocks > k - i - 1:  # smallest block would be empty
-        return False
-    if _below_t(n - 1, i, k):  # hub, helpers and the first block need t_i(k) + 1 persons
-        return False
-    need = i + 1 + sum(1 << (k - i - 1 - j) for j in range(1, blocks + 1))
-    return need <= n < t_value(i - 1, k)
+    return (k >= 4 and 0 <= i <= k - 4 and 1 <= blocks <= max_feasible_blocks(n, k, i)
+            and n < t_value(i - 1, k))
 
 
 def synth_multiblock(n: int, k: int, i: int, blocks: int | None = None) -> Schedule:
@@ -122,7 +118,7 @@ def synth_multiblock(n: int, k: int, i: int, blocks: int | None = None) -> Sched
     _check_base(n, k, i)
     if blocks is None:
         blocks = max_feasible_blocks(n, k, i)
-    if blocks < 1 or not multiblock_feasible(n, k, i, blocks):
+    if not multiblock_feasible(n, k, i, blocks):
         raise ValidationError(
             f"multi-block scheme infeasible for n={n}, k={k}, i={i}, blocks={blocks}"
         )

@@ -69,8 +69,9 @@ from dataclasses import dataclass, field
 
 from .core import ValidationError, run_calls
 from .formulas import lemma1b_bound, t_value
-from .oracle import (SCHEME_SIZE_LIMIT, SearchConfig, enumerate_unicyclic_schemes,
-                     informing_tree_classes, min_calls_bruteforce)
+from .oracle import (SCHEME_SIZE_LIMIT, SearchConfig, _pair_tables,
+                     enumerate_unicyclic_schemes, informing_tree_classes,
+                     min_calls_bruteforce)
 
 LEMMA_IDS = (
     "L1a", "L1b", "L1c", "L2", "L3", "L4a", "L4b", "L5a", "L5b", "L6s1",
@@ -222,34 +223,29 @@ def _tree_classes(params: LemmaParams, lemma_id: str, k: int = 1, spare: int = 0
 
 
 @functools.cache
-def _pairs(n: int) -> tuple:
-    """The pairs of n persons in sorted order, which _matching_table indexes."""
-    return tuple((a, b) for a in range(n) for b in range(a + 1, n))
-
-
-@functools.cache
 def _matching_table(n: int, size: int) -> bytes:
     """Every union of ``size`` disjoint edges on n <= 23 persons, ``size`` bytes each.
 
-    A byte is an index into _pairs(n), and the matchings come in the order
-    of ``itertools.combinations`` over the sorted pairs.  The pairs of a
-    matching have distinct smaller ends, and a matching whose first pair is
-    (a, b) is completed by a matching of size - 1 on the n - a - 2 persons
-    above a apart from b.  So each (a, b) heads a block read from the
-    (n - a - 2, size - 1) table, relabeled by one ``bytes.translate``, and
-    only tables with entries are built: the cost follows the output.  Size
-    0 is the empty table; its one matching is the empty list.
+    A byte is an index into the pairs of _pair_tables(n), and the matchings
+    come in the order of ``itertools.combinations`` over the sorted pairs.
+    The pairs of a matching have distinct smaller ends, and a matching
+    whose first pair is (a, b) is completed by a matching of size - 1 on
+    the n - a - 2 persons above a apart from b.  So each (a, b) heads a
+    block read from the (n - a - 2, size - 1) table, relabeled by one
+    ``bytes.translate``, and only tables with entries are built: the cost
+    follows the output.  Size 0 is the empty table; its one matching is
+    the empty list.
     """
     if size <= 1:
-        return bytes(range(len(_pairs(n)))) if size else b""
-    index = {p: j for j, p in enumerate(_pairs(n))}
+        return bytes(range(len(_pair_tables(n)[0]))) if size else b""
+    index = {p: j for j, p in enumerate(_pair_tables(n)[0])}
     out = bytearray()
     for a in range(n - 2 * size + 1):
         rest = _matching_table(n - a - 2, size - 1)
         count = len(rest) // (size - 1)
         for b in range(a + 1, n):
             free = [p for p in range(a + 1, n) if p != b]
-            relabel = bytes(index[free[x], free[y]] for x, y in _pairs(n - a - 2))
+            relabel = bytes(index[free[x], free[y]] for x, y in _pair_tables(n - a - 2)[0])
             moved = rest.translate(relabel.ljust(256, b"\0"))
             block = bytearray(count * size)
             block[::size] = bytes((index[a, b],)) * count
@@ -269,7 +265,7 @@ def _matchings(n: int, size: int, rng: random.Random, cap: float = 48):
     if not size:
         yield []
         return
-    table, pairs = _matching_table(n, size), _pairs(n)
+    table, pairs = _matching_table(n, size), _pair_tables(n)[0]
     count = len(table) // size
     for idx in range(count) if count <= cap else rng.sample(range(count), cap):
         yield [pairs[j] for j in table[idx * size : (idx + 1) * size]]
@@ -282,7 +278,7 @@ def _prelim_lists(n: int, size: int, rng: random.Random, general_samples: int = 
     ``cap`` is _matchings's: with ``math.inf`` every matching is listed.
     """
     yield from _matchings(n, size, rng, cap)  # size 0: the empty list
-    pairs = _pairs(n)
+    pairs = _pair_tables(n)[0]
     if size >= 2 and len(pairs) >= 2:
         for _ in range(general_samples):
             yield [pairs[rng.randrange(len(pairs))] for _ in range(size)]
@@ -401,10 +397,11 @@ def _check_l2(params: LemmaParams):
     ells = range(1, min(2, params.max_prelim) + 1) if params.max_prelim else (0,)
     for n, max_len in ((3, 4), (4, 4)):
         ident = [1 << p for p in range(n)]
-        prelims = [prelim for ell in ells for prelim in itertools.product(_pairs(n), repeat=ell)]
+        pairs = _pair_tables(n)[0]
+        prelims = [prelim for ell in ells for prelim in itertools.product(pairs, repeat=ell)]
         gains = {}  # base final state -> the gain of each preliminary list
         for length in range(0, max_len + 1):
-            for base in itertools.product(_pairs(n), repeat=length):
+            for base in itertools.product(pairs, repeat=length):
                 final = tuple(run_calls(ident.copy(), base))
                 if final not in gains:
                     before = [x.bit_count() for x in final]
@@ -415,7 +412,7 @@ def _check_l2(params: LemmaParams):
     if params.max_sampled_n >= 5 and params.max_prelim >= 1:
         for _ in range(params.samples):
             n = rng.randrange(5, params.max_sampled_n + 1)
-            pairs = _pairs(n)
+            pairs = _pair_tables(n)[0]
             base = [pairs[rng.randrange(len(pairs))] for _ in range(rng.randrange(0, 9))]
             ell = rng.randrange(1, params.max_prelim + 1)
             prelim = [pairs[rng.randrange(len(pairs))] for _ in range(ell)]

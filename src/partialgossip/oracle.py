@@ -203,24 +203,23 @@ def _bits(x: int) -> tuple[int, ...]:
 
 
 def _refine_colors(
-    known: list[tuple[int, ...]], knowers: list[tuple[int, ...]]
+    known: list[tuple[int, ...]], knowers: list[tuple[int, ...]], sigs: list[int]
 ) -> list[int]:
     """Partition persons by iterated structural signatures.
 
     ``known[p]`` lists the gossips p knows and ``knowers[p]`` the persons who
-    know p's gossip.  The signature of p starts as how much p knows and how
-    widely p's gossip is known, then (iterated) adds the colors of the
-    gossips p knows and of the persons who know p.  Signatures are converted
-    to ranks by sorting, so the resulting color vector is invariant under
-    joint relabeling.  A round ranks persons by their old color first, so a
-    cell only splits and a person alone in its cell keeps its place in the
-    order: only persons in cells of two or more get a signature.  Refinement
-    stops once a round splits no cell or every cell is a single person.
+    know p's gossip.  The first colors rank _degree_probe's signatures
+    ``sigs``: how much p knows, then how widely p's gossip is known.  Each
+    round then adds the colors of the gossips p knows and of the persons who
+    know p.  Signatures are converted to ranks by sorting, so the resulting
+    color vector is invariant under joint relabeling.  A round ranks persons
+    by their old color first, so a cell only splits and a person alone in
+    its cell keeps its place in the order: only persons in cells of two or
+    more get a signature.  Refinement stops once a round splits no cell or
+    every cell is a single person.
     """
     n = len(known)
     width = n.bit_length()  # fits n, the most a signature counts of anything
-    # (len(known[p]), len(knowers[p])) as one integer, in the same order
-    sigs = [len(known[p]) << width | len(knowers[p]) for p in range(n)]
     ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
     colors = [ranking[s] for s in sigs]
     cells: list[list[int]] = [[] for _ in ranking]
@@ -319,27 +318,20 @@ def canonical_form(state: tuple[int, ...], n: int) -> tuple[tuple[int, ...], lis
     """The canonical key, the twin map and whether the key is exact.
 
     The key is the lexicographic minimum over all relabelings that map each
-    refined color cell onto its block of positions.  Relabelings that differ
-    only by permuting twins give the same state, so only the arrangements of
-    twin classes within each cell are tried.  The key is exact whenever
-    there are at most _CANON_PERM_CAP such arrangements; beyond that a
-    single deterministic relabeling is used.  ``rep[p]`` is the first member
-    of p's twin class: twins share a color, so splitting every cell, also
-    past the cap, gives the whole twin partition.
+    refined color cell onto its block of positions.  Refinement starts from
+    _degree_probe's cells, and ``rep`` is the probe's twin map.  Twins share
+    a color, so each cell is a union of twin classes, and only arrangements
+    of those classes are tried: permuting twins gives the same state.  The
+    key is exact whenever there are at most _CANON_PERM_CAP such
+    arrangements; beyond that a single deterministic relabeling is used.
     """
+    _, rep, sigs, col = _degree_probe(state, n)
     known = [_bits(row) for row in state]
-    col = [0] * n  # col[g]: the persons who know gossip g, as a bitmask
-    for p, gs in enumerate(known):
-        bit = 1 << p
-        for g in gs:
-            col[g] |= bit
-    knowers = [_bits(c) for c in col]
-    colors = _refine_colors(known, knowers)
+    colors = _refine_colors(known, [_bits(c) for c in col], sigs)
     cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
     for p in range(n):
         cells[colors[p]].append(p)
     perm = [0] * n
-    rep = list(range(n))
     free = []  # (twin classes, positions) of cells with more than one class
     arrangements = 1
     pos = 0
@@ -350,11 +342,11 @@ def canonical_form(state: tuple[int, ...], n: int) -> tuple[tuple[int, ...], lis
             pos += 1
         if pos - start == 1:
             continue
-        classes = _twin_classes(cell, state, col)
-        for cls in classes:
-            for p in cls[1:]:
-                rep[p] = cls[0]
-        if len(classes) > 1:
+        twins: dict[int, list[int]] = {}  # first member -> class, in ascending order
+        for p in cell:
+            twins.setdefault(rep[p], []).append(p)
+        if len(twins) > 1:
+            classes = list(twins.values())
             free.append((classes, list(range(start, pos))))
             count = math.factorial(len(cell))
             for cls in classes:
@@ -375,16 +367,20 @@ def canonical_form(state: tuple[int, ...], n: int) -> tuple[tuple[int, ...], lis
     return best, rep, True  # type: ignore[return-value]
 
 
-def _degree_probe(state: tuple[int, ...], n: int) -> tuple[tuple[int, ...], list[int]]:
-    """The degree invariant and the twin map, without the canonical key.
+def _degree_probe(
+    state: tuple[int, ...], n: int
+) -> tuple[tuple[int, ...], list[int], list[int], list[int]]:
+    """The degree invariant, the twin map, the degree signatures and the columns.
 
-    The invariant is the sorted list of (how much p knows, how widely p's
-    gossip is known) over the persons p: equal keys give equal invariants.
-    Twins share those degrees, so splitting each cell of equal degrees
-    into twin classes, persons in ascending order, gives canonical_form's
-    twin map: the same classes, each with its smallest person first.
+    ``sigs[p]`` packs how much p knows and how widely p's gossip is known
+    into one integer, ordered as that pair; ``col[g]`` is the bitmask of the
+    persons who know gossip g.  The invariant is the sorted signatures:
+    equal keys give equal invariants.  Twins share those degrees, so
+    splitting each cell of equal degrees into twin classes gives the whole
+    twin partition: ``rep[p]`` is the smallest member of p's twin class.
+    A search node uses the invariant and ``rep``; canonical_form all four.
     """
-    col = [0] * n  # col[g]: the persons who know gossip g, as a bitmask
+    col = [0] * n
     for p, row in enumerate(state):
         bit = 1 << p
         for g in _bits(row):
@@ -401,8 +397,7 @@ def _degree_probe(state: tuple[int, ...], n: int) -> tuple[tuple[int, ...], list
                 for cls in _twin_classes(cell, state, col):
                     for p in cls[1:]:
                         rep[p] = cls[0]
-    sigs.sort()
-    return tuple(sigs), rep
+    return tuple(sorted(sigs)), rep, sigs, col
 
 
 def canonical_key(state: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -603,7 +598,7 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
         if keyed:
             form = forms.get(state)
             if form is None:
-                invariant, rep = _degree_probe(state, n)
+                invariant, rep, _, _ = _degree_probe(state, n)
                 form = [invariant, _orbit_duplicates(rep), None]
                 if len(forms) < _FORM_CACHE:
                     forms[state] = form
@@ -850,12 +845,11 @@ def informing_tree_classes(m: int, k: int, spare: int,
     beyond ``spare``, than the calls still to come can reach, two per
     call.  Of the calls whose participants lie in the same pair of twin
     classes only the first is tried: the others give isomorphic children,
-    whose keys ``setdefault`` would drop.  The twin classes are those
-    ``canonical_form`` split its color cells into when it keyed the state;
-    color refinement is invariant under automorphisms, so twins share a
-    cell.  Each class is listed once as long as the key is exact on its
-    states (it is for every class tested); an inexact key could only list
-    a class twice, never omit one.
+    whose keys ``setdefault`` would drop.  The twin classes come from the
+    degree probe that ``canonical_form`` starts from when it keys the
+    state: twins share their (row, column) degrees.  Each class is listed
+    once as long as the key is exact on its states (it is for every class
+    tested); an inexact key could only list a class twice, never omit one.
     """
     if not 1 <= m <= INFORMING_TREE_CLASS_LIMIT:
         raise ValidationError(
@@ -910,11 +904,11 @@ def enumerate_unicyclic_schemes(n: int, limit: int | None = None, seed: int = 0)
         raise ValidationError(
             f"unicyclic enumeration supports 2 <= n <= {SCHEME_SIZE_LIMIT}, got n={n}"
         )
-    all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    pairs = _pair_tables(n)[0]
     if n <= 5 and limit is None:
 
         def gen_all() -> Iterator[Schedule]:
-            extras = [Call(a, b) for a, b in all_pairs]  # built once, permuted as is
+            extras = [Call(a, b) for a, b in pairs]  # built once, permuted as is
             for edges in labeled_trees(n):
                 tree = [Call(a, b) for a, b in edges]
                 for extra in extras:
@@ -929,7 +923,7 @@ def enumerate_unicyclic_schemes(n: int, limit: int | None = None, seed: int = 0)
         for _ in range(count):
             seq = tuple(rng.randrange(n) for _ in range(n - 2)) if n > 2 else ()
             edges = prufer_decode(seq, n) if n > 2 else [(0, 1)]
-            edges.append(all_pairs[rng.randrange(len(all_pairs))])
+            edges.append(pairs[rng.randrange(len(pairs))])
             rng.shuffle(edges)
             yield Schedule(n, edges)
 

@@ -49,6 +49,13 @@ class TestPvalue:
         assert code == EXIT_OK
         assert "P(15,9) = 19" in out
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_unprintable_p_exits_one(self, capsys, fmt):
+        """n = 10^4300 - 1 prints, but P = n + 14 has 4,301 digits."""
+        code, out, err = run(capsys, "pvalue", "9" * 4300, "14300", "--format", fmt)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.splitlines() == ["error: P(n,14300) has more than 4300 digits"]
+
 
 class TestTable:
     def test_k4_column(self, capsys):
@@ -169,6 +176,20 @@ class TestSynthAndVerify:
     def test_verify_missing_file_exits_one(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "nope.json"), "4")
         assert code == EXIT_VALIDATION
+
+    def test_verify_non_utf8_file_exits_one(self, capsys, tmp_path):
+        f = tmp_path / "latin.json"
+        f.write_bytes(b'\xff\xfe{"n":2}')
+        code, out, err = run(capsys, "verify", str(f), "2")
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith(f"error: cannot read {f}:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--out", "--dot"])
+    def test_write_under_missing_directory_exits_one(self, capsys, tmp_path, flag):
+        target = tmp_path / "no" / "such" / "x"
+        code, out, err = run(capsys, "synth", "doubling", "10", "5", "0", flag, str(target))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith(f"error: cannot write {target}:") and err.count("\n") == 1
 
     def test_synth_infeasible_exits_one(self, capsys):
         code, _, err = run(capsys, "synth", "doubling", "4", "5", "1")
@@ -423,12 +444,19 @@ class TestUsageErrors:
 
 @pytest.fixture(scope="module")
 def schedule_files(tmp_path_factory):
-    """Paths of a valid schedule with a preliminary call, a malformed one, a missing one."""
+    """Schedule paths and output path stems.
+
+    The schedules: a valid one with a preliminary call, a malformed one, one
+    that is not UTF-8, a missing one.  The stems: one in a directory that
+    exists and one in a directory that does not.
+    """
     root = tmp_path_factory.mktemp("argv")
-    good, bad = root / "good.json", root / "bad.json"
+    good, bad, latin = root / "good.json", root / "bad.json", root / "latin.json"
     good.write_text('{"n":4,"preliminary":[[2,3]],"calls":[[0,1],[1,2],[0,3]]}')
     bad.write_text('{"n":4,"calls":[[0,9]]}')
-    return [str(good), str(bad), str(root / "missing.json")], str(root / "out")
+    latin.write_bytes(b'\xff\xfe{"n":2}')
+    files = [str(good), str(bad), str(latin), str(root / "missing.json")]
+    return files, [str(root / "out"), str(root / "no-dir" / "out")]
 
 
 _INT = st.integers(-2, 9).map(str)
@@ -440,15 +468,15 @@ _PRELIM = _INT | st.sampled_from([str(MAX_PRELIM + 1), str(10**9)])
 _METHOD = st.sampled_from(["doubling", "tree", "multiblock", "abc"])
 
 
-def _argv(files, out):
+def _argv(files, outs):
     """Each command with its positionals (mostly small integers) and options."""
     fmt = ("--format", st.sampled_from(["json", "text", "dot", "yaml"]))
     commands = {
         "pvalue": ([_INT, _INT], [fmt]),
         "table": ([_INT, _INT, _ROWS], [fmt]),
         "synth": ([_METHOD, _PERSONS, _INT, _INT], [
-            fmt, ("--blocks", _INT), ("--out", st.just(out + ".json")),
-            ("--dot", st.just(out + ".dot")),
+            fmt, ("--blocks", _INT), ("--out", st.sampled_from([o + ".json" for o in outs])),
+            ("--dot", st.sampled_from([o + ".dot" for o in outs])),
         ]),
         "verify": ([st.sampled_from(files), _INT], [fmt]),
         "oracle": ([_INT, _INT], [fmt, ("--stats", None)]),

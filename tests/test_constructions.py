@@ -126,6 +126,24 @@ class TestMultiblock:
         with pytest.raises(ValidationError):
             synth_multiblock(18, 9, 4, 5)
 
+    def test_predicate_matches_block_sizes(self):
+        """Every k <= 12, -2 <= i < k, n < 600 and -1 <= blocks <= k+1.
+
+        i helpers, the hub and blocks of 2^(k-i-2), ..., 2^(k-i-1-blocks)
+        persons fit in n, and n < t_{i-1}(k) = i - 1 + 2^(k-i-1).
+        """
+        for k in range(1, 13):
+            for i in range(-2, k):
+                for blocks in range(-1, k + 2):
+                    if k >= 4 and 0 <= i <= k - 4 and 1 <= blocks <= k - i - 1:
+                        need = i + 1 + sum(2 ** (k - i - 1 - j) for j in range(1, blocks + 1))
+                        top = i - 1 + 2 ** (k - i - 1)
+                    else:
+                        need, top = 1, 0
+                    for n in range(600):
+                        expect = need <= n < top
+                        assert multiblock_feasible(n, k, i, blocks) == expect, (n, k, i, blocks)
+
 
 class TestHugeK:
     """A huge k is rejected by comparing bit lengths: 2^(k-i-2) is never built."""

@@ -22,8 +22,8 @@ from partialgossip import (
 )
 from partialgossip import lemmas, minimal_informing_tree
 from partialgossip.core import run_calls
-from partialgossip.oracle import (TIMEOUT, SearchResult, enumerate_unicyclic_schemes,
-                                  informing_tree_classes)
+from partialgossip.oracle import (TIMEOUT, SearchResult, _pair_tables,
+                                  enumerate_unicyclic_schemes, informing_tree_classes)
 from partialgossip.lemmas import LEMMA_IDS
 
 # small ranges so the whole file stays fast; the acceptance suite runs the
@@ -273,7 +273,7 @@ def _table_listing(n, size):
     """The matchings of lemmas._matching_table(n, size) as tuples of pairs."""
     if not size:
         return ((),)
-    table, pairs = lemmas._matching_table(n, size), lemmas._pairs(n)
+    table, pairs = lemmas._matching_table(n, size), _pair_tables(n)[0]
     return tuple(tuple(pairs[j] for j in table[i : i + size]) for i in range(0, len(table), size))
 
 
