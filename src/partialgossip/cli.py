@@ -9,8 +9,11 @@ All JSON output has a fixed key order so golden-file comparisons are stable.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -123,6 +126,31 @@ def _check_persons(n: int) -> None:
         raise ValidationError(f"at most {MAX_PERSONS} persons, got n={n}")
 
 
+def _write_all(files: dict[str, str]) -> None:
+    """Write each text to its path, every one or none.
+
+    Each text goes to a temporary file beside its target, and the targets
+    are replaced only once every write has succeeded, so a command that
+    fails leaves no partial result.
+    """
+    temps = []
+    try:
+        for path, text in files.items():
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            temp = f"{path}.{os.getpid()}.tmp"
+            with open(temp, "w") as f:
+                temps.append(temp)
+                f.write(text)
+        for temp, path in zip(temps, files):
+            os.replace(temp, path)
+    except OSError as e:
+        for temp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise ValidationError(f"cannot write {path}: {e.strerror or e}") from e
+
+
 def _cmd_synth(args) -> int:
     _check_persons(args.n)
     if args.blocks is not None and args.method != "multiblock":
@@ -134,14 +162,12 @@ def _cmd_synth(args) -> int:
         schedule = method(args.n, args.k, args.i)
     if not is_k_informing(schedule, args.k):  # validate before writing
         raise AssertionError("synthesized schedule failed its own verification")
-    payload = schedule_to_json(schedule, indent=2) + "\n"
-    try:
-        if args.out:
-            Path(args.out).write_text(payload)
-        if args.dot:
-            Path(args.dot).write_text(to_dot(schedule))
-    except OSError as e:
-        raise ValidationError(f"cannot write {e.filename}: {e}") from e
+    files = {}
+    if args.out:
+        files[args.out] = schedule_to_json(schedule, indent=2) + "\n"
+    if args.dot:
+        files[args.dot] = to_dot(schedule)
+    _write_all(files)
     doc = {
         "method": args.method,
         "n": args.n,

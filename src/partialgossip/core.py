@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable
 
 
@@ -27,7 +27,16 @@ class Call(tuple):
     __slots__ = ()
 
     def __new__(cls, a, b):
-        a, b = int(a), int(b)
+        if type(a) is not int or type(b) is not int:
+            # int() would truncate 0.9 to 0 and parse "1"; index() takes
+            # integer types only (numpy's too), bool among them
+            try:
+                if type(a) is bool or type(b) is bool:
+                    raise TypeError
+                a, b = index(a), index(b)
+            except TypeError:
+                raise ValidationError(
+                    f"person ids must be integers, got ({a!r},{b!r})") from None
         if a == b:
             raise ValidationError(f"self-call ({a},{b}) is not allowed")
         if a < 0 or b < 0:

@@ -4,11 +4,11 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, groupby
-from operator import ge, itemgetter
+from itertools import chain, compress, count, groupby
+from operator import ge, itemgetter, ne
 from typing import Iterable
 
-from .core import Call, Schedule, ValidationError, simulate
+from .core import Call, Schedule, ValidationError, run_calls
 
 
 class ComponentKind(enum.Enum):
@@ -166,12 +166,31 @@ def are_equivalent(s1: Schedule, s2: Schedule) -> bool:
 
     This is a pair of checkable necessary conditions for two schedules being
     connected by block swaps, not a decision procedure for swap reachability.
+
+    Only the window ``[lo, hi)`` between the first and the last position
+    where the call sequences differ is compared: the shared prefix and
+    suffix add the same calls to both multisets, and the prefix is simulated
+    once, its state copied (a list of references to the same ints) and each
+    window run from it.  Equal states after the windows stay equal under the
+    same suffix, so the answer is True without running it; otherwise both
+    suffixes run, since states can reconverge, and two states are held.
     """
     if s1.n != s2.n:
         raise ValidationError(f"person counts differ: {s1.n} != {s2.n}")
-    if Counter(s1.calls) != Counter(s2.calls):
+    c1, c2 = s1.calls, s2.calls
+    if len(c1) != len(c2):
         return False
-    return simulate(s1) == simulate(s2)
+    lo = next(compress(count(), map(ne, c1, c2)), None)
+    if lo is None:
+        return True
+    hi = len(c1) - next(compress(count(), map(ne, reversed(c1), reversed(c2))))
+    if Counter(c1[lo:hi]) != Counter(c2[lo:hi]):
+        return False
+    know1 = run_calls([1 << p for p in range(s1.n)], c1[:lo])
+    know2 = run_calls(know1.copy(), c2[lo:hi])
+    if run_calls(know1, c1[lo:hi]) == know2:
+        return True
+    return run_calls(know1, c1[hi:]) == run_calls(know2, c2[hi:])
 
 
 def to_dot(s: Schedule, name: str = "calls") -> str:

@@ -191,6 +191,29 @@ class TestSynthAndVerify:
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err.startswith(f"error: cannot write {target}:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("bad", ["--out", "--dot"])
+    def test_failed_write_leaves_no_file(self, capsys, tmp_path, bad):
+        """Either both files are written or neither is, and a file already
+        at the good path keeps its old content."""
+        good = tmp_path / "ok"
+        good.write_text("old")
+        missing = tmp_path / "no" / "such" / "x"
+        out, dot = (missing, good) if bad == "--out" else (good, missing)
+        code, stdout, err = run(capsys, "synth", "doubling", "10", "5", "0",
+                                "--out", str(out), "--dot", str(dot))
+        assert (code, stdout) == (EXIT_VALIDATION, "")
+        assert err.splitlines() == [f"error: cannot write {missing}: No such file or directory"]
+        assert good.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ok"]
+
+    def test_directory_target_leaves_no_file(self, capsys, tmp_path):
+        out = tmp_path / "s.json"
+        code, _, err = run(capsys, "synth", "doubling", "10", "5", "0",
+                           "--out", str(out), "--dot", str(tmp_path))
+        assert code == EXIT_VALIDATION
+        assert err.splitlines() == [f"error: cannot write {tmp_path}: Is a directory"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_synth_infeasible_exits_one(self, capsys):
         code, _, err = run(capsys, "synth", "doubling", "4", "5", "1")
         assert code == EXIT_VALIDATION

@@ -73,6 +73,28 @@ class TestCallAndSchedule:
         with pytest.raises(ValidationError):
             Call(-1, 2)
 
+    @pytest.mark.parametrize("pair", [
+        (0.9, 2), (2, 1.0), ("1", "2"), (True, 2), (1, False), (None, 1), (b"1", 2),
+    ])
+    def test_non_integer_ids_rejected(self, pair):
+        # none of them is truncated, parsed or read as 0/1
+        with pytest.raises(ValidationError, match="must be integers"):
+            Call(*pair)
+        with pytest.raises(ValidationError, match="must be integers"):
+            Schedule(3, [(0, 1), pair])
+
+    def test_integer_types_accepted(self):
+        class Id:  # any type with __index__, such as numpy's integers
+            def __init__(self, v):
+                self.v = v
+
+            def __index__(self):
+                return self.v
+
+        s = Schedule(3, [(Id(2), Id(0)), (1, Id(2))])
+        assert s.calls == ((0, 2), (1, 2))
+        assert all(type(p) is int for c in s.calls for p in c)
+
 
 class TestSimulate:
     def test_single_call_symmetry(self):

@@ -1,7 +1,9 @@
 """Multigraph classification, first-call splits, block swaps, DOT export."""
 from __future__ import annotations
 
-from collections import deque
+import random
+import tracemalloc
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +19,7 @@ from partialgossip import (
     full_graph,
     simulate,
     swap_blocks,
+    synth_doubling,
     to_dot,
 )
 from partialgossip.graph import CommGraph, ComponentKind
@@ -219,6 +222,30 @@ class TestSwapBlocks:
             assert simulate(swap_blocks(s, split, m, l)) == simulate(s)
 
 
+def _edited(kind: str, calls: list, pairs: list, rng: random.Random) -> list | None:
+    """A copy of calls with one edit of the given kind, or None if none applies."""
+    calls = list(calls)
+    j = rng.randrange(len(calls))
+    if kind in ("legal swap", "illegal swap"):
+        legal = kind == "legal swap"
+        js = [j for j in range(len(calls) - 1)
+              if set(calls[j]).isdisjoint(calls[j + 1]) == legal]
+        if not js:
+            return None
+        j = rng.choice(js)
+        calls[j : j + 2] = calls[j + 1], calls[j]
+    elif kind == "replaced call":
+        calls[j] = rng.choice(pairs)
+    elif kind == "shuffled window":
+        hi = rng.randint(j + 1, len(calls))
+        window = calls[j:hi]
+        rng.shuffle(window)
+        calls[j:hi] = window
+    elif kind == "inserted call":
+        calls.insert(j, rng.choice(pairs))
+    return calls
+
+
 class TestAreEquivalent:
     def test_reflexive(self, hub_tree_8):
         assert are_equivalent(hub_tree_8, hub_tree_8)
@@ -241,6 +268,55 @@ class TestAreEquivalent:
     def test_mismatched_n_rejected(self):
         with pytest.raises(ValidationError):
             are_equivalent(Schedule(2, [(0, 1)]), Schedule(3, [(0, 1)]))
+
+    def test_states_reconverge_after_the_window(self):
+        # after the window [0, 2) person 0 or person 2 is behind, and the
+        # shared last call brings both schedules to everyone knowing everything
+        s1 = Schedule(3, [(0, 1), (1, 2), (0, 2)])
+        s2 = Schedule(3, [(1, 2), (0, 1), (0, 2)])
+        assert simulate(Schedule(3, s1.calls[:2])) != simulate(Schedule(3, s2.calls[:2]))
+        assert are_equivalent(s1, s2)
+
+    def test_matches_reference_definition(self):
+        """Seeded random pairs of each kind against the definition itself."""
+        rng = random.Random(20)
+        seen = Counter()
+        for kind in ("identical", "legal swap", "illegal swap", "replaced call",
+                     "shuffled window", "inserted call"):
+            for _ in range(300):
+                n = rng.randint(2, 6)
+                pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+                calls = [rng.choice(pairs) for _ in range(rng.randint(2, 10))]
+                edited = _edited(kind, calls, pairs, rng)
+                if edited is None:
+                    continue
+                s1, s2 = Schedule(n, calls), Schedule(n, edited)
+                want = Counter(s1.calls) == Counter(s2.calls) and simulate(s1) == simulate(s2)
+                assert are_equivalent(s1, s2) == are_equivalent(s2, s1) == want, (s1, s2)
+                seen[kind, want] += 1
+        assert seen["identical", False] == seen["legal swap", False] == 0
+        assert seen["inserted call", True] == 0
+        assert all(seen[kind, want] for kind, want in [
+            ("identical", True), ("legal swap", True), ("illegal swap", False),
+            ("replaced call", True), ("replaced call", False),
+            ("shuffled window", True), ("shuffled window", False), ("inserted call", False),
+        ]), seen
+
+    def test_swap_holds_about_one_state(self):
+        """Checking a swap keeps one final state alive, not two."""
+        s = synth_doubling(2040, 14, 2)
+        j = next(j for j in range(700, len(s) - 1) if set(s.calls[j]).isdisjoint(s.calls[j + 1]))
+        swapped = swap_blocks(s, j, 1, 1)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: are_equivalent(s, swapped)) <= 1.25 * peak(lambda: simulate(s))
 
 
 class TestDotExport:
