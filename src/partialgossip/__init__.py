@@ -19,6 +19,7 @@ from .core import (
     awareness,
     is_exact_k_informing,
     is_k_informing,
+    max_informing_level,
     schedule_from_json,
     schedule_to_json,
     simulate,
@@ -59,7 +60,6 @@ from .oracle import (
     canonical_key,
     enumerate_tree_schemes,
     enumerate_unicyclic_schemes,
-    max_informing_level,
     min_calls_bruteforce,
 )
 from .lemmas import LEMMA_IDS, LemmaParams, LemmaReport, check_lemma

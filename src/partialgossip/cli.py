@@ -162,11 +162,12 @@ def _cmd_synth(args) -> int:
         schedule = method(args.n, args.k, args.i)
     if not is_k_informing(schedule, args.k):  # validate before writing
         raise AssertionError("synthesized schedule failed its own verification")
+    dot = to_dot(schedule) if args.dot or args.format == "dot" else None
     files = {}
     if args.out:
         files[args.out] = schedule_to_json(schedule, indent=2) + "\n"
     if args.dot:
-        files[args.dot] = to_dot(schedule)
+        files[args.dot] = dot
     _write_all(files)
     doc = {
         "method": args.method,
@@ -179,7 +180,7 @@ def _cmd_synth(args) -> int:
     if args.method == "multiblock":
         doc["blocks"] = args.blocks if args.blocks else max_feasible_blocks(args.n, args.k, args.i)
     if args.format == "dot":
-        print(to_dot(schedule), end="")
+        print(dot, end="")
     elif args.out:
         doc["file"] = args.out
         _emit(doc, args.format,

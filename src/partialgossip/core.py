@@ -8,7 +8,6 @@ sets; calls are strictly sequential and always exchange everything.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from operator import index, itemgetter
 from typing import Iterable
 
@@ -46,9 +45,42 @@ class Call(tuple):
     a = property(itemgetter(0))
     b = property(itemgetter(1))
 
+    def __getnewargs__(self):  # pickle and copy rebuild the call from its pair
+        return tuple(self)
 
-@dataclass(frozen=True)
-class Schedule:
+
+class _Record:
+    """``==`` compares ``_key()``, the fields that equality looks at, between
+    instances of one class; the records of the package derive from it."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+
+class _Frozen(_Record):
+    """A value: ``_key()`` lists the constructor's arguments, which are set
+    once, in ``__init__``, and never reassigned; hash and pickle use them."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return self.__class__, self._key()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Schedule(_Frozen):
     """A universe of n persons plus a chronological call sequence.
 
     The first ``prelim`` calls are preliminary: they run first, like any
@@ -57,9 +89,7 @@ class Schedule:
     multigraph) and calls need not touch every person.
     """
 
-    n: int
-    calls: tuple[Call, ...]
-    prelim: int = 0
+    __slots__ = ("n", "calls", "prelim")
 
     def __init__(self, n: int, calls: Iterable = (), prelim: int = 0):
         if type(n) is not int:  # bool and float would not print as a JSON integer
@@ -77,16 +107,30 @@ class Schedule:
         object.__setattr__(self, "calls", normalized)
         object.__setattr__(self, "prelim", prelim)
 
+    def _key(self) -> tuple:
+        return self.n, self.calls, self.prelim
+
+    def __repr__(self) -> str:
+        return f"Schedule(n={self.n!r}, calls={self.calls!r}, prelim={self.prelim!r})"
+
     def __len__(self) -> int:
         return len(self.calls)
 
 
-@dataclass(frozen=True)
-class KnowledgeState:
+class KnowledgeState(_Frozen):
     """Per-person gossip bitmasks at some moment in time."""
 
-    n: int
-    know: tuple[int, ...]
+    __slots__ = ("n", "know")
+
+    def __init__(self, n: int, know: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "know", know)
+
+    def _key(self) -> tuple:
+        return self.n, self.know
+
+    def __repr__(self) -> str:
+        return f"KnowledgeState(n={self.n!r}, know={self.know!r})"
 
     def awareness(self) -> list[int]:
         return [x.bit_count() for x in self.know]
@@ -124,15 +168,6 @@ def simulate(s: Schedule) -> KnowledgeState:
     return KnowledgeState(s.n, tuple(know))
 
 
-def simulate_prefixes(s: Schedule) -> list[KnowledgeState]:
-    """States after 0, 1, ..., len(calls) calls (used by invariant checks)."""
-    know = [1 << p for p in range(s.n)]
-    out = [KnowledgeState(s.n, tuple(know))]
-    for c in s.calls:
-        out.append(KnowledgeState(s.n, tuple(run_calls(know, (c,)))))
-    return out
-
-
 def apply_preliminary(s: Schedule) -> KnowledgeState:
     """Simulate the preliminary calls, then the others, over the whole universe."""
     know = run_calls([1 << p for p in range(s.n)], s.calls)
@@ -142,6 +177,11 @@ def apply_preliminary(s: Schedule) -> KnowledgeState:
 def awareness(ks: KnowledgeState) -> list[int]:
     """Number of gossips each person knows."""
     return ks.awareness()
+
+
+def max_informing_level(s: Schedule) -> int:
+    """Largest k for which the schedule is k-informing (min final awareness)."""
+    return min(simulate(s).awareness())
 
 
 def _check_k(n: int, k: int) -> None:

@@ -11,7 +11,7 @@ no overflow guard is needed); no floating point is used anywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import ValidationError
 
@@ -19,8 +19,7 @@ REGIME_CEIL_FRACTION = 1
 REGIME_BAND = 2
 
 
-@dataclass(frozen=True)
-class TRegime:
+class TRegime(NamedTuple):
     """Which P(n,k) regime an (n,k) pair falls in.
 
     kind is REGIME_CEIL_FRACTION for n >= 2^(k-1)-1 and REGIME_BAND

@@ -3,12 +3,11 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, compress, count, groupby
 from operator import ge, itemgetter, ne
 from typing import Iterable
 
-from .core import Call, Schedule, ValidationError, run_calls
+from .core import Call, Schedule, ValidationError, _Frozen, run_calls
 
 
 class ComponentKind(enum.Enum):
@@ -20,24 +19,31 @@ class ComponentKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class CommGraph:
+class CommGraph(_Frozen):
     """A multigraph of persons and timestamped calls.
 
     ``vertices`` normally equals the set of call endpoints; components
     produced by splitting may be single vertices with no calls.
     """
 
-    vertices: frozenset[int]
-    edges: tuple[tuple[Call, int], ...]  # (call, timestamp), timestamps strictly increasing
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self):
-        stamps = list(map(itemgetter(1), self.edges))
+    # edges are (call, timestamp) pairs, timestamps strictly increasing
+    def __init__(self, vertices: frozenset[int], edges: tuple[tuple[Call, int], ...]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        stamps = list(map(itemgetter(1), edges))
         if any(map(ge, stamps, stamps[1:])):
             raise ValidationError("edge timestamps must strictly increase")
-        if not self.vertices.issuperset(chain.from_iterable(self.calls())):
-            a, b = next(c for c in self.calls() if not self.vertices.issuperset(c))
+        if not vertices.issuperset(chain.from_iterable(self.calls())):
+            a, b = next(c for c in self.calls() if not vertices.issuperset(c))
             raise ValidationError(f"edge ({a},{b}) endpoint outside vertex set")
+
+    def _key(self) -> tuple:
+        return self.vertices, self.edges
+
+    def __repr__(self) -> str:
+        return f"CommGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     def calls(self) -> list[Call]:
         return list(map(itemgetter(0), self.edges))

@@ -65,9 +65,9 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .core import ValidationError, run_calls
+from .core import ValidationError, _Record, run_calls
 from .formulas import lemma1b_bound, t_value
 from .oracle import (SCHEME_SIZE_LIMIT, SearchConfig, _pair_tables,
                      enumerate_unicyclic_schemes, informing_tree_classes,
@@ -102,31 +102,53 @@ MAX_SAMPLED_N = 30
 MAX_PRELIM = 9
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     instance: dict
     expected_bound: int
     observed_n: int
 
 
-@dataclass
-class LemmaReport:
-    lemma_id: str
-    instances_checked: int
-    violations: list[Violation]
-    # candidates evaluated before the hypothesis filter; not part of the JSON
-    generated: int = 0
-    # checked instances per (n, k, i): persons, the k the instance was
-    # checked at and its preliminary calls (0 without any); empty for L2,
-    # whose hypothesis names no k; not part of the JSON
-    coverage: Counter = field(default_factory=Counter)
-    # candidates that missed the hypotheses:
-    # generated - instances_checked - undecided
-    rejected: int = 0
-    # candidates a budget-cut search left neither proved nor refuted (L6s1)
-    undecided: int = 0
-    # seconds the suite took to generate and judge its candidates
-    elapsed: float = field(default=0.0, compare=False)
+class LemmaReport(_Record):
+    __slots__ = ("lemma_id", "instances_checked", "violations", "generated", "coverage",
+                 "rejected", "undecided", "elapsed")
+
+    def __init__(
+        self,
+        lemma_id: str,
+        instances_checked: int,
+        violations: list[Violation],
+        # candidates evaluated before the hypothesis filter; not part of the JSON
+        generated: int = 0,
+        # checked instances per (n, k, i): persons, the k the instance was
+        # checked at and its preliminary calls (0 without any); empty for L2,
+        # whose hypothesis names no k; not part of the JSON.  None: a new Counter
+        coverage: Counter | None = None,
+        # candidates that missed the hypotheses:
+        # generated - instances_checked - undecided
+        rejected: int = 0,
+        # candidates a budget-cut search left neither proved nor refuted (L6s1)
+        undecided: int = 0,
+        # seconds the suite took to generate and judge its candidates; not
+        # compared by ==
+        elapsed: float = 0.0,
+    ):
+        self.lemma_id = lemma_id
+        self.instances_checked = instances_checked
+        self.violations = violations
+        self.generated = generated
+        self.coverage = Counter() if coverage is None else coverage
+        self.rejected = rejected
+        self.undecided = undecided
+        self.elapsed = elapsed
+
+    def _key(self) -> tuple:
+        return (self.lemma_id, self.instances_checked, self.violations, self.generated,
+                self.coverage, self.rejected, self.undecided)
+
+    def __repr__(self) -> str:
+        return ("LemmaReport(lemma_id=%r, instances_checked=%r, violations=%r, generated=%r, "
+                "coverage=%r, rejected=%r, undecided=%r, elapsed=%r)"
+                % (*self._key(), self.elapsed))
 
     @property
     def ok(self) -> bool:
@@ -147,8 +169,7 @@ class LemmaReport:
         }
 
 
-@dataclass
-class LemmaParams:
+class LemmaParams(_Record):
     """Instance-generation ranges; defaults are the documented ranges.
 
     L1a, L1b, L3, L4a, L4b and L5a enumerate tree classes on up to
@@ -160,12 +181,32 @@ class LemmaParams:
     MAX_PRELIM.
     """
 
-    max_exhaustive_n: int | None = None  # per-lemma default when None
-    max_sampled_n: int = 8
-    samples: int = 400
-    max_prelim: int = 3
-    seed: int = 0
-    bound_slack: int = 0  # tighten the asserted inequality by this much
+    __slots__ = ("max_exhaustive_n", "max_sampled_n", "samples", "max_prelim", "seed",
+                 "bound_slack")
+
+    def __init__(
+        self,
+        max_exhaustive_n: int | None = None,  # per-lemma default when None
+        max_sampled_n: int = 8,
+        samples: int = 400,
+        max_prelim: int = 3,
+        seed: int = 0,
+        bound_slack: int = 0,  # tighten the asserted inequality by this much
+    ):
+        self.max_exhaustive_n = max_exhaustive_n
+        self.max_sampled_n = max_sampled_n
+        self.samples = samples
+        self.max_prelim = max_prelim
+        self.seed = seed
+        self.bound_slack = bound_slack
+
+    def _key(self) -> tuple:
+        return (self.max_exhaustive_n, self.max_sampled_n, self.samples, self.max_prelim,
+                self.seed, self.bound_slack)
+
+    def __repr__(self) -> str:
+        return ("LemmaParams(max_exhaustive_n=%r, max_sampled_n=%r, samples=%r, "
+                "max_prelim=%r, seed=%r, bound_slack=%r)" % self._key())
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)

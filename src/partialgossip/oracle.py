@@ -100,11 +100,10 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .constructions import synth_doubling, synth_tree_copies
-from .core import Call, Schedule, ValidationError, is_k_informing, simulate
+from .core import Call, Schedule, ValidationError, _Record, is_k_informing
 from .formulas import REGIME_BAND, classify_regime
 
 FOUND = "found"
@@ -134,44 +133,72 @@ _FORM_CACHE = 2048
 _CANON_PERM_CAP = 1024
 
 
-@dataclass
-class SearchConfig:
-    max_depth: int = 64
-    time_budget: float = 600.0  # seconds
-    memo_limit: int = 4_000_000  # about 410 bytes an entry at (12,6): 1.7 GB when full
+class SearchConfig(_Record):
+    __slots__ = ("max_depth", "time_budget", "memo_limit")
 
-    def __post_init__(self):
-        if self.max_depth < 0:
-            raise ValidationError(f"max_depth must be >= 0, got {self.max_depth}")
-        if self.memo_limit < 0:
-            raise ValidationError(f"memo_limit must be >= 0, got {self.memo_limit}")
-        if not self.time_budget > 0:  # also rejects NaN, which never times out
-            raise ValidationError(f"time_budget must be > 0, got {self.time_budget}")
+    # time_budget is in seconds; a memo entry takes about 410 bytes at (12,6),
+    # so the default memo_limit fills 1.7 GB
+    def __init__(self, max_depth: int = 64, time_budget: float = 600.0,
+                 memo_limit: int = 4_000_000):
+        self.max_depth = max_depth
+        self.time_budget = time_budget
+        self.memo_limit = memo_limit
+        if max_depth < 0:
+            raise ValidationError(f"max_depth must be >= 0, got {max_depth}")
+        if memo_limit < 0:
+            raise ValidationError(f"memo_limit must be >= 0, got {memo_limit}")
+        if not time_budget > 0:  # also rejects NaN, which never times out
+            raise ValidationError(f"time_budget must be > 0, got {time_budget}")
+
+    def _key(self) -> tuple:
+        return self.max_depth, self.time_budget, self.memo_limit
+
+    def __repr__(self) -> str:
+        return "SearchConfig(max_depth=%r, time_budget=%r, memo_limit=%r)" % self._key()
 
 
-@dataclass
-class SearchResult:
-    status: str                 # FOUND | TIMEOUT | DEPTH_EXHAUSTED
-    min_calls: int | None       # exact minimum when status == FOUND
-    witness: Schedule | None    # a schedule attaining the minimum
-    refuted_depth: int          # no schedule with <= this many calls exists (proven)
-    nodes: int
-    elapsed: float
-    # per-search counters: memo_hits (states cut by the memo), memo_stores
-    # (refuted states memoized), memo_refused (refuted states not memoized
-    # because the memo held memo_limit entries), lb_prunes (states cut by
-    # the lower bound), unkeyed (refuted states left without a key within
-    # _UNKEYED_PLIES of the depth), orbit_cuts (calls skipped as isomorphic
-    # to an earlier sibling), sleep_cuts (calls skipped by the sleep set),
-    # keys (canonical keys computed: a memo bucket held another raw state),
-    # canon_inexact (those of them that fell back past _CANON_PERM_CAP),
-    # find_nodes (nodes of the pass that found the witness; 0 when the
-    # closed form's schedule is it) and passes (one dict per depth searched: the
-    # depth, then that pass's share of the nodes and of the counters before
-    # find_nodes).  On TIMEOUT the nodes, lb_prunes, orbit_cuts and
-    # sleep_cuts can read lower than a call-by-call visit would count: the
-    # class-counted cuts of the nodes the budget interrupted are never added
-    stats: dict[str, int | list[dict[str, int]]] = field(default_factory=dict)
+class SearchResult(_Record):
+    __slots__ = ("status", "min_calls", "witness", "refuted_depth", "nodes", "elapsed", "stats")
+
+    def __init__(
+        self,
+        status: str,                 # FOUND | TIMEOUT | DEPTH_EXHAUSTED
+        min_calls: int | None,       # exact minimum when status == FOUND
+        witness: Schedule | None,    # a schedule attaining the minimum
+        refuted_depth: int,          # no schedule with <= this many calls exists (proven)
+        nodes: int,
+        elapsed: float,
+        # per-search counters: memo_hits (states cut by the memo), memo_stores
+        # (refuted states memoized), memo_refused (refuted states not memoized
+        # because the memo held memo_limit entries), lb_prunes (states cut by
+        # the lower bound), unkeyed (refuted states left without a key within
+        # _UNKEYED_PLIES of the depth), orbit_cuts (calls skipped as isomorphic
+        # to an earlier sibling), sleep_cuts (calls skipped by the sleep set),
+        # keys (canonical keys computed: a memo bucket held another raw state),
+        # canon_inexact (those of them that fell back past _CANON_PERM_CAP),
+        # find_nodes (nodes of the pass that found the witness; 0 when the
+        # closed form's schedule is it) and passes (one dict per depth searched: the
+        # depth, then that pass's share of the nodes and of the counters before
+        # find_nodes).  On TIMEOUT the nodes, lb_prunes, orbit_cuts and
+        # sleep_cuts can read lower than a call-by-call visit would count: the
+        # class-counted cuts of the nodes the budget interrupted are never added
+        stats: dict[str, int | list[dict[str, int]]] | None = None,  # None: a new {}
+    ):
+        self.status = status
+        self.min_calls = min_calls
+        self.witness = witness
+        self.refuted_depth = refuted_depth
+        self.nodes = nodes
+        self.elapsed = elapsed
+        self.stats = {} if stats is None else stats
+
+    def _key(self) -> tuple:
+        return (self.status, self.min_calls, self.witness, self.refuted_depth, self.nodes,
+                self.elapsed, self.stats)
+
+    def __repr__(self) -> str:
+        return ("SearchResult(status=%r, min_calls=%r, witness=%r, refuted_depth=%r, "
+                "nodes=%r, elapsed=%r, stats=%r)" % self._key())
 
     @property
     def timed_out(self) -> bool:
@@ -735,23 +762,28 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
     return result(DEPTH_EXHAUSTED)
 
 
-def max_informing_level(s: Schedule) -> int:
-    """Largest k for which the schedule is k-informing (min final awareness)."""
-    return min(simulate(s).awareness())
-
-
 # ---------------------------------------------------------------------------
 # scheme enumerators
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SchemeStream:
+class SchemeStream(_Record):
     """An enumeration of schedules plus metadata about its coverage."""
 
-    n: int
-    exhaustive: bool
-    expected_count: int | None
-    schedules: Iterator[Schedule] = field(repr=False)
+    __slots__ = ("n", "exhaustive", "expected_count", "schedules")
+
+    def __init__(self, n: int, exhaustive: bool, expected_count: int | None,
+                 schedules: Iterator[Schedule]):
+        self.n = n
+        self.exhaustive = exhaustive
+        self.expected_count = expected_count
+        self.schedules = schedules
+
+    def _key(self) -> tuple:
+        return self.n, self.exhaustive, self.expected_count, self.schedules
+
+    def __repr__(self) -> str:  # the stream itself is left out
+        return (f"SchemeStream(n={self.n!r}, exhaustive={self.exhaustive!r}, "
+                f"expected_count={self.expected_count!r})")
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:

@@ -229,12 +229,14 @@ class TestSynthAndVerify:
 
     def test_dot_output(self, capsys, tmp_path):
         dot_file = tmp_path / "schedule.dot"
-        code, out, _ = run(capsys, "synth", "doubling", "4", "4", "0",
-                           "--format", "dot", "--dot", str(dot_file))
+        with mock.patch.object(cli, "to_dot", wraps=cli.to_dot) as render:
+            code, out, _ = run(capsys, "synth", "doubling", "4", "4", "0",
+                               "--format", "dot", "--dot", str(dot_file))
         assert code == EXIT_OK
         assert out.startswith("graph calls {")
         assert '0 -- 1 [label="1"];' in out
-        assert dot_file.read_text() == out
+        assert render.call_count == 1  # one rendering serves the file and standard output
+        assert dot_file.read_bytes() == out.encode()
 
     def test_stdout_json_is_stable(self, capsys):
         _, first, _ = run(capsys, "synth", "tree", "9", "5", "1", "--format", "json")
@@ -556,5 +558,17 @@ def test_import_loads_no_undeclared_dependency():
     code = ("import sys, partialgossip, partialgossip.cli; "
             "print(sorted({'numpy', 'networkx'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "[]\n"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """The record classes are written out, so importing the package and its CLI
+    stays clear of dataclasses and of inspect, ast, dis and tokenize behind it."""
+    src = str(pathlib.Path(partialgossip.__file__).resolve().parent.parent)
+    code = ("import sys, partialgossip, partialgossip.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    # -S: no site hooks, which may import either module before the package
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert done.stdout == "[]\n"

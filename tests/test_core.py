@@ -1,7 +1,9 @@
 """Simulation semantics, awareness queries and the schedule JSON format."""
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +20,7 @@ from partialgossip import (
     schedule_to_json,
     simulate,
 )
-from partialgossip.core import initial_state, simulate_prefixes
+from partialgossip.core import initial_state
 
 
 @st.composite
@@ -70,6 +72,7 @@ class TestCallAndSchedule:
         a, b = c
         assert (a, b) == (c.a, c.b) == (2, 4)
         assert Call(2, 4) == c and hash(Call(2, 4)) == hash(c)
+        assert type(pickle.loads(pickle.dumps(c))) is Call and copy.deepcopy(c) == c
         with pytest.raises(ValidationError):
             Call(-1, 2)
 
@@ -94,6 +97,33 @@ class TestCallAndSchedule:
         s = Schedule(3, [(Id(2), Id(0)), (1, Id(2))])
         assert s.calls == ((0, 2), (1, 2))
         assert all(type(p) is int for c in s.calls for p in c)
+
+
+class TestFrozenRecords:
+    """Schedule and KnowledgeState are values: equal, hashed and pickled alike."""
+
+    @pytest.mark.parametrize("make", [
+        lambda calls: Schedule(3, calls, prelim=1),
+        lambda calls: simulate(Schedule(3, calls)),
+    ], ids=["Schedule", "KnowledgeState"])
+    def test_equal_values_hash_alike(self, make):
+        a, b = make([(1, 0), (2, 1)]), make([Call(0, 1), Call(1, 2)])
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != make([(0, 2), (1, 2)])
+        assert pickle.loads(pickle.dumps(a)) == a == copy.deepcopy(a)
+
+    @pytest.mark.parametrize("record", [Schedule(2, [(0, 1)]), simulate(Schedule(2, [(0, 1)]))],
+                             ids=["Schedule", "KnowledgeState"])
+    def test_assignment_raises(self, record):
+        for name in (*record.__slots__, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+
+    def test_repr_names_the_fields(self):
+        assert repr(Schedule(2, [(0, 1)])) == "Schedule(n=2, calls=((0, 1),), prelim=0)"
+        assert repr(initial_state(2)) == "KnowledgeState(n=2, know=(1, 2))"
 
 
 class TestSimulate:
@@ -152,9 +182,15 @@ class TestInformingPredicates:
 # simulation invariants
 # ---------------------------------------------------------------------------
 
+def prefix_states(s: Schedule) -> list:
+    """States after 0, 1, ..., len(s) calls: the simulations of s's prefixes."""
+    return [simulate(Schedule(s.n, s.calls[:j])) for j in range(len(s) + 1)]
+
+
 @given(schedules())
 def test_monotone_knowledge(s):
-    states = simulate_prefixes(s)
+    states = prefix_states(s)
+    assert states[0] == initial_state(s.n)
     for before, after in zip(states, states[1:]):
         for x, y in zip(before.know, after.know):
             assert x & y == x  # no gossip is ever forgotten
@@ -162,7 +198,7 @@ def test_monotone_knowledge(s):
 
 @given(schedules())
 def test_post_call_equality(s):
-    states = simulate_prefixes(s)
+    states = prefix_states(s)
     for c, state in zip(s.calls, states[1:]):
         assert state.know[c.a] == state.know[c.b]
 

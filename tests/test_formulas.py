@@ -190,3 +190,11 @@ class TestLemma1bBound:
     def test_kp_above_k_rejected(self):
         with pytest.raises(ValidationError):
             lemma1b_bound(3, 4)
+
+
+def test_regime_is_a_frozen_value():
+    r = classify_regime(2**20, 22)
+    assert r == TRegime(REGIME_BAND, r.i) and hash(r) == hash(TRegime(REGIME_BAND, r.i))
+    assert repr(TRegime(REGIME_CEIL_FRACTION)) == "TRegime(kind=1, i=None)"
+    with pytest.raises(AttributeError):
+        r.i = 0

@@ -1,6 +1,7 @@
 """Multigraph classification, first-call splits, block swaps, DOT export."""
 from __future__ import annotations
 
+import pickle
 import random
 import tracemalloc
 from collections import Counter, deque
@@ -61,6 +62,24 @@ class TestBuildSubgraph:
     def test_bad_index_rejected(self, hub_tree_8):
         with pytest.raises(ValidationError):
             build_subgraph(hub_tree_8, [99])
+
+
+class TestCommGraphRecord:
+    def test_equal_graphs_hash_alike(self):
+        a = full_graph(Schedule(4, [(0, 1), (2, 1)]))
+        b = CommGraph(frozenset({0, 1, 2}), ((Call(0, 1), 0), (Call(1, 2), 1)))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != build_subgraph(Schedule(4, [(0, 1), (2, 1)]), [1])
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert repr(CommGraph(frozenset({0, 1}), ((Call(0, 1), 0),))) == (
+            "CommGraph(vertices=frozenset({0, 1}), edges=(((0, 1), 0),))")
+
+    def test_assignment_raises(self):
+        g = full_graph(Schedule(2, [(0, 1)]))
+        for name in ("vertices", "edges", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, frozenset())
+        assert g.vertices == {0, 1}
 
 
 class TestClassifyComponents:

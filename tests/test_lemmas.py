@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -130,6 +131,33 @@ def test_max_prelim_bounded(monkeypatch, max_prelim):
     monkeypatch.setattr(lemmas, "run_calls", must_not_run)
     with pytest.raises(ValidationError):
         check_lemma("L4a", LemmaParams(max_prelim=max_prelim))
+
+
+@pytest.mark.parametrize("lemma_id,kwargs", [
+    ("L2", {"samples": -1}), ("L4a", {"max_prelim": -1}), ("L2", {"max_sampled_n": 1}),
+    ("L1c", {"max_sampled_n": 3}), ("L5b", {"max_sampled_n": 3}),
+    ("L3", {"max_exhaustive_n": 3}),
+])
+def test_params_validated_before_the_suite_runs(monkeypatch, lemma_id, kwargs):
+    monkeypatch.setitem(lemmas._CHECKERS, lemma_id, None)  # calling it would fail otherwise
+    with pytest.raises(ValidationError):
+        check_lemma(lemma_id, LemmaParams(**kwargs))
+
+
+def test_report_and_params_records():
+    a = lemmas.LemmaReport("L1a", 3, [], 5, elapsed=1.5)
+    b = lemmas.LemmaReport("L1a", 3, [], 5, elapsed=0.25)
+    assert a == b and repr(a).endswith("rejected=0, undecided=0, elapsed=1.5)")
+    assert a.coverage == Counter() and a.coverage is not b.coverage  # a new Counter each
+    a.coverage[(8, 4, 0)] += 1
+    assert a != b and b.coverage == Counter()
+    v = lemmas.Violation({"n": 7}, 8, 7)
+    assert v == lemmas.Violation({"n": 7}, 8, 7) and v.observed_n == 7
+    with pytest.raises(AttributeError):
+        v.observed_n = 8
+    assert LemmaParams(seed=1) == LemmaParams(None, 8, 400, 3, 1, 0) != LemmaParams()
+    assert repr(LemmaParams()) == ("LemmaParams(max_exhaustive_n=None, max_sampled_n=8, "
+                                   "samples=400, max_prelim=3, seed=0, bound_slack=0)")
 
 
 @pytest.mark.parametrize("lemma_id", ["L3", "L4a"])

@@ -381,6 +381,24 @@ class TestMinCalls:
         with pytest.raises(ValidationError):
             SearchConfig(memo_limit=-1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_depth": -1}, {"time_budget": math.nan}, {"time_budget": -1.0},
+    ])
+    def test_config_validation(self, kwargs):
+        with pytest.raises(ValidationError):
+            SearchConfig(**kwargs)
+
+    def test_config_and_result_records(self):
+        assert SearchConfig() == SearchConfig(64, 600.0, 4_000_000) != SearchConfig(max_depth=3)
+        assert repr(SearchConfig(max_depth=3)) == (
+            "SearchConfig(max_depth=3, time_budget=600.0, memo_limit=4000000)")
+        a, b = (oracle.SearchResult(TIMEOUT, None, None, 0, 0, 0.0) for _ in range(2))
+        assert a == b and a.stats == {} and a.stats is not b.stats  # a new dict each
+        a.stats["nodes"] = 1
+        assert a != b and b.stats == {}
+        stream = enumerate_tree_schemes(3)
+        assert repr(stream) == "SchemeStream(n=3, exhaustive=True, expected_count=6)"
+
 
 def _assert_passes_add_up(r, depths):
     """One pass per depth searched, in order, whose counters sum to the flat ones."""
