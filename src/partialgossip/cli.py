@@ -366,11 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest sampled scheme size, at most 30; L1c and L5b need 4 "
                         "and stop at 8 (L1a, L1b, L3, L4a, L4b, L5a and L6s1 ignore it)")
     p.add_argument("--samples", type=int, default=400,
-                   help="random instances per sampled size "
+                   help="random instances: L2 draws this many in all, on 5..MAX_N "
+                        "persons, and L5b this many on each size 5..min(MAX_N, 8) "
                         "(L1a, L1b, L1c, L3, L4a, L4b, L5a and L6s1 ignore it)")
     p.add_argument("--prelim-max", type=int, default=3,
                    help=f"largest preliminary-call count, at most {MAX_PRELIM}")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random draws of L2, L3, L4a, L4b, L5a and L5b "
+                        "(L1a, L1b, L1c and L6s1 ignore it)")
     p.add_argument("--bound-slack", type=int, default=0,
                    help="tighten bounds by this much (negative-control mode)")
     p.add_argument("--stats", action="store_true",

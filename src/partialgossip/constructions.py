@@ -12,7 +12,7 @@ round.  Person layout is fixed so output is reproducible byte for byte:
 from __future__ import annotations
 
 from .core import Schedule, ValidationError
-from .formulas import t_value
+from .formulas import _t_at_most
 
 
 def _check_base(n: int, k: int, i: int) -> None:
@@ -22,15 +22,6 @@ def _check_base(n: int, k: int, i: int) -> None:
         raise ValidationError(f"index i={i} out of [0, {k - 4}] for k={k}")
     if n < 1:
         raise ValidationError(f"bad person count n={n}")
-
-
-def _below_t(n: int, i: int, k: int) -> bool:
-    """n < t_i(k) = i + 2^(k-i-2), for 0 <= i <= k-4.
-
-    Decided on bit lengths, as classify_regime does, so a huge k builds no
-    huge power of two.
-    """
-    return n - i < 1 or k - i - 2 >= (n - i).bit_length()
 
 
 def _doubling_rounds(members: list[int], first_round: int, last_round: int) -> list[tuple[int, int]]:
@@ -50,7 +41,7 @@ def synth_doubling(n: int, k: int, i: int) -> Schedule:
     Requires t_i(k) <= n; emits exactly n+i calls, all persons >= k-informed.
     """
     _check_base(n, k, i)
-    if _below_t(n, i, k):
+    if not _t_at_most(i, k, n):
         raise ValidationError(
             f"doubling scheme needs n >= t_i(k) = i + 2^(k-i-2) = {i} + 2^{k - i - 2}, got n={n}"
         )
@@ -73,7 +64,7 @@ def synth_tree_variant(n: int, k: int, i: int) -> Schedule:
     form a spanning tree.
     """
     _check_base(n, k, i)
-    if _below_t(n - 1, i, k):
+    if not _t_at_most(i, k, n - 1):
         raise ValidationError(
             f"tree variant needs n >= t_i(k)+1 = i + 2^(k-i-2) + 1 = {i} + 2^{k - i - 2} + 1,"
             f" got n={n}"
@@ -83,7 +74,7 @@ def synth_tree_variant(n: int, k: int, i: int) -> Schedule:
 
 def max_feasible_blocks(n: int, k: int, i: int) -> int:
     """Largest block count the multi-block scheme can fit for these parameters."""
-    if _below_t(n - 1, i, k):  # hub, helpers and the first block need t_i(k) + 1 persons
+    if not _t_at_most(i, k, n - 1):  # hub, helpers and the first block need t_i(k) + 1 persons
         return 0
     best = 0
     used = i + 1
@@ -101,11 +92,10 @@ def multiblock_feasible(n: int, k: int, i: int, blocks: int) -> bool:
     Blocks halve strictly (sizes 2^(k-i-2), 2^(k-i-3), ...); the persons
     used by helpers, hub and blocks must fit in n, which holds for exactly
     the counts up to max_feasible_blocks, and n must stay below t_{i-1}(k)
-    so that n+i is the optimal call count for this band.  That comparison
-    comes last: a huge k has no feasible block, so 2^(k-i-1) is never built.
+    so that n+i is the optimal call count for this band.
     """
     return (k >= 4 and 0 <= i <= k - 4 and 1 <= blocks <= max_feasible_blocks(n, k, i)
-            and n < t_value(i - 1, k))
+            and not _t_at_most(i - 1, k, n))
 
 
 def synth_multiblock(n: int, k: int, i: int, blocks: int | None = None) -> Schedule:
@@ -152,7 +142,7 @@ def synth_tree_copies(n: int, k: int) -> Schedule:
     """
     if not 2 <= k <= n:
         raise ValidationError(f"need n >= k >= 2, got n={n}, k={k}")
-    if (n + 1).bit_length() < k:  # n < 2^(k-1) - 1, tested without building 2^(k-1)
+    if not _t_at_most(-1, k, n):  # n < t_{-1}(k) = 2^(k-1) - 1
         raise ValidationError(f"first regime needs n >= 2^(k-1)-1 = 2^{k - 1} - 1, got n={n}")
     size = 1 << (k - 1)
     copies = n // size

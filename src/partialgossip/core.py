@@ -50,10 +50,22 @@ class Call(tuple):
 
 
 class _Record:
-    """``==`` compares ``_key()``, the fields that equality looks at, between
-    instances of one class; the records of the package derive from it."""
+    """A record whose fields are its class's ``__slots__``, in constructor
+    order; the records of the package derive from it.
+
+    ``_key()``, the fields that ``==`` compares between instances of one
+    class, and ``repr`` both list every slot; a class overrides ``_key`` or
+    ``__repr__`` only to leave a field out.
+    """
 
     __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -62,8 +74,8 @@ class _Record:
 
 
 class _Frozen(_Record):
-    """A value: ``_key()`` lists the constructor's arguments, which are set
-    once, in ``__init__``, and never reassigned; hash and pickle use them."""
+    """A value: its slots are the constructor's arguments, set once, in
+    ``__init__``, and never reassigned; hash and pickle use ``_key()``."""
 
     __slots__ = ()
 
@@ -107,12 +119,6 @@ class Schedule(_Frozen):
         object.__setattr__(self, "calls", normalized)
         object.__setattr__(self, "prelim", prelim)
 
-    def _key(self) -> tuple:
-        return self.n, self.calls, self.prelim
-
-    def __repr__(self) -> str:
-        return f"Schedule(n={self.n!r}, calls={self.calls!r}, prelim={self.prelim!r})"
-
     def __len__(self) -> int:
         return len(self.calls)
 
@@ -125,12 +131,6 @@ class KnowledgeState(_Frozen):
     def __init__(self, n: int, know: tuple[int, ...]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "know", know)
-
-    def _key(self) -> tuple:
-        return self.n, self.know
-
-    def __repr__(self) -> str:
-        return f"KnowledgeState(n={self.n!r}, know={self.know!r})"
 
     def awareness(self) -> list[int]:
         return [x.bit_count() for x in self.know]

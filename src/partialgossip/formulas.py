@@ -39,20 +39,28 @@ def t_value(i: int, k: int) -> int:
     return i + (1 << (k - i - 2))
 
 
+def _t_at_most(i: int, k: int, n: int) -> bool:
+    """t_i(k) <= n, for any integer n and i <= k-2.
+
+    That is 2^(k-i-2) <= n - i, decided on bit lengths so a huge k builds
+    no huge power of two; n - i < 1 is below every power of two (and the
+    bit length of a negative number is that of its absolute value).
+    """
+    return n - i >= 1 and (n - i).bit_length() > k - i - 2
+
+
 def classify_regime(n: int, k: int) -> TRegime:
     """Classify (n,k) with n >= k >= 2 into its P(n,k) regime."""
     _check_nk(n, k)
-    # n >= 2^(k-1) - 1 exactly when n + 1 has at least k binary digits
-    if (n + 1).bit_length() >= k:
+    if _t_at_most(-1, k, n):  # n >= t_{-1}(k) = 2^(k-1) - 1
         return TRegime(REGIME_CEIL_FRACTION)
     # here k >= 4 (for k in {2,3}, n >= k already implies the branch above).
     # t_i(k) decreases in i and t_{k-4}(k) = k <= n, so the band is the
-    # smallest i with t_i(k) <= n, found by bisection.  t_i(k) <= n means
-    # 2^(k-i-2) <= n - i, tested on bit lengths without building 2^(k-i-2).
+    # smallest i with t_i(k) <= n, found by bisection.
     lo, hi = 0, k - 4
     while lo < hi:
         mid = (lo + hi) // 2
-        if k - mid - 2 < (n - mid).bit_length():
+        if _t_at_most(mid, k, n):
             hi = mid
         else:
             lo = mid + 1

@@ -39,12 +39,6 @@ class CommGraph(_Frozen):
             a, b = next(c for c in self.calls() if not vertices.issuperset(c))
             raise ValidationError(f"edge ({a},{b}) endpoint outside vertex set")
 
-    def _key(self) -> tuple:
-        return self.vertices, self.edges
-
-    def __repr__(self) -> str:
-        return f"CommGraph(vertices={self.vertices!r}, edges={self.edges!r})"
-
     def calls(self) -> list[Call]:
         return list(map(itemgetter(0), self.edges))
 

@@ -141,14 +141,8 @@ class LemmaReport(_Record):
         self.undecided = undecided
         self.elapsed = elapsed
 
-    def _key(self) -> tuple:
-        return (self.lemma_id, self.instances_checked, self.violations, self.generated,
-                self.coverage, self.rejected, self.undecided)
-
-    def __repr__(self) -> str:
-        return ("LemmaReport(lemma_id=%r, instances_checked=%r, violations=%r, generated=%r, "
-                "coverage=%r, rejected=%r, undecided=%r, elapsed=%r)"
-                % (*self._key(), self.elapsed))
+    def _key(self) -> tuple:  # every slot but the last, elapsed
+        return super()._key()[:-1]
 
     @property
     def ok(self) -> bool:
@@ -199,14 +193,6 @@ class LemmaParams(_Record):
         self.max_prelim = max_prelim
         self.seed = seed
         self.bound_slack = bound_slack
-
-    def _key(self) -> tuple:
-        return (self.max_exhaustive_n, self.max_sampled_n, self.samples, self.max_prelim,
-                self.seed, self.bound_slack)
-
-    def __repr__(self) -> str:
-        return ("LemmaParams(max_exhaustive_n=%r, max_sampled_n=%r, samples=%r, "
-                "max_prelim=%r, seed=%r, bound_slack=%r)" % self._key())
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)

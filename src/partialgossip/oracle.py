@@ -150,12 +150,6 @@ class SearchConfig(_Record):
         if not time_budget > 0:  # also rejects NaN, which never times out
             raise ValidationError(f"time_budget must be > 0, got {time_budget}")
 
-    def _key(self) -> tuple:
-        return self.max_depth, self.time_budget, self.memo_limit
-
-    def __repr__(self) -> str:
-        return "SearchConfig(max_depth=%r, time_budget=%r, memo_limit=%r)" % self._key()
-
 
 class SearchResult(_Record):
     __slots__ = ("status", "min_calls", "witness", "refuted_depth", "nodes", "elapsed", "stats")
@@ -191,18 +185,6 @@ class SearchResult(_Record):
         self.nodes = nodes
         self.elapsed = elapsed
         self.stats = {} if stats is None else stats
-
-    def _key(self) -> tuple:
-        return (self.status, self.min_calls, self.witness, self.refuted_depth, self.nodes,
-                self.elapsed, self.stats)
-
-    def __repr__(self) -> str:
-        return ("SearchResult(status=%r, min_calls=%r, witness=%r, refuted_depth=%r, "
-                "nodes=%r, elapsed=%r, stats=%r)" % self._key())
-
-    @property
-    def timed_out(self) -> bool:
-        return self.status == TIMEOUT
 
 
 class _BudgetExceeded(Exception):
@@ -777,9 +759,6 @@ class SchemeStream(_Record):
         self.exhaustive = exhaustive
         self.expected_count = expected_count
         self.schedules = schedules
-
-    def _key(self) -> tuple:
-        return self.n, self.exhaustive, self.expected_count, self.schedules
 
     def __repr__(self) -> str:  # the stream itself is left out
         return (f"SchemeStream(n={self.n!r}, exhaustive={self.exhaustive!r}, "

@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import json
 import pickle
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +21,8 @@ from partialgossip import (
     schedule_to_json,
     simulate,
 )
-from partialgossip.core import initial_state
+from partialgossip import graph, lemmas, oracle
+from partialgossip.core import KnowledgeState, _Frozen, _Record, initial_state
 
 
 @st.composite
@@ -124,6 +126,63 @@ class TestFrozenRecords:
     def test_repr_names_the_fields(self):
         assert repr(Schedule(2, [(0, 1)])) == "Schedule(n=2, calls=((0, 1),), prelim=0)"
         assert repr(initial_state(2)) == "KnowledgeState(n=2, know=(1, 2))"
+
+
+def _record_classes(base=_Record):
+    """Every record class of the package: each subclass of _Record with fields."""
+    for cls in base.__subclasses__():
+        if cls.__slots__:
+            yield cls
+        yield from _record_classes(cls)
+
+
+# one instance per record class, every field distinct from a fresh object()
+_RECORD_EXAMPLES = {
+    Schedule: lambda: Schedule(3, [(0, 1), (1, 2)], prelim=1),
+    KnowledgeState: lambda: simulate(Schedule(3, [(0, 1)])),
+    graph.CommGraph: lambda: graph.full_graph(Schedule(3, [(0, 1), (1, 2)])),
+    oracle.SearchConfig: lambda: oracle.SearchConfig(3, 1.5, 7),
+    oracle.SearchResult: lambda: oracle.min_calls_bruteforce(4, 4),
+    oracle.SchemeStream: lambda: oracle.enumerate_tree_schemes(3),
+    lemmas.LemmaReport: lambda: lemmas.LemmaReport(
+        "L2", 3, [lemmas.Violation({"n": 5}, 2, 3)], 5, Counter({(5, 4, 1): 3}), 1, 1, 0.5),
+    lemmas.LemmaParams: lambda: lemmas.LemmaParams(5, 6, 7, 2, 9, 1),
+}
+# the fields that == and repr leave out
+_NOT_COMPARED = {(lemmas.LemmaReport, "elapsed")}
+_NOT_PRINTED = {(oracle.SchemeStream, "schedules")}
+
+
+def test_every_record_class_has_an_example():
+    assert set(_record_classes()) == set(_RECORD_EXAMPLES)
+
+
+@pytest.mark.parametrize("cls", list(_record_classes()), ids=lambda cls: cls.__name__)
+class TestRecordContract:
+    """== compares, and repr names, every field in __slots__ order but the
+    listed exceptions."""
+
+    def test_replacing_a_field_breaks_equality(self, cls):
+        a = _RECORD_EXAMPLES[cls]()
+        assert a == copy.copy(a)
+        for name in cls.__slots__:
+            b = copy.copy(a)
+            object.__setattr__(b, name, object())
+            assert (a == b) is ((cls, name) in _NOT_COMPARED), name
+
+    def test_repr_names_every_field_in_order(self, cls):
+        a = _RECORD_EXAMPLES[cls]()
+        fields = ", ".join(f"{name}={getattr(a, name)!r}" for name in cls.__slots__
+                           if (cls, name) not in _NOT_PRINTED)
+        assert repr(a) == f"{cls.__name__}({fields})"
+
+
+@pytest.mark.parametrize("cls", [cls for cls in _record_classes() if issubclass(cls, _Frozen)],
+                         ids=lambda cls: cls.__name__)
+def test_frozen_values_survive_pickle_and_deepcopy(cls):
+    a = _RECORD_EXAMPLES[cls]()
+    for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert b is not a and b == a and hash(b) == hash(a)
 
 
 class TestSimulate:

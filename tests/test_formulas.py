@@ -15,6 +15,7 @@ from partialgossip import (
     p_min_calls,
     t_value,
 )
+from partialgossip.formulas import _t_at_most
 
 # frozen from the exhaustive search oracle (see test_acceptance criterion 1)
 BRUTE_FORCE_TABLE = {
@@ -111,6 +112,15 @@ class TestClassifyRegime:
         assert regime == TRegime(REGIME_BAND, k - 20)
         assert lines <= 8 * k.bit_length()
         assert p_min_calls(10**6, k) == 10**6 + k - 20
+
+
+@pytest.mark.parametrize("k", range(3, 12))
+def test_threshold_predicate_matches_t_value(k):
+    """_t_at_most(i, k, n) is t_i(k) <= n, also where n - i <= 0."""
+    for i in range(-1, k - 3):
+        t = t_value(i, k)
+        for n in range(-t - 2, t + 3):
+            assert _t_at_most(i, k, n) is (t <= n), (i, n)
 
 
 def _lines_run(fn, *args):

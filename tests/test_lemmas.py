@@ -257,6 +257,14 @@ def test_l2_box_respects_max_prelim(max_prelim, expected):
     assert {len(v.instance["preliminary"]) for v in report.violations} == {max_prelim}
 
 
+@pytest.mark.parametrize("samples", [1, 37])
+def test_l2_draws_samples_in_all(samples):
+    """L2 draws ``samples`` random instances in total, not per sampled size."""
+    box = check_lemma("L2", LemmaParams(max_prelim=1, samples=0))
+    report = check_lemma("L2", LemmaParams(max_prelim=1, samples=samples))
+    assert report.generated == box.generated + samples
+
+
 @functools.cache
 def _reference_all_matchings(n, size):
     """Disjoint-edge unions by filtering every combination of pairs."""
