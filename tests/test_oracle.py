@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -856,6 +857,39 @@ class TestUnicyclicEnumeration:
         for s in enumerate_unicyclic_schemes(6, limit=40, seed=1).schedules:
             comps = classify_components(full_graph(s))
             assert comps == [(frozenset(range(6)), ComponentKind.UNICYCLIC)]
+
+
+def _stream_digest(streams) -> str:
+    h = hashlib.sha256()
+    for stream in streams:
+        h.update(repr([[tuple(c) for c in s.calls] for s in stream.schedules]).encode())
+    return h.hexdigest()[:16]
+
+
+class TestEnumerationOrder:
+    """Both enumerators' exact output, in order: the exhaustive walks and the
+    seeded samplers (Pruefer sequence, then the extra pair, then the shuffle)."""
+
+    def test_exhaustive_walks(self):
+        assert {n: _stream_digest([enumerate_tree_schemes(n)]) for n in range(2, 6)} == {
+            2: "262e139c97fa9ad9", 3: "c52031ce38c0c1c0", 4: "85484aae40395609",
+            5: "47f7fd9511866800"}
+        assert {n: _stream_digest([enumerate_unicyclic_schemes(n)]) for n in range(2, 5)} == {
+            2: "3a98643a7dd88e42", 3: "3bcbcdb816cd6ad9", 4: "a210c85584fa759e"}
+
+    @pytest.mark.parametrize("enumerate_schemes,pins", [
+        (enumerate_tree_schemes, {
+            2: "6b3c08742f37b57a", 3: "71e903573894de44", 4: "902722b0e5c77464",
+            5: "1123e353bbd26f78", 6: "c05ebbd64fd4e8d6", 7: "1e361169cb2596b7",
+            8: "2b2e6bf1748d853c"}),
+        (enumerate_unicyclic_schemes, {
+            2: "b26ea8258c4a1c10", 3: "39d35635ef09b36a", 4: "a647ad2d1374045a",
+            5: "a1391c3658aaf6b0", 6: "55b2a6c0629c0090", 7: "7b13db9c775554ac",
+            8: "1ef995cb2972b65f"}),
+    ])
+    def test_samplers(self, enumerate_schemes, pins):
+        assert {n: _stream_digest([enumerate_schemes(n, limit=5, seed=seed)
+                                   for seed in range(4)]) for n in range(2, 9)} == pins
 
 
 def _final_state(m: int, calls) -> tuple[int, ...]:
