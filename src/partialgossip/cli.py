@@ -26,10 +26,10 @@ from .constructions import (
 )
 from .core import (
     ValidationError,
-    apply_preliminary,
     is_k_informing,
     schedule_from_json,
     schedule_to_json,
+    simulate,
 )
 from .formulas import REGIME_BAND, classify_regime, p_min_calls
 from .graph import classify_components, full_graph, to_dot
@@ -202,7 +202,7 @@ def _cmd_verify(args) -> int:
     _check_persons(s.n)
     if not 1 <= args.k <= s.n:
         raise ValidationError(f"k={args.k} out of range [1, n={s.n}]")
-    aw = apply_preliminary(s).awareness()
+    aw = simulate(s).awareness()
     informing = min(aw) >= args.k
     exact = all(a == args.k for a in aw)
     components = [

@@ -9,12 +9,15 @@ any suite's outcomes into its LemmaReport, so violations are reported
 instead of raised.  The harness can be pointed at a deliberately falsified
 bound (``bound_slack``) to prove it is able to fail.
 
-L4a, L4b and L5a are one statement with a moving bound index: a tree plus
-i preliminary calls has n >= t_{i-1+spare}(k), with k the (spare+1)-th
-smallest awareness on the tree's own persons.  One checker runs all three
-from the table _TREE_PRELIM of (outsiders, spare): L4a (0, 0), L4b (2, 0)
-and L5a (1, 1).  L5b asserts the same bound on a unicyclic scheme, its one
-cycle taking the place of the spare person.
+L1a and L1c are one statement: a k-informing scheme with c cycles has at
+least 2^(k-1-c) persons, c = 0 for trees and 1 for unicyclic schemes.  One
+checker runs both from the table _SIZE_BOUND.  L4a, L4b and L5a are one
+statement with a moving bound index: a tree plus i preliminary calls has
+n >= t_{i-1+spare}(k), with k the (spare+1)-th smallest awareness on the
+tree's own persons.  One checker runs all three from the table _TREE_PRELIM
+of (outsiders, spare): L4a (0, 0), L4b (2, 0) and L5a (1, 1).  L5b asserts
+the same bound on a unicyclic scheme, its one cycle taking the place of the
+spare person.
 
 Documented instance ranges (defaults in LemmaParams):
 
@@ -152,14 +155,7 @@ class LemmaReport(_Record):
         return {
             "lemma": self.lemma_id,
             "checked": self.instances_checked,
-            "violations": [
-                {
-                    "instance": v.instance,
-                    "expected_bound": v.expected_bound,
-                    "observed_n": v.observed_n,
-                }
-                for v in self.violations
-            ],
+            "violations": [v._asdict() for v in self.violations],
         }
 
 
@@ -234,18 +230,25 @@ def _aw(n: int, pairs) -> list[int]:
     return [x.bit_count() for x in run_calls([1 << p for p in range(n)], pairs)]
 
 
-def _tree_classes(params: LemmaParams, lemma_id: str, k: int = 1, spare: int = 0):
-    """(m, pairs): one scheme per class of ``informing_tree_classes(m, k, spare)``.
+def _tree_classes(params: LemmaParams, lemma_id: str, k: int = 1, spare: int = 0,
+                  cycles: int = 0):
+    """(m, pairs): one scheme per class of ``informing_tree_classes(m, k, spare, cycles)``.
 
     m runs from 2 to the suite's ``max_exhaustive_n`` (default in
-    _SIZES).  A class is a tree's final state up to joint relabeling of
-    persons and gossips; with k = 1 every tree is in one.  L1a and L1b read
-    only the awareness profile, and L3 the outcome of preliminary calls run
-    before the tree, which relabels with the final state (see
-    _check_tree_prelim), so one member per class checks them all.
+    _SIZES) for trees, and from 4 to min(``max_sampled_n``, 8) for
+    unicyclic schemes (``cycles`` = 1).  A class is a scheme's final state
+    up to joint relabeling of persons and gossips; with k = 1 every tree is
+    in one.  L1a, L1b and L1c read only the awareness profile, and L3 the
+    outcome of preliminary calls run before the tree, which relabels with
+    the final state (see _check_tree_prelim), so one member per class
+    checks them all.
     """
-    for m in range(2, (params.max_exhaustive_n or _SIZES[lemma_id][2]) + 1):
-        for pairs in informing_tree_classes(m, k, spare):
+    if cycles:
+        sizes = range(4, min(params.max_sampled_n, SCHEME_SIZE_LIMIT) + 1)
+    else:
+        sizes = range(2, (params.max_exhaustive_n or _SIZES[lemma_id][2]) + 1)
+    for m in sizes:
+        for pairs in informing_tree_classes(m, k, spare, cycles):
             yield m, pairs
 
 
@@ -365,12 +368,23 @@ def _report(lemma_id: str, outcomes) -> LemmaReport:
                        time.perf_counter() - start)
 
 
-def _check_l1a(params: LemmaParams):
-    """k-informing tree on n persons implies n >= 2^(k-1)."""
-    for n, pairs in _tree_classes(params, "L1a"):
-        kmax = min(_aw(n, pairs))
-        bound = (1 << (kmax - 1)) + params.bound_slack
-        yield (n, kmax, 0), n < bound and Violation(_describe(n, pairs, k=kmax), bound, n)
+# (least k, cycles) of the scheme classes that L1a and L1c check
+_SIZE_BOUND = {"L1a": (1, 0), "L1c": (4, 1)}
+
+
+def _check_size_bound(params: LemmaParams, lemma_id: str):
+    """k-informing scheme with c cycles on n persons implies n >= 2^(k-1-c).
+
+    L1a checks every tree class (c = 0), and L1c (c = 1, k >= 4) every
+    class of unicyclic schemes leaving everyone 4-informed: no other
+    unicyclic scheme meets k >= 4.  The 2,105 unicyclic classes of m = 9
+    would take about 2.4 s more.
+    """
+    least, cycles = _SIZE_BOUND[lemma_id]
+    for n, pairs in _tree_classes(params, lemma_id, least, 0, cycles):
+        k = min(_aw(n, pairs))
+        bound = (1 << (k - 1 - cycles)) + params.bound_slack
+        yield (n, k, 0), n < bound and Violation(_describe(n, pairs, k=k), bound, n)
 
 
 def _check_l1b(params: LemmaParams):
@@ -382,21 +396,6 @@ def _check_l1b(params: LemmaParams):
         k = min(a for p, a in enumerate(aw) if p != weakest)
         bound = lemma1b_bound(k, kp) + params.bound_slack
         yield (n, k, 0), n < bound and Violation(_describe(n, pairs, k=k, kp=kp), bound, n)
-
-
-def _check_l1c(params: LemmaParams):
-    """Unicyclic k-informing scheme (k >= 4) has at least 2^(k-2) vertices.
-
-    One scheme per class of ``informing_tree_classes(m, 4, 0, 1)``, m = 4
-    to min(max_sampled_n, 8): the outcome reads only the final awareness
-    profile, and no scheme outside those classes meets k >= 4.  The 2,105
-    classes of m = 9 would take about 2.4 s more.
-    """
-    for m in range(4, min(params.max_sampled_n, SCHEME_SIZE_LIMIT) + 1):
-        for pairs in informing_tree_classes(m, 4, 0, 1):
-            k = min(_aw(m, pairs))
-            bound = (1 << (k - 2)) + params.bound_slack
-            yield (m, k, 0), m < bound and Violation(_describe(m, pairs, k=k), bound, m)
 
 
 def _check_l2(params: LemmaParams):
@@ -588,9 +587,8 @@ def _check_l6s1(params: LemmaParams):
 
 
 _CHECKERS = {
-    "L1a": _check_l1a,
+    **{lid: functools.partial(_check_size_bound, lemma_id=lid) for lid in _SIZE_BOUND},
     "L1b": _check_l1b,
-    "L1c": _check_l1c,
     "L2": _check_l2,
     "L3": _check_l3,
     **{lid: functools.partial(_check_tree_prelim, lemma_id=lid) for lid in _TREE_PRELIM},

@@ -790,15 +790,52 @@ def labeled_trees(n: int) -> Iterator[list[tuple[int, int]]]:
     if n == 1:
         yield []
         return
-    if n == 2:
-        yield [(0, 1)]
-        return
     for seq in itertools.product(range(n), repeat=n - 2):
         yield prufer_decode(seq, n)
 
 
-EXHAUSTIVE_TREE_LIMIT = 6  # all trees x all call orders up to here
+EXHAUSTIVE_TREE_LIMIT = 6  # every call order of every scheme of n + cycles <= this
 SCHEME_SIZE_LIMIT = 8  # largest n of the tree and unicyclic scheme enumerators
+
+
+def _labeled_schemes(n: int, cycles: int, limit: int | None, seed: int) -> SchemeStream:
+    """Spanning trees on n vertices plus ``cycles`` (0 or 1) extra pairs, as call orders.
+
+    Exhaustive (every labeled tree, extra pair and chronological order) while
+    a scheme has at most EXHAUSTIVE_TREE_LIMIT - 1 calls and no ``limit`` is
+    given; else ``limit`` (default 1000) schemes, each drawn as a Pruefer
+    sequence, then the extra pair, then a shuffle.
+    """
+    if not 2 <= n <= SCHEME_SIZE_LIMIT:
+        kind = "unicyclic" if cycles else "tree"
+        raise ValidationError(
+            f"{kind} enumeration supports 2 <= n <= {SCHEME_SIZE_LIMIT}, got n={n}"
+        )
+    pairs = _pair_tables(n)[0]
+    if n + cycles <= EXHAUSTIVE_TREE_LIMIT and limit is None:
+        extras = [(Call(a, b),) for a, b in pairs] if cycles else [()]
+
+        def gen_all() -> Iterator[Schedule]:
+            for edges in labeled_trees(n):
+                tree = tuple(Call(a, b) for a, b in edges)  # built once, permuted as is
+                for extra in extras:
+                    for order in itertools.permutations(tree + extra):
+                        yield Schedule(n, order)
+
+        expected = None if cycles else n ** (n - 2) * math.factorial(n - 1)
+        return SchemeStream(n, True, expected, gen_all())
+    count = limit if limit is not None else 1000
+    rng = random.Random(seed)
+
+    def gen_sampled() -> Iterator[Schedule]:
+        for _ in range(count):
+            edges = prufer_decode(tuple(rng.randrange(n) for _ in range(n - 2)), n)
+            if cycles:
+                edges.append(pairs[rng.randrange(len(pairs))])
+            rng.shuffle(edges)
+            yield Schedule(n, edges)
+
+    return SchemeStream(n, False, count, gen_sampled())
 
 
 def enumerate_tree_schemes(n: int, limit: int | None = None, seed: int = 0) -> SchemeStream:
@@ -807,31 +844,17 @@ def enumerate_tree_schemes(n: int, limit: int | None = None, seed: int = 0) -> S
     Exhaustive (every labeled tree times every chronological edge order) for
     n <= 6; uniformly sampled, ``limit`` schemes, for n in {7, 8}.
     """
-    if not 2 <= n <= SCHEME_SIZE_LIMIT:
-        raise ValidationError(
-            f"tree enumeration supports 2 <= n <= {SCHEME_SIZE_LIMIT}, got n={n}"
-        )
-    if n <= EXHAUSTIVE_TREE_LIMIT and limit is None:
-        expected = n ** (n - 2) * math.factorial(n - 1)
+    return _labeled_schemes(n, 0, limit, seed)
 
-        def gen_all() -> Iterator[Schedule]:
-            for edges in labeled_trees(n):
-                calls = [Call(a, b) for a, b in edges]  # built once, permuted as is
-                for order in itertools.permutations(calls):
-                    yield Schedule(n, order)
 
-        return SchemeStream(n, True, expected, gen_all())
-    count = limit if limit is not None else 1000
-    rng = random.Random(seed)
+def enumerate_unicyclic_schemes(n: int, limit: int | None = None, seed: int = 0) -> SchemeStream:
+    """Schedules whose graph is connected and spanning with exactly n edges.
 
-    def gen_sampled() -> Iterator[Schedule]:
-        for _ in range(count):
-            seq = tuple(rng.randrange(n) for _ in range(n - 2))
-            edges = prufer_decode(seq, n)
-            rng.shuffle(edges)
-            yield Schedule(n, edges)
-
-    return SchemeStream(n, False, count, gen_sampled())
+    Built as spanning tree plus one extra pair (possibly duplicating a tree
+    edge, the degenerate two-fold cycle).  Exhaustive over edge orders for
+    n <= 5, sampled for larger n.
+    """
+    return _labeled_schemes(n, 1, limit, seed)
 
 
 INFORMING_TREE_CLASS_LIMIT = 11  # m = 11, k = 4 takes about a second
@@ -902,40 +925,3 @@ def informing_tree_classes(m: int, k: int, spare: int,
                 grown.setdefault(key, (child, calls + ((a, b),), child_rep))
         layer = grown
     return tuple(calls for _, calls, _ in layer.values())
-
-
-def enumerate_unicyclic_schemes(n: int, limit: int | None = None, seed: int = 0) -> SchemeStream:
-    """Schedules whose graph is connected and spanning with exactly n edges.
-
-    Built as spanning tree plus one extra pair (possibly duplicating a tree
-    edge, the degenerate two-fold cycle).  Exhaustive over edge orders for
-    n <= 5, sampled for larger n.
-    """
-    if not 2 <= n <= SCHEME_SIZE_LIMIT:
-        raise ValidationError(
-            f"unicyclic enumeration supports 2 <= n <= {SCHEME_SIZE_LIMIT}, got n={n}"
-        )
-    pairs = _pair_tables(n)[0]
-    if n <= 5 and limit is None:
-
-        def gen_all() -> Iterator[Schedule]:
-            extras = [Call(a, b) for a, b in pairs]  # built once, permuted as is
-            for edges in labeled_trees(n):
-                tree = [Call(a, b) for a, b in edges]
-                for extra in extras:
-                    for order in itertools.permutations(tree + [extra]):
-                        yield Schedule(n, order)
-
-        return SchemeStream(n, True, None, gen_all())
-    count = limit if limit is not None else 1000
-    rng = random.Random(seed)
-
-    def gen_sampled() -> Iterator[Schedule]:
-        for _ in range(count):
-            seq = tuple(rng.randrange(n) for _ in range(n - 2)) if n > 2 else ()
-            edges = prufer_decode(seq, n) if n > 2 else [(0, 1)]
-            edges.append(pairs[rng.randrange(len(pairs))])
-            rng.shuffle(edges)
-            yield Schedule(n, edges)
-
-    return SchemeStream(n, False, count, gen_sampled())

@@ -564,11 +564,15 @@ def test_import_loads_no_undeclared_dependency():
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     """The record classes are written out, so importing the package and its CLI
-    stays clear of dataclasses and of inspect, ast, dis and tokenize behind it."""
+    stays clear of dataclasses and of inspect, ast, dis and tokenize behind it.
+    Every module the import adds is the package's own or the standard library's:
+    the package declares no dependency."""
     src = str(pathlib.Path(partialgossip.__file__).resolve().parent.parent)
-    code = ("import sys, partialgossip, partialgossip.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    # -S: no site hooks, which may import either module before the package
+    code = ("import sys; before = set(sys.modules); import partialgossip, partialgossip.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
+            "print(sorted(name for name in set(sys.modules) - before "
+            "if name.partition('.')[0] not in {'partialgossip', *sys.stdlib_module_names}))")
+    # -S: no site hooks, which may import modules before the package
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert done.stdout == "[]\n"
+    assert done.stdout == "[]\n[]\n"
