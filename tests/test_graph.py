@@ -5,6 +5,7 @@ import pickle
 import random
 import tracemalloc
 from collections import Counter, deque
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from partialgossip import (
     classify_components,
     first_call_split,
     full_graph,
+    is_spanning_tree,
     simulate,
     swap_blocks,
     synth_doubling,
@@ -183,6 +185,41 @@ class TestFirstCallSplit:
             first_call_split(Schedule(3, [(0, 1), (1, 2), (0, 2)]))
         with pytest.raises(ValidationError):
             first_call_split(Schedule(3, []))
+
+
+def _reference_split(s: Schedule):
+    """Both sides' vertices and edges by the definition, or the error text."""
+    if not s.calls:
+        return "schedule has no calls to split on"
+    vertices = set(chain.from_iterable(s.calls))
+    if [kind for _, kind in _reference_components(vertices, s.calls)] != [ComponentKind.TREE]:
+        return "first_call_split requires a single tree communication graph"
+    rest = list(enumerate(s.calls))[1:]
+    comps = [comp for comp, _ in _reference_components(vertices, [c for _, c in rest])]
+    sides = [next(comp for comp in comps if p in comp) for p in s.calls[0]]
+    return [(side, tuple((c, t) for t, c in rest if c.a in side)) for side in sides]
+
+
+def test_tree_queries_match_reference_on_every_small_schedule():
+    """is_spanning_tree and first_call_split on every schedule of at most 4
+    persons and 4 calls against breadth-first references."""
+    seen = Counter()
+    for n in range(1, 5):
+        pairs = list(combinations(range(n), 2))
+        for calls in chain.from_iterable(product(pairs, repeat=j) for j in range(5)):
+            s = Schedule(n, calls)
+            vertices = set(chain.from_iterable(s.calls))
+            comps = _reference_components(vertices, s.calls)
+            spanning = len(vertices) == n and [kind for _, kind in comps] == [ComponentKind.TREE]
+            assert is_spanning_tree(s) == spanning, s
+            try:
+                split = [(g.vertices, g.edges) for g in first_call_split(s)]
+            except ValidationError as e:
+                split = str(e)
+            assert split == _reference_split(s), s
+            seen[spanning, isinstance(split, str)] += 1
+    # 103 spanning trees, 33 trees on fewer than n persons, 1,546 rejections
+    assert seen == {(True, False): 103, (False, False): 33, (False, True): 1_546}, seen
 
 
 class TestSwapBlocks:
