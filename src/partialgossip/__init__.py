@@ -46,7 +46,6 @@ from .graph import (
     CommGraph,
     ComponentKind,
     are_equivalent,
-    build_subgraph,
     classify_components,
     first_call_split,
     full_graph,
@@ -82,7 +81,6 @@ __all__ = [
     "apply_preliminary",
     "are_equivalent",
     "awareness",
-    "build_subgraph",
     "canonical_key",
     "check_lemma",
     "classify_components",

@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "persons, and L5b this many on each size 5..min(MAX_N, 8) "
                         "(L1a, L1b, L1c, L3, L4a, L4b, L5a and L6s1 ignore it)")
     p.add_argument("--prelim-max", type=int, default=3,
-                   help=f"largest preliminary-call count, at most {MAX_PRELIM}")
+                   help=f"largest preliminary-call count, at most {MAX_PRELIM}, at least 1 for L3")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the random draws of L2, L3, L4a, L4b, L5a and L5b "
                         "(L1a, L1b, L1c and L6s1 ignore it)")

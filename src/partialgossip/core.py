@@ -135,14 +135,6 @@ class KnowledgeState(_Frozen):
     def awareness(self) -> list[int]:
         return [x.bit_count() for x in self.know]
 
-    def gossip_set(self, p: int) -> frozenset[int]:
-        x = self.know[p]
-        return frozenset(g for g in range(self.n) if (x >> g) & 1)
-
-
-def initial_state(n: int) -> KnowledgeState:
-    return KnowledgeState(n, tuple(1 << p for p in range(n)))
-
 
 def run_calls(know: list[int], calls: Iterable[tuple[int, int]]) -> list[int]:
     """Apply (a, b) calls in order to a mutable bitmask vector (in place) and return it.

@@ -48,15 +48,6 @@ def full_graph(s: Schedule) -> CommGraph:
     return CommGraph(frozenset(chain.from_iterable(s.calls)), tuple(zip(s.calls, range(len(s)))))
 
 
-def build_subgraph(s: Schedule, call_indices: Iterable[int]) -> CommGraph:
-    """Subgraph generated by the selected calls; vertices are their endpoints."""
-    idx = sorted(set(call_indices))
-    if idx and (idx[0] < 0 or idx[-1] >= len(s.calls)):
-        raise ValidationError(f"call index out of range [0, {len(s.calls)})")
-    calls = list(map(s.calls.__getitem__, idx))
-    return CommGraph(frozenset(chain.from_iterable(calls)), tuple(zip(calls, idx)))
-
-
 def _components(vertices: Iterable[int], calls: list[Call]) -> list[tuple[set[int], int]]:
     """Connected components of the multigraph with their edge counts, in order
     of their smallest vertex.
@@ -97,15 +88,9 @@ def classify_components(g: CommGraph) -> list[tuple[frozenset[int], ComponentKin
     return out
 
 
-def is_single_tree(g: CommGraph) -> bool:
-    comps = classify_components(g)
-    return len(comps) == 1 and comps[0][1] is ComponentKind.TREE
-
-
 def is_spanning_tree(s: Schedule) -> bool:
     """True iff the full communication graph is one tree covering all n persons."""
-    g = full_graph(s)
-    return len(g.vertices) == s.n and is_single_tree(g)
+    return 0 < len(s.calls) == s.n - 1 and len(_components(range(s.n), s.calls)) == 1
 
 
 def first_call_split(s: Schedule) -> tuple[CommGraph, CommGraph]:
@@ -114,21 +99,22 @@ def first_call_split(s: Schedule) -> tuple[CommGraph, CommGraph]:
     Returns the two resulting components (the first containing the lower
     endpoint of the removed call), each carrying its own induced call
     subsequence.  Either side may be a single vertex with no calls.
+
+    The graph is one tree exactly when the other calls form two components,
+    one holding each endpoint of the first call, with |V| - 2 edges.
     """
     if not s.calls:
         raise ValidationError("schedule has no calls to split on")
-    g = full_graph(s)
-    if not is_single_tree(g):
+    (a, b), rest = s.calls[0], s.calls[1:]
+    vertices = set(chain.from_iterable(s.calls))
+    sides = [comp for comp, _ in _components(vertices, rest)]
+    if len(sides) != 2 or len(rest) != len(vertices) - 2 or (a in sides[0]) == (b in sides[0]):
         raise ValidationError("first_call_split requires a single tree communication graph")
-    a, b = s.calls[0]
-    rest = build_subgraph(s, range(1, len(s.calls)))
-    comps = [comp for comp, _ in _components(g.vertices, rest.calls())]
-    side_a = next(comp for comp in comps if a in comp)
-    side_b = next(comp for comp in comps if b in comp)
-    def induced(side: set[int]) -> CommGraph:
-        edges = tuple((c, t) for c, t in rest.edges if c.a in side)
-        return CommGraph(frozenset(side), edges)
-    return induced(side_a), induced(side_b)
+    if b in sides[0]:  # components come in order of their smallest vertex
+        sides.reverse()
+    edges = tuple(zip(rest, count(1)))
+    return tuple(CommGraph(frozenset(side), tuple(e for e in edges if e[0].a in side))
+                 for side in sides)
 
 
 def swap_blocks(s: Schedule, split: int, m: int, l: int) -> Schedule:

@@ -49,7 +49,8 @@ Documented instance ranges (defaults in LemmaParams):
   call, 5 in L5b.  The lists of each (outsiders, size) come from their own
   seeded stream, so a larger ``max_prelim`` adds instances and moves none
   (_streams).  Each candidate is one simulation, of its preliminary calls
-  and then its scheme;
+  and then its scheme.  L3 lifts by at least one call, so it needs
+  max_prelim >= 1;
 * L2: an exhaustive box over n in {3, 4}, up to 4 base calls and
   ell <= min(2, max_prelim) preliminary calls (only ell = 0 when
   max_prelim is 0), plus ``samples`` random instances on 5..max_sampled_n
@@ -205,6 +206,9 @@ def check_lemma(lemma_id: str, params: LemmaParams | None = None) -> LemmaReport
         raise ValidationError(
             f"max_prelim must be in [0, {MAX_PRELIM}], got {params.max_prelim}"
         )
+    if lemma_id == "L3" and params.max_prelim < 1:
+        # L3 lifts an exact tree by ell >= 1 preliminary calls
+        raise ValidationError(f"L3 needs max_prelim >= 1, got {params.max_prelim}")
     if not 2 <= params.max_sampled_n <= MAX_SAMPLED_N:
         raise ValidationError(
             f"max_sampled_n must be in [2, {MAX_SAMPLED_N}], got {params.max_sampled_n}"

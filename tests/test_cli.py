@@ -381,6 +381,7 @@ class TestCheckLemmaCommand:
         ("L3", "--samples", "-1"),
         ("L5b", "--prelim-max", "-2"),
         ("L1a", "--max-n", "-3"),
+        ("L3", "--prelim-max", "0"),
     ])
     def test_out_of_range_parameter_exits_one(self, capsys, lemma, flag, value):
         code, out, err = run(capsys, "check-lemma", lemma, flag, value)

@@ -7,8 +7,8 @@ from partialgossip import (
     Schedule,
     ValidationError,
     awareness,
-    build_subgraph,
     classify_components,
+    full_graph,
     is_exact_k_informing,
     is_k_informing,
     is_spanning_tree,
@@ -84,11 +84,7 @@ class TestTreeVariant:
         block = 1 << (k - i - 2)
         members = set(range(i, i + 1 + block))
         prefix = Schedule(n, s.calls[: n - 1])
-        idx = [
-            t for t, c in enumerate(prefix.calls)
-            if c.a in members and c.b in members
-        ]
-        sub = build_subgraph(prefix, idx)
+        sub = full_graph(Schedule(n, [c for c in prefix.calls if members.issuperset(c)]))
         assert classify_components(sub) == [(frozenset(members), ComponentKind.TREE)]
         aw = awareness(simulate(prefix))
         assert all(aw[p] >= k for p in members if p != hub)

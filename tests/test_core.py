@@ -22,7 +22,7 @@ from partialgossip import (
     simulate,
 )
 from partialgossip import graph, lemmas, oracle
-from partialgossip.core import KnowledgeState, _Frozen, _Record, initial_state
+from partialgossip.core import KnowledgeState, _Frozen, _Record
 
 
 @st.composite
@@ -125,7 +125,7 @@ class TestFrozenRecords:
 
     def test_repr_names_the_fields(self):
         assert repr(Schedule(2, [(0, 1)])) == "Schedule(n=2, calls=((0, 1),), prelim=0)"
-        assert repr(initial_state(2)) == "KnowledgeState(n=2, know=(1, 2))"
+        assert repr(simulate(Schedule(2))) == "KnowledgeState(n=2, know=(1, 2))"
 
 
 def _record_classes(base=_Record):
@@ -188,10 +188,10 @@ def test_frozen_values_survive_pickle_and_deepcopy(cls):
 class TestSimulate:
     def test_single_call_symmetry(self):
         state = simulate(Schedule(2, [(0, 1)]))
-        assert state.gossip_set(0) == state.gossip_set(1) == {0, 1}
+        assert state.know == (0b11, 0b11)
 
     def test_initial_awareness_all_ones(self):
-        assert awareness(initial_state(5)) == [1, 1, 1, 1, 1]
+        assert awareness(simulate(Schedule(5))) == [1, 1, 1, 1, 1]
 
     def test_hub_tree_exactly_four(self, hub_tree_8):
         assert awareness(simulate(hub_tree_8)) == [4] * 8
@@ -249,7 +249,7 @@ def prefix_states(s: Schedule) -> list:
 @given(schedules())
 def test_monotone_knowledge(s):
     states = prefix_states(s)
-    assert states[0] == initial_state(s.n)
+    assert states[0].know == tuple(1 << p for p in range(s.n))
     for before, after in zip(states, states[1:]):
         for x, y in zip(before.know, after.know):
             assert x & y == x  # no gossip is ever forgotten

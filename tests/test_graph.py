@@ -15,7 +15,6 @@ from partialgossip import (
     Schedule,
     ValidationError,
     are_equivalent,
-    build_subgraph,
     classify_components,
     first_call_split,
     full_graph,
@@ -37,14 +36,11 @@ def schedules(draw, max_n: int = 5, max_calls: int = 6):
 
 
 class TestBuildSubgraph:
+    """The graph of a schedule's calls, and the edges a CommGraph accepts."""
+
     def test_full_hub_tree_is_one_tree(self, hub_tree_8):
         comps = classify_components(full_graph(hub_tree_8))
         assert comps == [(frozenset(range(8)), ComponentKind.TREE)]
-
-    def test_empty_selection_is_empty_graph(self, hub_tree_8):
-        g = build_subgraph(hub_tree_8, [])
-        assert g.vertices == frozenset()
-        assert g.edges == ()
 
     @pytest.mark.parametrize("vertices,edges,message", [
         ({0, 1}, ((Call(0, 1), 1), (Call(0, 1), 1)), "timestamps must strictly increase"),
@@ -58,12 +54,8 @@ class TestBuildSubgraph:
 
     def test_doubled_edge_is_degenerate_unicyclic(self):
         s = Schedule(2, [(0, 1), (0, 1)])
-        comps = classify_components(build_subgraph(s, [0, 1]))
+        comps = classify_components(full_graph(s))
         assert comps == [(frozenset({0, 1}), ComponentKind.UNICYCLIC)]
-
-    def test_bad_index_rejected(self, hub_tree_8):
-        with pytest.raises(ValidationError):
-            build_subgraph(hub_tree_8, [99])
 
 
 class TestCommGraphRecord:
@@ -71,7 +63,7 @@ class TestCommGraphRecord:
         a = full_graph(Schedule(4, [(0, 1), (2, 1)]))
         b = CommGraph(frozenset({0, 1, 2}), ((Call(0, 1), 0), (Call(1, 2), 1)))
         assert a is not b and a == b and hash(a) == hash(b)
-        assert a != build_subgraph(Schedule(4, [(0, 1), (2, 1)]), [1])
+        assert a != CommGraph(frozenset({1, 2}), ((Call(1, 2), 1),))
         assert pickle.loads(pickle.dumps(a)) == a
         assert repr(CommGraph(frozenset({0, 1}), ((Call(0, 1), 0),))) == (
             "CommGraph(vertices=frozenset({0, 1}), edges=(((0, 1), 0),))")

@@ -117,6 +117,24 @@ def test_tree_class_suites_check_instances_at_smallest_range(lemma_id, top):
     assert report.instances_checked > 0 and report.ok
 
 
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+def test_every_accepted_low_range_checks_an_instance(lemma_id):
+    """At the low ends of the ranges a suite either rejects its parameters or
+    checks at least one instance: it never reports ok on nothing."""
+    top = lemmas._SIZES.get(lemma_id, (None,))[0]
+    for max_prelim, max_sampled_n, samples in itertools.product(range(3), range(2, 6), range(2)):
+        params = LemmaParams(max_exhaustive_n=top, max_sampled_n=max_sampled_n,
+                             samples=samples, max_prelim=max_prelim)
+        empty = ((lemma_id, max_prelim) == ("L3", 0)
+                 or (lemma_id in ("L1c", "L5b") and max_sampled_n < 4))
+        try:
+            report = check_lemma(lemma_id, params)
+        except ValidationError:
+            assert empty, params
+            continue
+        assert not empty and report.instances_checked > 0, params
+
+
 @pytest.mark.parametrize("top", [1, lemmas.MAX_SAMPLED_N + 1, 10**9])
 def test_max_sampled_n_bounded(top):
     with pytest.raises(ValidationError):
@@ -136,7 +154,7 @@ def test_max_prelim_bounded(monkeypatch, max_prelim):
 @pytest.mark.parametrize("lemma_id,kwargs", [
     ("L2", {"samples": -1}), ("L4a", {"max_prelim": -1}), ("L2", {"max_sampled_n": 1}),
     ("L1c", {"max_sampled_n": 3}), ("L5b", {"max_sampled_n": 3}),
-    ("L3", {"max_exhaustive_n": 3}),
+    ("L3", {"max_exhaustive_n": 3}), ("L3", {"max_prelim": 0}),
 ])
 def test_params_validated_before_the_suite_runs(monkeypatch, lemma_id, kwargs):
     monkeypatch.setitem(lemmas._CHECKERS, lemma_id, None)  # calling it would fail otherwise
@@ -498,8 +516,12 @@ def test_shared_simulation_matches_reference_at_max_prelim(lemma_id, reference, 
     """FAST itself has max_prelim 2; here no list, a single call, or five calls."""
     ranges = _SMALLER.get(lemma_id, {}) if max_prelim == 5 else {}
     params = LemmaParams(**{**FAST, "max_prelim": max_prelim, **ranges})
+    if (lemma_id, max_prelim) == ("L3", 0):  # L3 lifts by >= 1 call: nothing to check
+        with pytest.raises(ValidationError, match="L3 needs max_prelim >= 1"):
+            check_lemma(lemma_id, params)
+        return
     ours = _check_against_reference(lemma_id, reference, params)
-    assert ours.instances_checked > 0 or (lemma_id, max_prelim) == ("L3", 0)  # L3 lifts by >= 1
+    assert ours.instances_checked > 0
     if max_prelim == 5 and lemma_id != "L5b":  # L5b's schemes have at most 5 persons here
         assert any(i > 0 for n, k, i in ours.coverage)
 
@@ -613,8 +635,9 @@ def test_coverage_monotone_in_max_prelim(lemma_id):
         params = LemmaParams(max_prelim=max_prelim, **_PRELIM_RANGES[lemma_id])
         return check_lemma(lemma_id, params).coverage
 
-    before = coverage(0)
-    for p in range(0, 9):
+    low = 1 if lemma_id == "L3" else 0  # L3 lifts by >= 1 call
+    before = coverage(low)
+    for p in range(low, 9):
         after = coverage(p + 1)
         assert all(after[key] >= c for key, c in before.items()), (lemma_id, p)
         before = after
