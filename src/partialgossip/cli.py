@@ -33,8 +33,8 @@ from .core import (
 )
 from .formulas import REGIME_BAND, classify_regime, p_min_calls
 from .graph import classify_components, full_graph, to_dot
-from .lemmas import LEMMA_IDS, MAX_PRELIM, LemmaParams, check_lemma
-from .oracle import FOUND, SearchConfig, min_calls_bruteforce
+from .lemmas import LEMMA_IDS, MAX_PRELIM, MAX_SAMPLED_N, LemmaParams, check_lemma
+from .oracle import FOUND, SCHEME_SIZE_LIMIT, SearchConfig, min_calls_bruteforce
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -155,6 +155,8 @@ def _cmd_synth(args) -> int:
     _check_persons(args.n)
     if args.blocks is not None and args.method != "multiblock":
         raise ValidationError(f"--blocks applies to multiblock only, not {args.method}")
+    if args.out and args.dot and os.path.realpath(args.out) == os.path.realpath(args.dot):
+        raise ValidationError(f"--out and --dot name one file: {args.out}")
     method = _METHODS[args.method]
     if args.method == "multiblock":
         schedule = method(args.n, args.k, args.i, args.blocks)
@@ -351,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact minimum call count by exhaustive search")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.add_argument("--budget-secs", type=float, default=600.0)
+    p.add_argument("--budget-secs", type=float, default=SearchConfig().time_budget)
     p.add_argument("--stats", action="store_true",
                    help="also report the search counters (memo, bound, orbit and sleep "
                         "cuts, canonical keys computed); after a timeout the cut counts "
@@ -362,20 +364,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-lemma", help="run one lemma verification suite")
     p.add_argument("lemma", choices=LEMMA_IDS)
-    p.add_argument("--max-n", type=int, default=8,
-                   help="largest sampled scheme size, at most 30; L1c and L5b need 4 "
-                        "and stop at 8 (L1a, L1b, L3, L4a, L4b, L5a and L6s1 ignore it)")
-    p.add_argument("--samples", type=int, default=400,
-                   help="random instances: L2 draws this many in all, on 5..MAX_N "
-                        "persons, and L5b this many on each size 5..min(MAX_N, 8) "
+    defaults = LemmaParams()
+    p.add_argument("--max-n", type=int, default=defaults.max_sampled_n,
+                   help=f"largest sampled scheme size, at most {MAX_SAMPLED_N}; L1c and L5b "
+                        f"need 4 and stop at {SCHEME_SIZE_LIMIT} (L1a, L1b, L3, L4a, L4b, "
+                        "L5a and L6s1 ignore it)")
+    p.add_argument("--samples", type=int, default=defaults.samples,
+                   help="random instances: L2 draws this many in all, on 5..MAX_N persons, "
+                        f"and L5b this many on each size 5..min(MAX_N, {SCHEME_SIZE_LIMIT}) "
                         "(L1a, L1b, L1c, L3, L4a, L4b, L5a and L6s1 ignore it)")
-    p.add_argument("--prelim-max", type=int, default=3,
+    p.add_argument("--prelim-max", type=int, default=defaults.max_prelim,
                    help=f"largest preliminary-call count, at most {MAX_PRELIM}, at least 1 for L3")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int, default=defaults.seed,
                    help="seed of the random draws of L2, L3, L4a, L4b, L5a and L5b "
                         "(L1a, L1b, L1c and L6s1 ignore it)")
-    p.add_argument("--bound-slack", type=int, default=0,
-                   help="tighten bounds by this much (negative-control mode)")
+    p.add_argument("--bound-slack", type=int, default=defaults.bound_slack,
+                   help="tighten bounds by this much, >= 0 (negative-control mode)")
     p.add_argument("--stats", action="store_true",
                    help="also report candidates generated, rejected by hypothesis, "
                         "left undecided by a search's budget and checked, and the "

@@ -41,16 +41,17 @@ Documented instance ranges (defaults in LemmaParams):
   16, 78 and 427 for m = 4, ..., 8); for L5b every labeled scheme on 4
   persons and ``samples`` random ones on each larger m (see _check_l5b);
 * preliminary-call counts: up to ``max_prelim`` (default 3, at most
-  MAX_PRELIM = 9).  Unions of disjoint edges (single calls included) are
-  listed in full for L3's exact trees, and elsewhere while a given
-  (n, size) has at most 48 of them; above that, 48 are sampled per tree.
-  Either way they are read from one table per (n, size), built once per
-  process (_matching_table).  Denser preliminary lists are sampled: 10 per
-  call, 5 in L5b.  The lists of each (outsiders, size) come from their own
-  seeded stream, so a larger ``max_prelim`` adds instances and moves none
-  (_streams).  Each candidate is one simulation, of its preliminary calls
-  and then its scheme.  L3 lifts by at least one call, so it needs
-  max_prelim >= 1;
+  MAX_PRELIM = 9).  One source, _list_source, draws every preliminary
+  list of L3, L4a, L4b, L5a and L5b.  Unions of disjoint edges (single
+  calls included) are listed in full for L3's exact trees, and elsewhere
+  while a given (n, size) has at most 48 of them; above that, 48 are
+  sampled per tree.  Either way they are read from one table per
+  (n, size), built once per process (_matching_table).  Denser lists are
+  sampled: 10 per tree and size, 5 in L5b.  The lists of each (outsiders,
+  size) come from their own seeded stream, so a larger ``max_prelim`` adds
+  instances and moves none.  Each candidate is one simulation, of its
+  preliminary calls and then its scheme.  L3 lifts by at least one call,
+  so it needs max_prelim >= 1;
 * L2: an exhaustive box over n in {3, 4}, up to 4 base calls and
   ell <= min(2, max_prelim) preliminary calls (only ell = 0 when
   max_prelim is 0), plus ``samples`` random instances on 5..max_sampled_n
@@ -182,7 +183,7 @@ class LemmaParams(_Record):
         samples: int = 400,
         max_prelim: int = 3,
         seed: int = 0,
-        bound_slack: int = 0,  # tighten the asserted inequality by this much
+        bound_slack: int = 0,  # tighten the asserted inequality by this much, >= 0
     ):
         self.max_exhaustive_n = max_exhaustive_n
         self.max_sampled_n = max_sampled_n
@@ -191,17 +192,15 @@ class LemmaParams(_Record):
         self.seed = seed
         self.bound_slack = bound_slack
 
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
-
 
 def check_lemma(lemma_id: str, params: LemmaParams | None = None) -> LemmaReport:
     """Run one lemma suite over its documented ranges."""
     if lemma_id not in LEMMA_IDS:
         raise ValidationError(f"unknown lemma id {lemma_id!r}; valid: {', '.join(LEMMA_IDS)}")
     params = params or LemmaParams()
-    if params.samples < 0:
-        raise ValidationError(f"samples must be >= 0, got {params.samples}")
+    for name in ("samples", "bound_slack"):  # a negative slack loosens every bound
+        if getattr(params, name) < 0:
+            raise ValidationError(f"{name} must be >= 0, got {getattr(params, name)}")
     if not 0 <= params.max_prelim <= MAX_PRELIM:
         raise ValidationError(
             f"max_prelim must be in [0, {MAX_PRELIM}], got {params.max_prelim}"
@@ -289,41 +288,35 @@ def _matching_table(n: int, size: int) -> bytes:
     return bytes(out)
 
 
-def _matchings(n: int, size: int, rng: random.Random, cap: float = 48):
-    """Preliminary graphs that are unions of ``size`` disjoint edges, as pair lists.
+def _list_source(params: LemmaParams):
+    """``lists(n, o, size, dense, cap)``: the preliminary call lists a suite tries.
 
-    Exhaustive while there are at most ``cap`` of them, else ``cap`` drawn
-    by one ``rng.sample`` over their indices.  Either way each is read from
-    the tabled listing of _matching_table.
+    Each list has ``size`` calls on n persons.  Unions of disjoint edges
+    come first, read from _matching_table: every one while there are at
+    most ``cap`` of them, else ``cap`` drawn by one ``rng.sample`` over
+    their indices.  Then, from two calls up, ``dense`` lists drawn call by
+    call.  Only the lists that touch all ``o`` outsiders, the last o
+    persons, are returned.  Each (o, size) draws from its own seeded stream.
     """
-    if not size:
-        yield []
-        return
-    table, pairs = _matching_table(n, size), _pair_tables(n)[0]
-    count = len(table) // size
-    for idx in range(count) if count <= cap else rng.sample(range(count), cap):
-        yield [pairs[j] for j in table[idx * size : (idx + 1) * size]]
+    streams = functools.cache(lambda o, size: random.Random(f"{params.seed}:{o}:{size}"))
 
+    def lists(n: int, o: int, size: int, dense: int = 10, cap: float = 48) -> list:
+        rng, pairs = streams(o, size), _pair_tables(n)[0]
+        drawn = [[]]  # size 0: the empty list
+        if size:
+            table = _matching_table(n, size)
+            count = len(table) // size
+            picks = range(count) if count <= cap else rng.sample(range(count), cap)
+            drawn = [[pairs[j] for j in table[i * size : (i + 1) * size]] for i in picks]
+        if size >= 2 and len(pairs) >= 2:
+            drawn += [[pairs[rng.randrange(len(pairs))] for _ in range(size)]
+                      for _ in range(dense)]
+        if o:
+            drawn = [prelim for prelim in drawn
+                     if len({v for p in prelim for v in p if v >= n - o}) == o]
+        return drawn
 
-def _prelim_lists(n: int, size: int, rng: random.Random, general_samples: int = 10,
-                  cap: float = 48):
-    """Preliminary call lists: disjoint-edge matchings first, then denser samples.
-
-    ``cap`` is _matchings's: with ``math.inf`` every matching is listed.
-    """
-    yield from _matchings(n, size, rng, cap)  # size 0: the empty list
-    pairs = _pair_tables(n)[0]
-    if size >= 2 and len(pairs) >= 2:
-        for _ in range(general_samples):
-            yield [pairs[rng.randrange(len(pairs))] for _ in range(size)]
-
-
-def _streams(params: LemmaParams):
-    """``rng(o, size)``: one seeded stream per (outsiders, size) of preliminary lists.
-
-    A larger ``max_prelim`` thus adds lists without moving those a smaller one drew.
-    """
-    return functools.cache(lambda o, size: random.Random(f"{params.seed}:{o}:{size}"))
+    return lists
 
 
 def _describe(n: int, pairs, prelim=None, **extra) -> dict:
@@ -410,7 +403,7 @@ def _check_l2(params: LemmaParams):
     once, on the first base that reaches the state.  Every candidate still
     yields its outcome, and a violation names its own base.
     """
-    rng = params.rng()
+    rng = random.Random(params.seed)
 
     def gain_of(ident, base, before, prelim):
         after = run_calls(run_calls(ident.copy(), prelim), base)
@@ -467,11 +460,11 @@ def _check_l3(params: LemmaParams):
     sample misses the rare lifting pairs (two calls lift a 10-person exact
     4-informing tree to 6).
     """
-    rng = _streams(params)
+    lists = _list_source(params)
     for n, k, base in _exact_k_trees(params):
         ident = [1 << p for p in range(n)]
         for ell in range(1, params.max_prelim + 1):
-            for prelim in _prelim_lists(n, ell, rng(0, ell), cap=math.inf):
+            for prelim in lists(n, 0, ell, cap=math.inf):
                 final = run_calls(run_calls(ident.copy(), prelim), base)
                 if min(map(int.bit_count, final)) < k + ell:
                     yield None  # hypothesis not satisfied
@@ -525,14 +518,12 @@ def _check_tree_prelim(params: LemmaParams, lemma_id: str):
     outsiders.
     """
     outsiders, spare = _TREE_PRELIM[lemma_id]
-    rng = _streams(params)
+    lists = _list_source(params)
     for m, tree in _tree_classes(params, lemma_id, 4, spare):
         for o in range(0, outsiders + 1):
             ident = [1 << p for p in range(m + o)]
             for ell in range(o, params.max_prelim + 1):  # o = ell = 0: the tree alone
-                for prelim in _prelim_lists(m + o, ell, rng(o, ell)):
-                    if o and len({v for p in prelim for v in p if v >= m}) != o:
-                        continue
+                for prelim in lists(m + o, o, ell):
                     final = run_calls(run_calls(ident.copy(), prelim), tree)
                     aw = [x.bit_count() for x in final[:m]]
                     aw.sort()
@@ -547,7 +538,7 @@ def _check_l5b(params: LemmaParams):
     k >= 4 + i (point 2 of _check_tree_prelim), and i <= k - 4 <= m - 4,
     so only the other schemes draw lists, of at most m - 4 calls.
     """
-    rng = _streams(params)
+    lists = _list_source(params)
     for m in range(4, min(params.max_sampled_n, SCHEME_SIZE_LIMIT) + 1):
         ident = [1 << p for p in range(m)]
         limit = None if m == 4 else params.samples
@@ -555,7 +546,7 @@ def _check_l5b(params: LemmaParams):
             if min(_aw(m, s.calls)) < 4:
                 continue
             for i in range(0, min(params.max_prelim, m - 4) + 1):
-                for prelim in _prelim_lists(m, i, rng(0, i), general_samples=5):
+                for prelim in lists(m, 0, i, dense=5):
                     final = run_calls(run_calls(ident.copy(), prelim), s.calls)
                     k = min(map(int.bit_count, final))
                     yield _judge_prelim_bound(params, m, k, 1, m, s.calls, prelim)

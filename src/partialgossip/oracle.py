@@ -875,15 +875,16 @@ def informing_tree_classes(m: int, k: int, spare: int,
     while the calls left after it can still join every component, two
     persons of one (the state determines the components, and a relabeled
     state has relabeled extensions), and keeps one state per canonical key
-    in every layer.  A state is dropped once more persons are below k,
-    beyond ``spare``, than the calls still to come can reach, two per
-    call.  Of the calls whose participants lie in the same pair of twin
-    classes only the first is tried: the others give isomorphic children,
-    whose keys ``setdefault`` would drop.  The twin classes come from the
-    degree probe that ``canonical_form`` starts from when it keys the
-    state: twins share their (row, column) degrees.  Each class is listed
-    once as long as the key is exact on its states (it is for every class
-    tested); an inexact key could only list a class twice, never omit one.
+    in every layer.  A state is dropped once the search's admissible
+    _lower_bound says the calls still to come cannot leave at most
+    ``spare`` persons below k.  Of the calls whose participants lie in
+    the same pair of twin classes only the first is tried: the others give
+    isomorphic children, whose keys ``setdefault`` would drop.  The twin
+    classes come from the degree probe that ``canonical_form`` starts from
+    when it keys the state: twins share their (row, column) degrees.  Each
+    class is listed once as long as the key is exact on its states (it is
+    for every class tested); an inexact key could only list a class twice,
+    never omit one.
     """
     if not 1 <= m <= INFORMING_TREE_CLASS_LIMIT:
         raise ValidationError(
@@ -894,12 +895,8 @@ def informing_tree_classes(m: int, k: int, spare: int,
     if cycles not in (0, 1):
         raise ValidationError(f"cycles must be 0 or 1, got {cycles}")
 
-    def hopeless(state: tuple[int, ...], calls_left: int) -> bool:
-        below = sum(1 for x in state if x.bit_count() < k)
-        return below - spare > 2 * calls_left
-
     initial = tuple(1 << p for p in range(m))
-    if hopeless(initial, m - 1 + cycles):
+    if _lower_bound(initial, k, spare) > m - 1 + cycles:
         return ()
     pairs = _pair_tables(m)[0]
     key, rep, _ = canonical_form(initial, m)
@@ -919,7 +916,7 @@ def informing_tree_classes(m: int, k: int, spare: int,
                     continue
                 u = state[a] | state[b]
                 child = state[:a] + (u,) + state[a + 1 : b] + (u,) + state[b + 1 :]
-                if hopeless(child, calls_left):
+                if _lower_bound(child, k, spare) > calls_left:
                     continue
                 key, child_rep, _ = canonical_form(child, m)
                 grown.setdefault(key, (child, calls + ((a, b),), child_rep))

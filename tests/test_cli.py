@@ -214,6 +214,16 @@ class TestSynthAndVerify:
         assert err.splitlines() == [f"error: cannot write {tmp_path}: Is a directory"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("dot", ["P", "./P"])
+    def test_out_and_dot_on_one_file_exit_one(self, capsys, tmp_path, monkeypatch, dot):
+        """The DOT text would replace the schedule JSON: nothing is written."""
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "synth", "doubling", "20", "6", "0",
+                             "--out", "P", "--dot", dot)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.splitlines() == ["error: --out and --dot name one file: P"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_synth_infeasible_exits_one(self, capsys):
         code, _, err = run(capsys, "synth", "doubling", "4", "5", "1")
         assert code == EXIT_VALIDATION
@@ -382,6 +392,7 @@ class TestCheckLemmaCommand:
         ("L5b", "--prelim-max", "-2"),
         ("L1a", "--max-n", "-3"),
         ("L3", "--prelim-max", "0"),
+        ("L1a", "--bound-slack", "-1000"),
     ])
     def test_out_of_range_parameter_exits_one(self, capsys, lemma, flag, value):
         code, out, err = run(capsys, "check-lemma", lemma, flag, value)

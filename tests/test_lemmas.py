@@ -154,7 +154,7 @@ def test_max_prelim_bounded(monkeypatch, max_prelim):
 @pytest.mark.parametrize("lemma_id,kwargs", [
     ("L2", {"samples": -1}), ("L4a", {"max_prelim": -1}), ("L2", {"max_sampled_n": 1}),
     ("L1c", {"max_sampled_n": 3}), ("L5b", {"max_sampled_n": 3}),
-    ("L3", {"max_exhaustive_n": 3}), ("L3", {"max_prelim": 0}),
+    ("L3", {"max_exhaustive_n": 3}), ("L3", {"max_prelim": 0}), ("L1a", {"bound_slack": -1}),
 ])
 def test_params_validated_before_the_suite_runs(monkeypatch, lemma_id, kwargs):
     monkeypatch.setitem(lemmas._CHECKERS, lemma_id, None)  # calling it would fail otherwise
@@ -302,7 +302,7 @@ def _reference_all_matchings(n, size):
 
 
 def _reference_matchings(n, size, rng, cap=48):
-    """The uncached enumeration, kept as the reference for lemmas._matchings."""
+    """The untabled enumeration, kept as the reference for _list_source's matchings."""
     found = [list(combo) for combo in _reference_all_matchings(n, size)]
     if len(found) <= cap:
         yield from found
@@ -311,16 +311,29 @@ def _reference_matchings(n, size, rng, cap=48):
             yield found[idx]
 
 
+def _reference_list_source(params):
+    """lemmas._list_source written out over the reference matchings."""
+    streams = functools.cache(lambda o, size: random.Random(f"{params.seed}:{o}:{size}"))
+
+    def lists(n, o, size, dense=10, cap=48):
+        for prelim in _reference_prelim_lists(n, size, streams(o, size), dense, cap):
+            if len({v for p in prelim for v in p if v >= n - o}) == o:
+                yield prelim
+
+    return lists
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_cached_matchings_match_reference(seed):
-    ours, ref = random.Random(seed), random.Random(seed)
-    for _ in range(2):  # the second round reads the cache
-        for n in range(1, 13):
-            for size in range(0, 4):
-                assert list(lemmas._matchings(n, size, ours)) == list(
-                    _reference_matchings(n, size, ref)
-                ), (n, size)
-                assert ours.getstate() == ref.getstate(), (n, size)
+    for kwargs in ({}, {"dense": 5}, {"cap": math.inf}):
+        ours = lemmas._list_source(LemmaParams(seed=seed))
+        ref = _reference_list_source(LemmaParams(seed=seed))
+        for _ in range(2):  # the second round reads the cached tables, the streams go on
+            for n in range(1, 13):
+                for o in range(0, 3):
+                    for size in range(0, 4):
+                        assert list(ours(n, o, size, **kwargs)) == list(
+                            ref(n, o, size, **kwargs)), (kwargs, n, o, size)
 
 
 def _table_listing(n, size):
@@ -377,15 +390,11 @@ def test_all_matchings_count():
 def test_suites_unchanged_by_matching_cache(monkeypatch, lemma_id, bound_slack):
     params = LemmaParams(**FAST, bound_slack=bound_slack)
     ours = check_lemma(lemma_id, params)
-    monkeypatch.setattr(lemmas, "_matchings", _reference_matchings)
-    ref = check_lemma(lemma_id, params)
-    assert ours.to_json_dict() == ref.to_json_dict()
-    assert ours.generated == ref.generated
-    if lemma_id == "L4b":
-        assert ours.generated == 4_068
+    monkeypatch.setattr(lemmas, "_list_source", _reference_list_source)
+    _same_report(ours, check_lemma(lemma_id, params))
 
 
-# the suites that draw preliminary calls through _prelim_lists, the only
+# the suites that draw preliminary calls through _list_source, the only
 # reader of the matching tables; the other five never read one
 @pytest.mark.parametrize("lemma_id", ["L3", "L4a", "L4b", "L5a", "L5b"])
 def test_suites_unchanged_by_tabled_matching_count(monkeypatch, lemma_id):
@@ -400,7 +409,7 @@ def test_suites_unchanged_by_tabled_matching_count(monkeypatch, lemma_id):
 
 def _reference_check_l2(params, lemma_id="L2"):
     """L2 as it was before each base was simulated once: two _aw per candidate."""
-    rng = params.rng()
+    rng = random.Random(params.seed)
 
     def judge(n, base, prelim):
         before = lemmas._aw(n, base)
@@ -428,24 +437,24 @@ def _reference_check_l2(params, lemma_id="L2"):
             yield judge(n, base, prelim)
 
 
-def _reference_prelim_lists(n, size, rng, general_samples=10, cap=48):
-    """lemmas._prelim_lists over the reference matchings."""
+def _reference_prelim_lists(n, size, rng, dense=10, cap=48):
+    """_list_source's lists, before its outsider filter, over the reference matchings."""
     yield from _reference_matchings(n, size, rng, cap)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     if size >= 2 and len(pairs) >= 2:
-        for _ in range(general_samples):
+        for _ in range(dense):
             yield [pairs[rng.randrange(len(pairs))] for _ in range(size)]
 
 
 def _reference_check_tree_prelim(params, lemma_id):
     """L3, L4a, L4b, L5a and L5b as they were before each candidate was
     simulated once: the preliminary list and the base concatenated and run
-    by _aw, the lists read from the reference matchings."""
-    rng, judge = lemmas._streams(params), lemmas._judge_prelim_bound
+    by _aw, the lists drawn by _reference_list_source."""
+    lists, judge = _reference_list_source(params), lemmas._judge_prelim_bound
     if lemma_id == "L3":
         for n, k, base in lemmas._exact_k_trees(params):
             for ell in range(1, params.max_prelim + 1):
-                for prelim in _reference_prelim_lists(n, ell, rng(0, ell), cap=math.inf):
+                for prelim in lists(n, 0, ell, cap=math.inf):
                     if min(lemmas._aw(n, list(prelim) + list(base))) < k + ell:
                         yield None
                         continue
@@ -459,7 +468,7 @@ def _reference_check_tree_prelim(params, lemma_id):
                 if min(lemmas._aw(m, s.calls)) < 4:
                     continue
                 for i in range(0, min(params.max_prelim, m - 4) + 1):
-                    for prelim in _reference_prelim_lists(m, i, rng(0, i), general_samples=5):
+                    for prelim in lists(m, 0, i, dense=5):
                         k = min(lemmas._aw(m, list(prelim) + list(s.calls)))
                         yield judge(params, m, k, 1, m, s.calls, prelim)
     else:
@@ -467,10 +476,9 @@ def _reference_check_tree_prelim(params, lemma_id):
         for m, tree in lemmas._tree_classes(params, lemma_id, 4, spare):
             for o in range(0, outsiders + 1):
                 for ell in range(o, params.max_prelim + 1):
-                    for prelim in _reference_prelim_lists(m + o, ell, rng(o, ell)):
-                        if len({v for p in prelim for v in p if v >= m}) == o:
-                            k = sorted(lemmas._aw(m + o, list(prelim) + list(tree))[:m])[spare]
-                            yield judge(params, m + o, k, spare, m, tree, prelim)
+                    for prelim in lists(m + o, o, ell):
+                        k = sorted(lemmas._aw(m + o, list(prelim) + list(tree))[:m])[spare]
+                        yield judge(params, m + o, k, spare, m, tree, prelim)
 
 
 def _same_report(ours, ref):
