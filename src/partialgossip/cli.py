@@ -33,8 +33,9 @@ from .core import (
 )
 from .formulas import REGIME_BAND, classify_regime, p_min_calls
 from .graph import classify_components, full_graph, to_dot
-from .lemmas import LEMMA_IDS, MAX_PRELIM, MAX_SAMPLED_N, LemmaParams, check_lemma
-from .oracle import FOUND, SCHEME_SIZE_LIMIT, SearchConfig, min_calls_bruteforce
+from .lemmas import (LEMMA_IDS, MAX_PRELIM, MAX_SAMPLED_N, SCHEME_SIZE_LIMIT, LemmaParams,
+                     check_lemma)
+from .oracle import FOUND, SearchConfig, min_calls_bruteforce
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -366,13 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lemma", choices=LEMMA_IDS)
     defaults = LemmaParams()
     p.add_argument("--max-n", type=int, default=defaults.max_sampled_n,
-                   help=f"largest sampled scheme size, at most {MAX_SAMPLED_N}; L1c and L5b "
-                        f"need 4 and stop at {SCHEME_SIZE_LIMIT} (L1a, L1b, L3, L4a, L4b, "
-                        "L5a and L6s1 ignore it)")
+                   help=f"largest person count of L2's random instances, at most {MAX_SAMPLED_N}; "
+                        "L1c and L5b check the unicyclic scheme classes on "
+                        f"4..min(MAX_N, {SCHEME_SIZE_LIMIT}) persons and need 4 (L1a, L1b, "
+                        "L3, L4a, L4b, L5a and L6s1 ignore it)")
     p.add_argument("--samples", type=int, default=defaults.samples,
-                   help="random instances: L2 draws this many in all, on 5..MAX_N persons, "
-                        f"and L5b this many on each size 5..min(MAX_N, {SCHEME_SIZE_LIMIT}) "
-                        "(L1a, L1b, L1c, L3, L4a, L4b, L5a and L6s1 ignore it)")
+                   help="random instances of L2, in all, on 5..MAX_N persons "
+                        "(every other suite ignores it)")
     p.add_argument("--prelim-max", type=int, default=defaults.max_prelim,
                    help=f"largest preliminary-call count, at most {MAX_PRELIM}, at least 1 for L3")
     p.add_argument("--seed", type=int, default=defaults.seed,

@@ -1,57 +1,56 @@
 """Empirical verification harnesses for the structural lower-bound lemmas.
 
 Each suite enumerates candidate communication schemes (isomorph-free
-classes, or labeled schemes exhaustively on small sizes and by seeded
-sampling beyond) and yields one outcome per candidate: None when it misses
-the lemma's hypotheses, else the checked instance's coverage key and a
-violation of the lemma's conclusion or nothing.  One loop, _report, turns
-any suite's outcomes into its LemmaReport, so violations are reported
-instead of raised.  The harness can be pointed at a deliberately falsified
-bound (``bound_slack``) to prove it is able to fail.
+classes of trees and unicyclic schemes, or L2's call sequences) and yields
+one outcome per candidate: None when it misses the lemma's hypotheses,
+else the checked instance's coverage key and a violation of the lemma's
+conclusion or nothing.  One loop, _report, turns any suite's outcomes into
+its LemmaReport, so violations are reported instead of raised.  The
+harness can be pointed at a deliberately falsified bound (``bound_slack``)
+to prove it is able to fail.
 
 L1a and L1c are one statement: a k-informing scheme with c cycles has at
 least 2^(k-1-c) persons, c = 0 for trees and 1 for unicyclic schemes.  One
-checker runs both from the table _SIZE_BOUND.  L4a, L4b and L5a are one
-statement with a moving bound index: a tree plus i preliminary calls has
-n >= t_{i-1+spare}(k), with k the (spare+1)-th smallest awareness on the
-tree's own persons.  One checker runs all three from the table _TREE_PRELIM
-of (outsiders, spare): L4a (0, 0), L4b (2, 0) and L5a (1, 1).  L5b asserts
-the same bound on a unicyclic scheme, its one cycle taking the place of the
-spare person.
+checker runs both from the table _SIZE_BOUND.  L4a, L4b, L5a and L5b are
+one statement with a moving bound index: a scheme plus i preliminary calls
+has n >= t_{i-1+spare+cycles}(k), with k the (spare+1)-th smallest
+awareness on the scheme's own persons.  One checker runs all four from the
+table _TREE_PRELIM of (outsiders, spare, cycles): the trees of L4a (0, 0,
+0), L4b (2, 0, 0) and L5a (1, 1, 0), and the unicyclic schemes of L5b (0,
+0, 1), whose one cycle takes the place of L5a's spare person.
 
 Documented instance ranges (defaults in LemmaParams):
 
 * tree schemes for L1a, L1b and the exact-tree filter of L3: every class of
   tree schemes on m persons, m in {2, ..., 8}, up to joint relabeling of the
   final state (1,254 classes; 49, 204 and 984 of them for m = 6, 7, 8).
-  Their outcome depends only on that class (see _tree_classes);
+  Their outcome depends only on that class (see _tree_classes).  L1a adds
+  the minimal informing tree of each k past them up to SHARP_TREE_K = 8;
 * tree schemes for L4a, L4b and L5a: every class of tree schemes on m
   persons, up to joint relabeling of the final state, that leaves everyone
-  (L4a, L4b: m in {2, ..., 10}) or everyone but one person (L5a: m in
-  {2, ..., 9}) knowing at least 4 gossips; no other tree can meet their
-  hypotheses (see _check_tree_prelim).  That is 1, 4 and 25 classes
-  for m = 8, 9, 10 and 1, 4, 17, 67 and 257 for m = 5, ..., 9, and none
-  below;
+  (L4a, L4b: m <= 10) or everyone but one person (L5a: m <= 9) knowing at
+  least 4 gossips; no other tree can meet their hypotheses (see
+  _check_tree_prelim).  That is 1, 4 and 25 classes for m = 8, 9, 10 and
+  1, 4, 17, 67 and 257 for m = 5, ..., 9, and none below;
 * the six tree suites take their largest m from ``max_exhaustive_n``,
   within _SIZES (L1a, L1b: 2..10; L3: 4..10; L4a, L4b: 8..11; L5a:
   5..11); ``max_sampled_n`` and ``samples`` do not apply to them;
-* unicyclic schemes on m in {4, ..., min(max_sampled_n, 8)} persons
-  (max_sampled_n >= 4): for L1c every class, up to joint relabeling of
-  the final state, that leaves everyone knowing at least 4 gossips (1, 2,
-  16, 78 and 427 for m = 4, ..., 8); for L5b every labeled scheme on 4
-  persons and ``samples`` random ones on each larger m (see _check_l5b);
+* unicyclic schemes for L1c and L5b: every class of unicyclic schemes on
+  m in {4, ..., min(max_sampled_n, SCHEME_SIZE_LIMIT = 8)} persons
+  (max_sampled_n >= 4), up to joint relabeling of the final state, that
+  leaves everyone knowing at least 4 gossips (1, 2, 16, 78 and 427 for
+  m = 4, ..., 8); no other unicyclic scheme can meet their hypotheses;
 * preliminary-call counts: up to ``max_prelim`` (default 3, at most
-  MAX_PRELIM = 9).  One source, _list_source, draws every preliminary
-  list of L3, L4a, L4b, L5a and L5b.  Unions of disjoint edges (single
-  calls included) are listed in full for L3's exact trees, and elsewhere
-  while a given (n, size) has at most 48 of them; above that, 48 are
-  sampled per tree.  Either way they are read from one table per
-  (n, size), built once per process (_matching_table).  Denser lists are
-  sampled: 10 per tree and size, 5 in L5b.  The lists of each (outsiders,
-  size) come from their own seeded stream, so a larger ``max_prelim`` adds
-  instances and moves none.  Each candidate is one simulation, of its
-  preliminary calls and then its scheme.  L3 lifts by at least one call,
-  so it needs max_prelim >= 1;
+  MAX_PRELIM = 9), and in L4a, L4b, L5a and L5b at most n - 4 on n
+  persons.  One source, _list_source, draws every preliminary list.
+  Unions of disjoint edges (single calls included) are listed in full
+  for L3's exact trees, and elsewhere while a given (n, size) has at most
+  48 of them; above that, 48 are sampled per scheme.  They are read from
+  one table per (n, size) (_matching_table) and judged without a
+  simulation (_prelim_outcomes).  Denser lists are sampled, 10 per scheme
+  and size, and simulated.  The lists of each (outsiders, size) come from
+  their own seeded stream, so a larger ``max_prelim`` adds instances and
+  moves none.  L3 lifts by at least one call, so it needs max_prelim >= 1;
 * L2: an exhaustive box over n in {3, 4}, up to 4 base calls and
   ell <= min(2, max_prelim) preliminary calls (only ell = 0 when
   max_prelim is 0), plus ``samples`` random instances on 5..max_sampled_n
@@ -72,11 +71,10 @@ import time
 from collections import Counter
 from typing import NamedTuple
 
+from .constructions import minimal_informing_tree
 from .core import ValidationError, _Record, run_calls
 from .formulas import lemma1b_bound, t_value
-from .oracle import (SCHEME_SIZE_LIMIT, SearchConfig, _pair_tables,
-                     enumerate_unicyclic_schemes, informing_tree_classes,
-                     min_calls_bruteforce)
+from .oracle import SearchConfig, _pair_tables, informing_tree_classes, min_calls_bruteforce
 
 LEMMA_IDS = (
     "L1a", "L1b", "L1c", "L2", "L3", "L4a", "L4b", "L5a", "L5b", "L6s1",
@@ -96,14 +94,18 @@ _SIZES = {
 }
 
 # largest max_sampled_n accepted: L2 builds every pair of an n-person
-# universe for each sample, and the scheme enumerators stop at 8
+# universe for each sample
 MAX_SAMPLED_N = 30
+
+# largest size of the unicyclic scheme classes that L1c and L5b check (see
+# _check_size_bound)
+SCHEME_SIZE_LIMIT = 8
 
 # largest max_prelim accepted: no suite but L2 can check more preliminary
 # calls.  L3 needs ell <= n - 3 and the others i <= k - 4 <= n - 4, and the
-# largest universe is 11 tree persons plus 2 outsiders (L4b).  Above it the
-# suites only draw lists they cannot check, at a cost that grows with
-# max_prelim.
+# largest universe is 11 tree persons plus 2 outsiders (L4b).  Above it L3
+# would only draw lists it cannot check, at a cost that grows with
+# max_prelim; the other suites draw none past n - 4.
 MAX_PRELIM = 9
 
 
@@ -166,11 +168,11 @@ class LemmaParams(_Record):
 
     L1a, L1b, L3, L4a, L4b and L5a enumerate tree classes on up to
     ``max_exhaustive_n`` persons, and L6s1 searches instances of up to that
-    many persons; all seven ignore ``max_sampled_n`` and ``samples``.  L1c
-    and L5b take unicyclic schemes on 4 to min(``max_sampled_n``, 8)
-    persons; L1c lists their classes and ignores ``samples`` and ``seed``.
-    ``max_sampled_n`` is at most MAX_SAMPLED_N and ``max_prelim`` at most
-    MAX_PRELIM.
+    many persons.  L1c and L5b list the unicyclic scheme classes on 4 to
+    min(``max_sampled_n``, SCHEME_SIZE_LIMIT) persons, and L2 draws
+    ``samples`` random instances on 5 to ``max_sampled_n``.  ``seed`` seeds
+    L2 and the preliminary lists of L3, L4a, L4b, L5a and L5b.
+    ``max_sampled_n`` is at most MAX_SAMPLED_N, ``max_prelim`` MAX_PRELIM.
     """
 
     __slots__ = ("max_exhaustive_n", "max_sampled_n", "samples", "max_prelim", "seed",
@@ -202,9 +204,7 @@ def check_lemma(lemma_id: str, params: LemmaParams | None = None) -> LemmaReport
         if getattr(params, name) < 0:
             raise ValidationError(f"{name} must be >= 0, got {getattr(params, name)}")
     if not 0 <= params.max_prelim <= MAX_PRELIM:
-        raise ValidationError(
-            f"max_prelim must be in [0, {MAX_PRELIM}], got {params.max_prelim}"
-        )
+        raise ValidationError(f"max_prelim must be in [0, {MAX_PRELIM}], got {params.max_prelim}")
     if lemma_id == "L3" and params.max_prelim < 1:
         # L3 lifts an exact tree by ell >= 1 preliminary calls
         raise ValidationError(f"L3 needs max_prelim >= 1, got {params.max_prelim}")
@@ -237,14 +237,14 @@ def _tree_classes(params: LemmaParams, lemma_id: str, k: int = 1, spare: int = 0
                   cycles: int = 0):
     """(m, pairs): one scheme per class of ``informing_tree_classes(m, k, spare, cycles)``.
 
-    m runs from 2 to the suite's ``max_exhaustive_n`` (default in
-    _SIZES) for trees, and from 4 to min(``max_sampled_n``, 8) for
+    m runs from 2 to the suite's ``max_exhaustive_n`` (default in _SIZES)
+    for trees, and from 4 to min(``max_sampled_n``, SCHEME_SIZE_LIMIT) for
     unicyclic schemes (``cycles`` = 1).  A class is a scheme's final state
     up to joint relabeling of persons and gossips; with k = 1 every tree is
-    in one.  L1a, L1b and L1c read only the awareness profile, and L3 the
-    outcome of preliminary calls run before the tree, which relabels with
-    the final state (see _check_tree_prelim), so one member per class
-    checks them all.
+    in one.  L1a, L1b and L1c read only the awareness profile, and the
+    other suites the outcome of preliminary calls run before the scheme,
+    which relabels with the final state (see _check_tree_prelim), so one
+    member per class checks them all.
     """
     if cycles:
         sizes = range(4, min(params.max_sampled_n, SCHEME_SIZE_LIMIT) + 1)
@@ -289,34 +289,81 @@ def _matching_table(n: int, size: int) -> bytes:
 
 
 def _list_source(params: LemmaParams):
-    """``lists(n, o, size, dense, cap)``: the preliminary call lists a suite tries.
+    """``lists(n, o, size, cap)``: the preliminary call lists a suite tries.
 
-    Each list has ``size`` calls on n persons.  Unions of disjoint edges
-    come first, read from _matching_table: every one while there are at
-    most ``cap`` of them, else ``cap`` drawn by one ``rng.sample`` over
-    their indices.  Then, from two calls up, ``dense`` lists drawn call by
+    Each list is ``size`` indices into _pair_tables(n)[0], as bytes; they
+    come as (matchings, dense).  The matchings, unions of disjoint edges,
+    are read from _matching_table: every one while there are at most
+    ``cap`` of them, else ``cap`` drawn by one ``rng.sample`` over their
+    indices.  The dense lists, from two calls up, are 10 drawn call by
     call.  Only the lists that touch all ``o`` outsiders, the last o
     persons, are returned.  Each (o, size) draws from its own seeded stream.
     """
     streams = functools.cache(lambda o, size: random.Random(f"{params.seed}:{o}:{size}"))
 
-    def lists(n: int, o: int, size: int, dense: int = 10, cap: float = 48) -> list:
+    def lists(n: int, o: int, size: int, cap: float = 48):
         rng, pairs = streams(o, size), _pair_tables(n)[0]
-        drawn = [[]]  # size 0: the empty list
+        matchings, dense = [b""], []  # size 0: the empty list
         if size:
             table = _matching_table(n, size)
             count = len(table) // size
             picks = range(count) if count <= cap else rng.sample(range(count), cap)
-            drawn = [[pairs[j] for j in table[i * size : (i + 1) * size]] for i in picks]
+            matchings = [table[i * size : (i + 1) * size] for i in picks]
         if size >= 2 and len(pairs) >= 2:
-            drawn += [[pairs[rng.randrange(len(pairs))] for _ in range(size)]
-                      for _ in range(dense)]
+            dense = [bytes([rng.randrange(len(pairs)) for _ in range(size)]) for _ in range(10)]
         if o:
-            drawn = [prelim for prelim in drawn
-                     if len({v for p in prelim for v in p if v >= n - o}) == o]
-        return drawn
+            def touching(x):
+                return len({v for j in x for v in pairs[j] if v >= n - o}) == o
+
+            matchings, dense = list(filter(touching, matchings)), list(filter(touching, dense))
+        return matchings, dense
 
     return lists
+
+
+def _crossings(own: list[int], n: int) -> tuple[int, list[int]]:
+    """(base, cross): awareness after a matching on n persons, then a scheme, as 5-bit lanes.
+
+    ``own`` is the scheme's own final state T on its persons [0, m).  A
+    matching's calls share no person, so (point 1 of _check_tree_prelim)
+    person v ends knowing |T[v]| gossips plus one per call with exactly one
+    end in T[v]: lane v of base plus cross[j] for each pair j of the matching.
+    """
+    spread = [sum(1 << 5 * v for v, x in enumerate(own) if x >> a & 1) for a in range(n)]
+    return (sum(x.bit_count() << 5 * v for v, x in enumerate(own)),
+            [spread[a] ^ spread[b] for a, b in _pair_tables(n)[0]])
+
+
+def _prelim_outcomes(lists, scheme, m: int, n: int, ells, least: int, spare: int = 0,
+                     cap: float = 48):
+    """(ell, prelim, k) per list of ``lists(n, n - m, ell, cap)`` run before ``scheme``.
+
+    k is the (spare+1)-th smallest awareness on the scheme's persons [0, m)
+    of n; k and prelim are None when k < least + ell.  Dense lists are
+    simulated and matchings judged by _crossings.  A lane holds at most n
+    gossips; with 0 <= 16 - goal and n + 16 - goal < 32 the bias 16 - goal
+    sets its top bit exactly when it reaches the goal, and no lane borrows
+    or carries.  Only the lists that pass are decoded.
+    """
+    pairs, shifts = _pair_tables(n)[0], range(0, 5 * m, 5)
+    base, cross = _crossings(run_calls([1 << p for p in range(m)], scheme), n)
+    ones = sum(1 << s for s in shifts)
+    for ell in ells:
+        goal = least + ell
+        bias, top = (16 - goal) * ones, ones << 4
+        matchings, dense = lists(n, n - m, ell, cap=cap)
+        for x in matchings:
+            lanes = sum(map(cross.__getitem__, x), base)
+            if ((lanes + bias) & top).bit_count() < m - spare:
+                yield ell, None, None
+            else:
+                k = sorted([lanes >> s & 31 for s in shifts])[spare]
+                yield ell, [pairs[j] for j in x], k
+        for x in dense:
+            prelim = [pairs[j] for j in x]
+            final = run_calls(run_calls([1 << p for p in range(n)], prelim), scheme)
+            k = sorted([row.bit_count() for row in final[:m]])[spare]
+            yield (ell, prelim, k) if k >= goal else (ell, None, None)
 
 
 def _describe(n: int, pairs, prelim=None, **extra) -> dict:
@@ -367,18 +414,25 @@ def _report(lemma_id: str, outcomes) -> LemmaReport:
 
 # (least k, cycles) of the scheme classes that L1a and L1c check
 _SIZE_BOUND = {"L1a": (1, 0), "L1c": (4, 1)}
+SHARP_TREE_K = 8  # largest k of the minimal informing trees L1a adds to its classes
 
 
 def _check_size_bound(params: LemmaParams, lemma_id: str):
     """k-informing scheme with c cycles on n persons implies n >= 2^(k-1-c).
 
-    L1a checks every tree class (c = 0), and L1c (c = 1, k >= 4) every
-    class of unicyclic schemes leaving everyone 4-informed: no other
-    unicyclic scheme meets k >= 4.  The 2,105 unicyclic classes of m = 9
-    would take about 2.4 s more.
+    L1a checks every tree class (c = 0), then minimal_informing_tree(k),
+    which meets the bound with equality, for the k past its classes up to
+    SHARP_TREE_K.  L1c (c = 1) checks every class of unicyclic schemes
+    leaving everyone 4-informed: no other meets k >= 4.  The 2,105 classes
+    of m = 9 would take about 2.4 s more, so SCHEME_SIZE_LIMIT stops at 8.
     """
     least, cycles = _SIZE_BOUND[lemma_id]
-    for n, pairs in _tree_classes(params, lemma_id, least, 0, cycles):
+    schemes = _tree_classes(params, lemma_id, least, 0, cycles)
+    if not cycles:
+        past = (params.max_exhaustive_n or _SIZES[lemma_id][2]).bit_length() + 1
+        sharp = map(minimal_informing_tree, range(past, SHARP_TREE_K + 1))
+        schemes = itertools.chain(schemes, ((s.n, s.calls) for s in sharp))
+    for n, pairs in schemes:
         k = min(_aw(n, pairs))
         bound = (1 << (k - 1 - cycles)) + params.bound_slack
         yield (n, k, 0), n < bound and Violation(_describe(n, pairs, k=k), bound, n)
@@ -462,94 +516,62 @@ def _check_l3(params: LemmaParams):
     """
     lists = _list_source(params)
     for n, k, base in _exact_k_trees(params):
-        ident = [1 << p for p in range(n)]
-        for ell in range(1, params.max_prelim + 1):
-            for prelim in lists(n, 0, ell, cap=math.inf):
-                final = run_calls(run_calls(ident.copy(), prelim), base)
-                if min(map(int.bit_count, final)) < k + ell:
-                    yield None  # hypothesis not satisfied
-                    continue
-                bound = (1 << (k - 1)) + ell - 1 + params.bound_slack
-                yield (n, k + ell, ell), n < bound and Violation(
-                    _describe(n, base, prelim, k=k, ell=ell), bound, n
-                )
+        ells = range(1, params.max_prelim + 1)
+        for ell, prelim, lifted in _prelim_outcomes(lists, base, n, n, ells, k, cap=math.inf):
+            if lifted is None:
+                yield None  # hypothesis not satisfied
+                continue
+            bound = (1 << (k - 1)) + ell - 1 + params.bound_slack
+            yield (n, k + ell, ell), n < bound and Violation(
+                _describe(n, base, prelim, k=k, ell=ell), bound, n)
 
 
-def _judge_prelim_bound(params: LemmaParams, n: int, k: int, shift: int, m: int, base, prelim):
-    """Outcome of n >= t_{i-1+shift}(k), where i preliminary calls precede ``base``.
-
-    The hypotheses are k >= 4, i <= k - 4 and n >= k.  A violation names the
-    instance as ``m`` persons running ``prelim`` then ``base``.
-    """
-    i = len(prelim)
-    if k < 4 or i > k - 4 or n < k:
-        return None
-    bound = t_value(i - 1 + shift, k) + params.bound_slack
-    return (n, k, i), n < bound and Violation(_describe(m, base, prelim, k=k, i=i), bound, n)
-
-
-# (outsiders, spare) of the tree suites with preliminary calls
-_TREE_PRELIM = {"L4a": (0, 0), "L4b": (2, 0), "L5a": (1, 1)}
+# (outsiders, spare, cycles) of the scheme suites with preliminary calls
+_TREE_PRELIM = {"L4a": (0, 0, 0), "L4b": (2, 0, 0), "L5a": (1, 1, 0), "L5b": (0, 0, 1)}
 
 
 def _check_tree_prelim(params: LemmaParams, lemma_id: str):
-    """Tree plus i preliminary calls: n >= t_{i-1+spare}(k).
+    """Tree or unicyclic scheme plus i preliminary calls: n >= t_{i-1+spare+cycles}(k).
 
-    k is the (spare+1)-th smallest awareness on the tree's own persons, so
-    L5a (spare 1) lets one of them stay below k.  L4a keeps every
-    preliminary call inside the tree; L4b and L5a let them touch outsiders,
-    counted in n.  The trees are one scheme per class of ``informing_tree_classes(m, 4,
-    spare)`` (_tree_classes).  No tree outside those classes can meet the
-    hypotheses, and no class member would add a different instance:
+    k is the (spare+1)-th smallest awareness on the scheme's own persons, so
+    L5a (spare 1) lets one of them stay below k, and L5b's cycle moves the
+    bound index as that spare person does.  L4a and L5b keep every
+    preliminary call inside the scheme; L4b and L5a let them touch
+    outsiders, counted in n.  The schemes are one per class of
+    ``informing_tree_classes(m, 4, spare, cycles)`` (_tree_classes).  No
+    scheme outside those classes can meet the hypotheses, and no class
+    member would add a different instance:
 
-    1. The tree's calls run after the preliminary calls, so person v ends
+    1. The scheme's calls run after the preliminary calls, so person v ends
        with the OR of P[u] over the gossips u in T[v], where P is the state
-       after the preliminary calls and T the tree's own final state.  The
+       after the preliminary calls and T the scheme's own final state.  The
        outcome therefore depends only on T, and relabeling T jointly with
        the preliminary calls relabels the outcome.
     2. i preliminary calls raise nobody's awareness by more than i (the L2
-       component argument).  So a tree whose own minimum awareness (with
+       component argument).  So a scheme whose own minimum awareness (with
        ``spare`` = 1, its second smallest) is below 4 can never end with
        k >= 4 + i.
+    3. The hypotheses i <= k - 4 and k <= n leave at most n - 4
+       preliminary calls, so no longer list is drawn.
 
-    The tree lives on persons [0, m); preliminary calls may touch up to
+    The scheme lives on persons [0, m); preliminary calls may touch up to
     ``outsiders`` extra persons and must use exactly o of them, so outsider
-    counts are not re-checked.  n counts the tree's persons plus the o
+    counts are not re-checked.  n counts the scheme's persons plus the o
     outsiders.
     """
-    outsiders, spare = _TREE_PRELIM[lemma_id]
+    outsiders, spare, cycles = _TREE_PRELIM[lemma_id]
     lists = _list_source(params)
-    for m, tree in _tree_classes(params, lemma_id, 4, spare):
-        for o in range(0, outsiders + 1):
-            ident = [1 << p for p in range(m + o)]
-            for ell in range(o, params.max_prelim + 1):  # o = ell = 0: the tree alone
-                for prelim in lists(m + o, o, ell):
-                    final = run_calls(run_calls(ident.copy(), prelim), tree)
-                    aw = [x.bit_count() for x in final[:m]]
-                    aw.sort()
-                    yield _judge_prelim_bound(params, m + o, aw[spare], spare, m, tree, prelim)
-
-
-def _check_l5b(params: LemmaParams):
-    """Unicyclic scheme whose vertices all end k-informed after i prelims: n >= t_i(k).
-
-    That is the tree suites' bound with one cycle in place of one spare person.
-    A scheme whose own minimum awareness is below 4 can never end with
-    k >= 4 + i (point 2 of _check_tree_prelim), and i <= k - 4 <= m - 4,
-    so only the other schemes draw lists, of at most m - 4 calls.
-    """
-    lists = _list_source(params)
-    for m in range(4, min(params.max_sampled_n, SCHEME_SIZE_LIMIT) + 1):
-        ident = [1 << p for p in range(m)]
-        limit = None if m == 4 else params.samples
-        for s in enumerate_unicyclic_schemes(m, limit=limit, seed=params.seed).schedules:
-            if min(_aw(m, s.calls)) < 4:
-                continue
-            for i in range(0, min(params.max_prelim, m - 4) + 1):
-                for prelim in lists(m, 0, i, dense=5):
-                    final = run_calls(run_calls(ident.copy(), prelim), s.calls)
-                    k = min(map(int.bit_count, final))
-                    yield _judge_prelim_bound(params, m, k, 1, m, s.calls, prelim)
+    for m, tree in _tree_classes(params, lemma_id, 4, spare, cycles):
+        for n in range(m, m + outsiders + 1):
+            # o = i = 0: the scheme alone; i <= k - 4 <= n - 4 (point 3)
+            ells = range(n - m, min(params.max_prelim, n - 4) + 1)
+            for i, prelim, k in _prelim_outcomes(lists, tree, m, n, ells, 4, spare):
+                if k is None or n < k:  # else k >= 4 + i
+                    yield None
+                    continue
+                bound = t_value(i - 1 + spare + cycles, k) + params.bound_slack
+                yield (n, k, i), n < bound and Violation(
+                    _describe(m, tree, prelim, k=k, i=i), bound, n)
 
 
 def _check_l6s1(params: LemmaParams):
@@ -587,6 +609,5 @@ _CHECKERS = {
     "L2": _check_l2,
     "L3": _check_l3,
     **{lid: functools.partial(_check_tree_prelim, lemma_id=lid) for lid in _TREE_PRELIM},
-    "L5b": _check_l5b,
     "L6s1": _check_l6s1,
 }

@@ -98,7 +98,6 @@ import functools
 import heapq
 import itertools
 import math
-import random
 import time
 from typing import Iterator
 
@@ -794,67 +793,45 @@ def labeled_trees(n: int) -> Iterator[list[tuple[int, int]]]:
         yield prufer_decode(seq, n)
 
 
-EXHAUSTIVE_TREE_LIMIT = 6  # every call order of every scheme of n + cycles <= this
-SCHEME_SIZE_LIMIT = 8  # largest n of the tree and unicyclic scheme enumerators
+EXHAUSTIVE_TREE_LIMIT = 6  # largest n + cycles of the labeled scheme enumerators
 
 
-def _labeled_schemes(n: int, cycles: int, limit: int | None, seed: int) -> SchemeStream:
+def _labeled_schemes(n: int, cycles: int) -> SchemeStream:
     """Spanning trees on n vertices plus ``cycles`` (0 or 1) extra pairs, as call orders.
 
-    Exhaustive (every labeled tree, extra pair and chronological order) while
-    a scheme has at most EXHAUSTIVE_TREE_LIMIT - 1 calls and no ``limit`` is
-    given; else ``limit`` (default 1000) schemes, each drawn as a Pruefer
-    sequence, then the extra pair, then a shuffle.
+    Every labeled tree, extra pair and chronological order, for 2 <= n and
+    n + cycles <= EXHAUSTIVE_TREE_LIMIT: a scheme has at most 5 calls.
     """
-    if not 2 <= n <= SCHEME_SIZE_LIMIT:
+    top = EXHAUSTIVE_TREE_LIMIT - cycles
+    if not 2 <= n <= top:
         kind = "unicyclic" if cycles else "tree"
-        raise ValidationError(
-            f"{kind} enumeration supports 2 <= n <= {SCHEME_SIZE_LIMIT}, got n={n}"
-        )
-    pairs = _pair_tables(n)[0]
-    if n + cycles <= EXHAUSTIVE_TREE_LIMIT and limit is None:
-        extras = [(Call(a, b),) for a, b in pairs] if cycles else [()]
-
-        def gen_all() -> Iterator[Schedule]:
-            for edges in labeled_trees(n):
-                tree = tuple(Call(a, b) for a, b in edges)  # built once, permuted as is
-                for extra in extras:
-                    for order in itertools.permutations(tree + extra):
-                        yield Schedule(n, order)
-
-        expected = None if cycles else n ** (n - 2) * math.factorial(n - 1)
-        return SchemeStream(n, True, expected, gen_all())
-    count = limit if limit is not None else 1000
-    rng = random.Random(seed)
-
-    def gen_sampled() -> Iterator[Schedule]:
-        for _ in range(count):
-            edges = prufer_decode(tuple(rng.randrange(n) for _ in range(n - 2)), n)
-            if cycles:
-                edges.append(pairs[rng.randrange(len(pairs))])
-            rng.shuffle(edges)
-            yield Schedule(n, edges)
-
-    return SchemeStream(n, False, count, gen_sampled())
+        raise ValidationError(f"{kind} enumeration supports 2 <= n <= {top}, got n={n}")
+    extras = [(Call(a, b),) for a, b in _pair_tables(n)[0]] if cycles else [()]
+    trees = (tuple(Call(a, b) for a, b in edges) for edges in labeled_trees(n))
+    schedules = (Schedule(n, order) for tree in trees for extra in extras
+                 for order in itertools.permutations(tree + extra))
+    expected = None if cycles else n ** (n - 2) * math.factorial(n - 1)
+    return SchemeStream(n, True, expected, schedules)
 
 
-def enumerate_tree_schemes(n: int, limit: int | None = None, seed: int = 0) -> SchemeStream:
+def enumerate_tree_schemes(n: int) -> SchemeStream:
     """Schedules whose communication graph is a spanning tree on n vertices.
 
-    Exhaustive (every labeled tree times every chronological edge order) for
-    n <= 6; uniformly sampled, ``limit`` schemes, for n in {7, 8}.
+    Exhaustive, every labeled tree times every chronological edge order, for
+    2 <= n <= 6.  The isomorph-free classes of larger trees come from
+    informing_tree_classes.
     """
-    return _labeled_schemes(n, 0, limit, seed)
+    return _labeled_schemes(n, 0)
 
 
-def enumerate_unicyclic_schemes(n: int, limit: int | None = None, seed: int = 0) -> SchemeStream:
+def enumerate_unicyclic_schemes(n: int) -> SchemeStream:
     """Schedules whose graph is connected and spanning with exactly n edges.
 
-    Built as spanning tree plus one extra pair (possibly duplicating a tree
-    edge, the degenerate two-fold cycle).  Exhaustive over edge orders for
-    n <= 5, sampled for larger n.
+    A spanning tree plus one extra pair (possibly a tree edge again, the
+    degenerate two-fold cycle) in every edge order, for 2 <= n <= 5.  The
+    classes of larger ones come from informing_tree_classes, ``cycles`` = 1.
     """
-    return _labeled_schemes(n, 1, limit, seed)
+    return _labeled_schemes(n, 1)
 
 
 INFORMING_TREE_CLASS_LIMIT = 11  # m = 11, k = 4 takes about a second

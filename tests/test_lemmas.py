@@ -23,8 +23,7 @@ from partialgossip import (
 )
 from partialgossip import lemmas, minimal_informing_tree
 from partialgossip.core import run_calls
-from partialgossip.oracle import (TIMEOUT, SearchResult, _pair_tables,
-                                  enumerate_unicyclic_schemes, informing_tree_classes)
+from partialgossip.oracle import TIMEOUT, SearchResult, _pair_tables, informing_tree_classes
 from partialgossip.lemmas import LEMMA_IDS
 
 # small ranges so the whole file stays fast; the acceptance suite runs the
@@ -47,10 +46,11 @@ def test_no_violations_on_valid_instances(lemma_id):
 
 # instances_checked, generated and coverage of each suite at FAST
 _FAST_COUNTS = {
-    "L1a": (1254, 1254, {
+    "L1a": (1258, 1258, {
         (2, 2, 0): 1, (3, 2, 0): 1, (4, 2, 0): 3, (4, 3, 0): 1, (5, 2, 0): 9, (5, 3, 0): 2,
         (6, 2, 0): 40, (6, 3, 0): 9, (7, 2, 0): 175, (7, 3, 0): 29, (8, 2, 0): 862,
-        (8, 3, 0): 121, (8, 4, 0): 1}),
+        (8, 3, 0): 121, (8, 4, 0): 1, (16, 5, 0): 1, (32, 6, 0): 1, (64, 7, 0): 1,
+        (128, 8, 0): 1}),
     "L1b": (1254, 1254, {
         (2, 2, 0): 1, (3, 3, 0): 1, (4, 2, 0): 1, (4, 3, 0): 3, (5, 2, 0): 3, (5, 3, 0): 7,
         (5, 4, 0): 1, (6, 2, 0): 18, (6, 3, 0): 27, (6, 4, 0): 4, (7, 2, 0): 86,
@@ -65,12 +65,12 @@ _FAST_COUNTS = {
         (8, 4, 0): 1, (8, 5, 1): 1, (9, 4, 0): 4, (9, 5, 1): 14, (9, 6, 2): 1,
         (10, 4, 0): 25, (10, 5, 1): 138, (10, 6, 2): 16, (11, 5, 1): 43, (11, 6, 2): 12,
         (12, 6, 2): 3}),
-    "L5a": (8368, 43257, {
-        (5, 4, 0): 1, (5, 5, 1): 1, (6, 4, 0): 4, (6, 5, 1): 19, (6, 6, 2): 17,
-        (7, 4, 0): 17, (7, 5, 1): 126, (7, 6, 2): 116, (8, 4, 0): 67, (8, 5, 1): 675,
-        (8, 6, 2): 488, (9, 4, 0): 256, (9, 5, 0): 1, (9, 5, 1): 3334, (9, 6, 1): 1,
-        (9, 6, 2): 1876, (10, 5, 1): 727, (10, 6, 1): 3, (10, 6, 2): 639}),
-    "L5b": (100, 118, {(4, 4, 0): 96, (5, 4, 0): 2, (5, 5, 1): 2}),
+    "L5a": (8340, 43232, {
+        (5, 4, 0): 1, (5, 5, 1): 1, (6, 4, 0): 4, (6, 5, 1): 19, (6, 6, 2): 16,
+        (7, 4, 0): 17, (7, 5, 1): 126, (7, 6, 2): 117, (8, 4, 0): 67, (8, 5, 1): 675,
+        (8, 6, 2): 478, (9, 4, 0): 256, (9, 5, 0): 1, (9, 5, 1): 3334, (9, 6, 1): 1,
+        (9, 6, 2): 1858, (10, 5, 1): 727, (10, 6, 1): 3, (10, 6, 2): 639}),
+    "L5b": (8, 23, {(4, 4, 0): 1, (5, 4, 0): 2, (5, 5, 1): 5}),
     "L6s1": (154, 154, {
         (4, 4, 0): 3, (5, 4, 0): 4, (5, 5, 0): 4, (5, 5, 1): 4, (6, 4, 0): 5, (6, 5, 0): 5,
         (6, 5, 1): 5, (6, 6, 0): 5, (6, 6, 1): 5, (6, 6, 2): 5, (7, 5, 0): 6, (7, 5, 1): 6,
@@ -315,25 +315,30 @@ def _reference_list_source(params):
     """lemmas._list_source written out over the reference matchings."""
     streams = functools.cache(lambda o, size: random.Random(f"{params.seed}:{o}:{size}"))
 
-    def lists(n, o, size, dense=10, cap=48):
-        for prelim in _reference_prelim_lists(n, size, streams(o, size), dense, cap):
-            if len({v for p in prelim for v in p if v >= n - o}) == o:
-                yield prelim
+    def lists(n, o, size, cap=48):
+        rng = streams(o, size)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        drawn = (list(_reference_matchings(n, size, rng, cap)),
+                 [[pairs[rng.randrange(len(pairs))] for _ in range(size)]
+                  for _ in range(10 if size >= 2 and len(pairs) >= 2 else 0)])
+        return tuple([bytes(pairs.index(p) for p in prelim) for prelim in group
+                      if len({v for p in prelim for v in p if v >= n - o}) == o]
+                     for group in drawn)
 
     return lists
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_cached_matchings_match_reference(seed):
-    for kwargs in ({}, {"dense": 5}, {"cap": math.inf}):
+    for kwargs in ({}, {"cap": math.inf}):
         ours = lemmas._list_source(LemmaParams(seed=seed))
         ref = _reference_list_source(LemmaParams(seed=seed))
         for _ in range(2):  # the second round reads the cached tables, the streams go on
             for n in range(1, 13):
                 for o in range(0, 3):
                     for size in range(0, 4):
-                        assert list(ours(n, o, size, **kwargs)) == list(
-                            ref(n, o, size, **kwargs)), (kwargs, n, o, size)
+                        assert ours(n, o, size, **kwargs) == ref(n, o, size, **kwargs), (
+                            kwargs, n, o, size)
 
 
 def _table_listing(n, size):
@@ -437,20 +442,22 @@ def _reference_check_l2(params, lemma_id="L2"):
             yield judge(n, base, prelim)
 
 
-def _reference_prelim_lists(n, size, rng, dense=10, cap=48):
-    """_list_source's lists, before its outsider filter, over the reference matchings."""
-    yield from _reference_matchings(n, size, rng, cap)
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    if size >= 2 and len(pairs) >= 2:
-        for _ in range(dense):
-            yield [pairs[rng.randrange(len(pairs))] for _ in range(size)]
+def _reference_lists(params):
+    """The lists of _reference_list_source, matchings and then dense ones, as pair lists."""
+    source = _reference_list_source(params)
+
+    def lists(n, o, size, cap=48):
+        pairs = _pair_tables(n)[0]
+        return [[pairs[j] for j in x] for drawn in source(n, o, size, cap) for x in drawn]
+
+    return lists
 
 
 def _reference_check_tree_prelim(params, lemma_id):
-    """L3, L4a, L4b, L5a and L5b as they were before each candidate was
-    simulated once: the preliminary list and the base concatenated and run
-    by _aw, the lists drawn by _reference_list_source."""
-    lists, judge = _reference_list_source(params), lemmas._judge_prelim_bound
+    """L3, L4a, L4b, L5a and L5b as they were before each matching was judged
+    by crossing counts: the preliminary list and the base concatenated and
+    run by _aw, the lists drawn by _reference_list_source."""
+    lists = _reference_lists(params)
     if lemma_id == "L3":
         for n, k, base in lemmas._exact_k_trees(params):
             for ell in range(1, params.max_prelim + 1):
@@ -461,24 +468,19 @@ def _reference_check_tree_prelim(params, lemma_id):
                     bound = (1 << (k - 1)) + ell - 1 + params.bound_slack
                     yield (n, k + ell, ell), n < bound and lemmas.Violation(
                         lemmas._describe(n, base, prelim, k=k, ell=ell), bound, n)
-    elif lemma_id == "L5b":
-        for m in range(4, min(params.max_sampled_n, 8) + 1):
-            limit = None if m == 4 else params.samples
-            for s in enumerate_unicyclic_schemes(m, limit=limit, seed=params.seed).schedules:
-                if min(lemmas._aw(m, s.calls)) < 4:
-                    continue
-                for i in range(0, min(params.max_prelim, m - 4) + 1):
-                    for prelim in lists(m, 0, i, dense=5):
-                        k = min(lemmas._aw(m, list(prelim) + list(s.calls)))
-                        yield judge(params, m, k, 1, m, s.calls, prelim)
-    else:
-        outsiders, spare = lemmas._TREE_PRELIM[lemma_id]
-        for m, tree in lemmas._tree_classes(params, lemma_id, 4, spare):
-            for o in range(0, outsiders + 1):
-                for ell in range(o, params.max_prelim + 1):
-                    for prelim in lists(m + o, o, ell):
-                        k = sorted(lemmas._aw(m + o, list(prelim) + list(tree))[:m])[spare]
-                        yield judge(params, m + o, k, spare, m, tree, prelim)
+        return
+    outsiders, spare, cycles = lemmas._TREE_PRELIM[lemma_id]
+    for m, tree in lemmas._tree_classes(params, lemma_id, 4, spare, cycles):
+        for o in range(0, outsiders + 1):
+            for i in range(o, min(params.max_prelim, m + o - 4) + 1):
+                for prelim in lists(m + o, o, i):
+                    k = sorted(lemmas._aw(m + o, list(prelim) + list(tree))[:m])[spare]
+                    if k < 4 or i > k - 4 or m + o < k:
+                        yield None
+                        continue
+                    bound = lemmas.t_value(i - 1 + spare + cycles, k) + params.bound_slack
+                    yield (m + o, k, i), m + o < bound and lemmas.Violation(
+                        lemmas._describe(m, tree, prelim, k=k, i=i), bound, m + o)
 
 
 def _same_report(ours, ref):
@@ -530,7 +532,7 @@ def test_shared_simulation_matches_reference_at_max_prelim(lemma_id, reference, 
         return
     ours = _check_against_reference(lemma_id, reference, params)
     assert ours.instances_checked > 0
-    if max_prelim == 5 and lemma_id != "L5b":  # L5b's schemes have at most 5 persons here
+    if max_prelim == 5:
         assert any(i > 0 for n, k, i in ours.coverage)
 
 
@@ -610,7 +612,7 @@ def test_l6s1_proves_nothing_past_a_timed_out_search(monkeypatch, refuted):
 def test_unicyclic_suites_stop_at_enumerator_limit(lemma_id, top):
     """Unicyclic schemes are enumerated on at most 8 persons; a larger range reports as 8."""
     def at(max_sampled_n):
-        return check_lemma(lemma_id, LemmaParams(max_sampled_n=max_sampled_n, samples=10))
+        return check_lemma(lemma_id, LemmaParams(max_sampled_n=max_sampled_n))
 
     ours, ref = at(top), at(8)
     _same_report(ours, ref)
@@ -629,7 +631,7 @@ def test_unicyclic_suites_reject_ranges_without_instances(lemma_id, top):
 # run ten times
 _PRELIM_RANGES = {
     "L3": {}, "L4a": {}, "L4b": dict(max_exhaustive_n=9), "L5a": dict(max_exhaustive_n=7),
-    "L5b": dict(max_sampled_n=7, samples=100),
+    "L5b": dict(max_sampled_n=7),
 }
 
 
@@ -691,12 +693,29 @@ def test_tree_suites_cover_k_at_least_four(lemma_id, params):
 @pytest.mark.parametrize("params", [LemmaParams(), LemmaParams(**FAST)], ids=["default", "fast"])
 @pytest.mark.parametrize("lemma_id", ["L1a", "L1b"])
 def test_tree_suites_check_every_class_up_to_eight(lemma_id, params):
-    """One instance per final-state class of trees on 2 to 8 persons."""
+    """One instance per final-state class of trees on 2 to 8 persons (L1a
+    adds the minimal informing trees of k = 5..8 on 16 to 128 persons)."""
     params.bound_slack = 10**6
     report = check_lemma(lemma_id, params)
     classes = sum(len(informing_tree_classes(m, 1, 0)) for m in range(2, 9))
-    assert report.instances_checked == len(report.violations) == classes == 1_254
-    assert len({_tree_class(v.instance) for v in report.violations}) == classes
+    sharp = 4 if lemma_id == "L1a" else 0
+    assert report.instances_checked == len(report.violations) == classes + sharp
+    assert classes == 1_254
+    assert len({_tree_class(v.instance) for v in report.violations}) == classes + sharp
+
+
+@pytest.mark.parametrize("top,first", [(2, 3), (3, 3), (4, 4), (7, 4), (8, 5), (10, 5)])
+def test_l1a_minimal_trees_start_past_the_classes(top, first):
+    """L1a adds minimal_informing_tree(k) for each k whose 2^(k-1) persons
+    exceed max_exhaustive_n, up to SHARP_TREE_K; the bound holds with
+    equality on each, so one unit of slack fires on every one."""
+    report = check_lemma("L1a", LemmaParams(max_exhaustive_n=top, bound_slack=1))
+    past = {v.instance["k"]: v for v in report.violations if v.instance["n"] > top}
+    assert sorted(past) == list(range(first, lemmas.SHARP_TREE_K + 1))
+    for k, v in past.items():
+        assert v.observed_n == 1 << (k - 1) == v.expected_bound - 1
+        assert v.instance["calls"] == [list(c) for c in minimal_informing_tree(k).calls]
+    assert check_lemma("L1a", LemmaParams(max_exhaustive_n=top)).ok
 
 
 def test_l1c_checks_every_unicyclic_class_up_to_eight():
@@ -716,3 +735,72 @@ def test_exact_trees_include_minimal_informing_trees():
     for k in (3, 4):
         s = minimal_informing_tree(k)
         assert canonical_key(simulate(s).know, s.n) in found
+
+
+@pytest.mark.parametrize("cycles,spare,top", [(0, 0, 8), (0, 1, 7), (1, 0, 7)])
+def test_crossing_counts_equal_simulation(cycles, spare, top):
+    """After a matching, then a scheme, the lanes of _crossings are the awareness.
+
+    Every class of informing_tree_classes(m, 4, spare, cycles) with m <= top
+    (the one class of trees with spare 0 needs 8 persons), every matching of
+    at most 3 calls on m + o persons, o <= 2.
+    """
+    tried = 0
+    for m in range(2, top + 1):
+        for scheme in informing_tree_classes(m, 4, spare, cycles):
+            own = run_calls([1 << p for p in range(m)], scheme)
+            for n in range(m, m + 3):
+                base, cross = lemmas._crossings(own, n)
+                pairs = _pair_tables(n)[0]
+                for size in range(0, 4):
+                    for matching in _reference_all_matchings(n, size):
+                        lanes = base + sum(cross[pairs.index(p)] for p in matching)
+                        final = run_calls(run_calls([1 << p for p in range(n)], matching),
+                                          scheme)
+                        assert [lanes >> 5 * v & 31 for v in range(m)] == [
+                            x.bit_count() for x in final[:m]], (scheme, n, matching)
+                        assert lanes >> 5 * m == 0
+                        tried += 1
+    assert tried > 0
+
+
+@pytest.mark.parametrize("spare", [0, 1])
+def test_prelim_outcomes_exact_at_every_goal(spare):
+    """The lane bias 16 - goal is exact for every goal from 1 to 16 on 13
+    persons, the most a suite uses: 13 + 16 - goal < 32 keeps the lanes apart.
+
+    A path's persons end knowing 2 to 13 gossips, so every goal splits them.
+    """
+    n, path = 13, [(v, v + 1) for v in range(12)]
+    pairs = _pair_tables(n)[0]
+    for least in range(1, 17):
+        ells = range(0, min(2, 16 - least) + 1)
+        got = list(lemmas._prelim_outcomes(lemmas._list_source(LemmaParams()), path, n, n,
+                                           ells, least, spare, math.inf))
+        want, lists = [], lemmas._list_source(LemmaParams())
+        for ell in ells:
+            for x in itertools.chain(*lists(n, 0, ell, cap=math.inf)):
+                prelim = [pairs[j] for j in x]
+                k = sorted(lemmas._aw(n, prelim + path))[spare]
+                want.append((ell, prelim, k) if k >= least + ell else (ell, None, None))
+        assert got == want, least
+
+
+def test_l5b_checks_each_unicyclic_class_once():
+    """Without preliminary calls L5b checks one instance per class that L1c lists."""
+    report = check_lemma("L5b", LemmaParams(max_prelim=0, bound_slack=10**6))
+    classes = sum(len(informing_tree_classes(m, 4, 0, 1)) for m in range(4, 9))
+    assert report.instances_checked == len(report.violations) == classes == 524
+    assert len({_tree_class(v.instance) for v in report.violations}) == classes
+
+
+def test_l5b_reaches_three_preliminary_calls_and_its_control_fires():
+    """At the defaults L5b checks k up to 7 with i = 3 on 8 persons and finds
+    nothing; one unit of slack fires on tight tuples with i >= 1 and k >= 5."""
+    report = check_lemma("L5b", LemmaParams())
+    assert report.ok and report.instances_checked >= 8_000
+    assert report.coverage[(8, 7, 3)] > 0
+    control = check_lemma("L5b", LemmaParams(bound_slack=1))
+    fired = {(v.observed_n, v.instance["k"], v.instance["i"]) for v in control.violations}
+    assert {(5, 5, 1), (6, 6, 2), (7, 7, 3)} <= fired
+    assert len(control.violations) == 304

@@ -822,25 +822,16 @@ class TestTreeEnumeration:
             comps = classify_components(full_graph(s))
             assert comps == [(frozenset(range(4)), ComponentKind.TREE)]
 
-    def test_sampling_for_large_n(self):
-        stream = enumerate_tree_schemes(7, limit=50, seed=42)
-        schemes = list(stream.schedules)
-        assert not stream.exhaustive
-        assert len(schemes) == 50
-        for s in schemes:
-            comps = classify_components(full_graph(s))
-            assert comps == [(frozenset(range(7)), ComponentKind.TREE)]
-
-    def test_sampling_is_seed_deterministic(self):
-        a = [s.calls for s in enumerate_tree_schemes(8, limit=20, seed=5).schedules]
-        b = [s.calls for s in enumerate_tree_schemes(8, limit=20, seed=5).schedules]
-        assert a == b
-
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
             enumerate_tree_schemes(1)
         with pytest.raises(ValidationError):
             enumerate_tree_schemes(9)
+
+    def test_exhaustive_only(self):
+        """Six persons is the largest walk; nothing is sampled above it."""
+        with pytest.raises(ValidationError, match="2 <= n <= 6"):
+            enumerate_tree_schemes(7)
 
 
 class TestUnicyclicEnumeration:
@@ -853,10 +844,11 @@ class TestUnicyclicEnumeration:
                 seen_degenerate = True
         assert seen_degenerate  # doubled-edge case is covered
 
-    def test_sampled_schemes_unicyclic(self):
-        for s in enumerate_unicyclic_schemes(6, limit=40, seed=1).schedules:
-            comps = classify_components(full_graph(s))
-            assert comps == [(frozenset(range(6)), ComponentKind.UNICYCLIC)]
+    def test_exhaustive_only(self):
+        """Five persons (six calls) is the largest walk; nothing is sampled above it."""
+        for n in (1, 6):
+            with pytest.raises(ValidationError, match="2 <= n <= 5"):
+                enumerate_unicyclic_schemes(n)
 
 
 def _stream_digest(streams) -> str:
@@ -867,8 +859,7 @@ def _stream_digest(streams) -> str:
 
 
 class TestEnumerationOrder:
-    """Both enumerators' exact output, in order: the exhaustive walks and the
-    seeded samplers (Pruefer sequence, then the extra pair, then the shuffle)."""
+    """Both enumerators' exact output, in order."""
 
     def test_exhaustive_walks(self):
         assert {n: _stream_digest([enumerate_tree_schemes(n)]) for n in range(2, 6)} == {
@@ -876,20 +867,6 @@ class TestEnumerationOrder:
             5: "47f7fd9511866800"}
         assert {n: _stream_digest([enumerate_unicyclic_schemes(n)]) for n in range(2, 5)} == {
             2: "3a98643a7dd88e42", 3: "3bcbcdb816cd6ad9", 4: "a210c85584fa759e"}
-
-    @pytest.mark.parametrize("enumerate_schemes,pins", [
-        (enumerate_tree_schemes, {
-            2: "6b3c08742f37b57a", 3: "71e903573894de44", 4: "902722b0e5c77464",
-            5: "1123e353bbd26f78", 6: "c05ebbd64fd4e8d6", 7: "1e361169cb2596b7",
-            8: "2b2e6bf1748d853c"}),
-        (enumerate_unicyclic_schemes, {
-            2: "b26ea8258c4a1c10", 3: "39d35635ef09b36a", 4: "a647ad2d1374045a",
-            5: "a1391c3658aaf6b0", 6: "55b2a6c0629c0090", 7: "7b13db9c775554ac",
-            8: "1ef995cb2972b65f"}),
-    ])
-    def test_samplers(self, enumerate_schemes, pins):
-        assert {n: _stream_digest([enumerate_schemes(n, limit=5, seed=seed)
-                                   for seed in range(4)]) for n in range(2, 9)} == pins
 
 
 def _final_state(m: int, calls) -> tuple[int, ...]:
@@ -1007,13 +984,24 @@ class TestUnicyclicClasses:
 
     @pytest.mark.parametrize("m,limit", [(4, None), (5, None), (6, 400), (7, 400), (8, 400)])
     def test_every_labeled_scheme_is_in_a_class(self, m, limit):
-        """Exhaustive against the labeled enumerator for m <= 5, sampled above."""
+        """Exhaustive against the labeled enumerator for m <= 5; above it, ``limit``
+        seeded draws of a Pruefer sequence, then the extra pair, then a shuffle."""
         keys = {canonical_key(_final_state(m, calls), m)
                 for calls in informing_tree_classes(m, 4, 0, 1)}
+        if limit is None:
+            schemes = [s.calls for s in enumerate_unicyclic_schemes(m).schedules]
+        else:
+            rng, pairs = random.Random(0), oracle._pair_tables(m)[0]
+            schemes = []
+            for _ in range(limit):
+                edges = oracle.prufer_decode(tuple(rng.randrange(m) for _ in range(m - 2)), m)
+                edges.append(pairs[rng.randrange(len(pairs))])
+                rng.shuffle(edges)
+                schemes.append(edges)
         met = 0
-        for s in enumerate_unicyclic_schemes(m, limit=limit, seed=0).schedules:
-            state = _final_state(m, s.calls)
+        for calls in schemes:
+            state = _final_state(m, calls)
             if _meets(state, 4, 0):
                 met += 1
-                assert canonical_key(state, m) in keys, s.calls
+                assert canonical_key(state, m) in keys, calls
         assert met > 0
