@@ -108,6 +108,8 @@ class Schedule(_Frozen):
             raise ValidationError(f"person count must be an int, got {n!r}")
         if n < 1:
             raise ValidationError(f"person count must be >= 1, got {n}")
+        if type(prelim) is not int:  # a float fails as a slice bound; bool is no count
+            raise ValidationError(f"prelim must be an int, got {prelim!r}")
         normalized = tuple(c if type(c) is Call else Call(*c) for c in calls)
         for j, (a, b) in enumerate(normalized):
             if b >= n:

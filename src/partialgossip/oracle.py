@@ -748,20 +748,16 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
 # ---------------------------------------------------------------------------
 
 class SchemeStream(_Record):
-    """An enumeration of schedules plus metadata about its coverage."""
+    """An enumeration of schedules on n persons."""
 
-    __slots__ = ("n", "exhaustive", "expected_count", "schedules")
+    __slots__ = ("n", "schedules")
 
-    def __init__(self, n: int, exhaustive: bool, expected_count: int | None,
-                 schedules: Iterator[Schedule]):
+    def __init__(self, n: int, schedules: Iterator[Schedule]):
         self.n = n
-        self.exhaustive = exhaustive
-        self.expected_count = expected_count
         self.schedules = schedules
 
     def __repr__(self) -> str:  # the stream itself is left out
-        return (f"SchemeStream(n={self.n!r}, exhaustive={self.exhaustive!r}, "
-                f"expected_count={self.expected_count!r})")
+        return f"SchemeStream(n={self.n!r})"
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -810,8 +806,7 @@ def _labeled_schemes(n: int, cycles: int) -> SchemeStream:
     trees = (tuple(Call(a, b) for a, b in edges) for edges in labeled_trees(n))
     schedules = (Schedule(n, order) for tree in trees for extra in extras
                  for order in itertools.permutations(tree + extra))
-    expected = None if cycles else n ** (n - 2) * math.factorial(n - 1)
-    return SchemeStream(n, True, expected, schedules)
+    return SchemeStream(n, schedules)
 
 
 def enumerate_tree_schemes(n: int) -> SchemeStream:

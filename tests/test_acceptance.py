@@ -1,4 +1,5 @@
-"""Acceptance criteria, one test per criterion, exact tolerances.
+"""Acceptance criteria, one test per criterion, exact tolerances, plus a
+per-schedule reference for criterion 7's prefix walk.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one summary line
 per criterion.
@@ -11,10 +12,9 @@ import time
 from partialgossip import (
     LemmaParams,
     SearchConfig,
+    Schedule,
     awareness,
-    apply_preliminary,
     check_lemma,
-    enumerate_tree_schemes,
     is_spanning_tree,
     max_feasible_blocks,
     max_informing_level,
@@ -27,8 +27,9 @@ from partialgossip import (
     synth_tree_variant,
     t_value,
 )
+from partialgossip.core import run_calls
 from partialgossip.lemmas import LEMMA_IDS
-from partialgossip.oracle import FOUND
+from partialgossip.oracle import FOUND, informing_tree_classes
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -94,9 +95,9 @@ def test_criterion_3_reference_schedules(
 ):
     assert awareness(simulate(hub_tree_8)) == [4] * 8
     assert is_spanning_tree(hub_tree_8)
-    assert awareness(apply_preliminary(hub_tree_8_plus_one)) == [5] * 8
-    assert awareness(apply_preliminary(wide_exact4_tree_12_plus_two)) == [6] * 12
-    assert awareness(apply_preliminary(wide_exact4_tree_10_plus_two)) == [6] * 10
+    assert awareness(simulate(hub_tree_8_plus_one)) == [5] * 8
+    assert awareness(simulate(wide_exact4_tree_12_plus_two)) == [6] * 12
+    assert awareness(simulate(wide_exact4_tree_10_plus_two)) == [6] * 10
     _report("3", "8-person tree exact 4 -> 5 with one call; both wide trees exact 6 with two")
 
 
@@ -140,18 +141,66 @@ def test_criterion_5_lemma_suites():
 
 
 def test_criterion_6_minimal_tree_witnesses():
-    # enumeration for k = 2, 3; the recursive doubling pattern for k = 4
-    for k in (2, 3):
+    # the isomorph-free tree classes for k = 2, 3, 4; the recursive doubling
+    # pattern for k = 4
+    for k in (2, 3, 4):
         n = 1 << (k - 1)
-        found = any(
-            max_informing_level(s) >= k for s in enumerate_tree_schemes(n).schedules
-        )
-        assert found, k
+        classes = informing_tree_classes(n, k, 0)
+        assert classes, k
+        for calls in classes:
+            s = Schedule(n, calls)
+            assert is_spanning_tree(s), (k, calls)
+            assert max_informing_level(s) >= k, (k, calls)
     s = minimal_informing_tree(4)
     assert s.n == 8
     assert is_spanning_tree(s)
     assert max_informing_level(s) == 4
-    _report("6", "k-informing trees on exactly 2^(k-1) vertices for k in {2,3,4}")
+    _report("6", "k-informing tree classes on exactly 2^(k-1) vertices for k in {2,3,4}")
+
+
+def _check_block_swaps(max_n: int, max_calls: int, facts: set | None = None) -> tuple[int, int]:
+    """Assert that every legal adjacent block swap, in every schedule on
+    2 <= n <= max_n persons with at most max_calls calls, leaves the state
+    after the two blocks (hence the final state) bit-identical.
+
+    The assertion depends only on the schedule up to the end of the second
+    block, so the schedules are walked as a prefix tree, holding the state
+    after each call of the prefix, and each prefix checks only the swaps
+    that end at its last call: each distinct swap is checked once.  Both
+    blocks and the one-call extensions run through ``run_calls``.  Each
+    swap is added to ``facts``, if given, as (n, prefix, split, m): block 1
+    is prefix[split:split + m] and block 2 the rest of the prefix.  Returns
+    the number of swaps and of prefixes walked.
+    """
+    swaps = prefixes = 0
+    for n in range(2, max_n + 1):
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        masks = {p: (1 << p[0]) | (1 << p[1]) for p in pairs}
+        stack = [((), ([1 << v for v in range(n)],))]
+        while stack:
+            seq, states = stack.pop()
+            e = len(seq)
+            prefixes += 1
+            om2 = 0
+            for l in range(1, e):  # block 2 = seq[e-l:e]
+                om2 |= masks[seq[e - l]]
+                if om2.bit_count() >= n - 1:
+                    break  # block 2 only grows with l, and no call misses n - 1 of n persons
+                om1 = 0
+                for m in range(1, e - l + 1):  # block 1 = seq[split:e-l]
+                    split = e - l - m
+                    om1 |= masks[seq[split]]
+                    if om1 & om2:
+                        break  # block 1 only grows with m
+                    mid = run_calls(list(states[split]), seq[e - l:])
+                    assert run_calls(mid, seq[split:e - l]) == states[e], (n, seq, split, m)
+                    swaps += 1
+                    if facts is not None:
+                        facts.add((n, seq, split, m))
+            if e < max_calls:
+                stack.extend((seq + (p,), states + (run_calls(list(states[e]), (p,)),))
+                             for p in pairs)
+    return swaps, prefixes
 
 
 def test_criterion_7_block_swaps_preserve_outcome():
@@ -160,22 +209,20 @@ def test_criterion_7_block_swaps_preserve_outcome():
     state) bit-identical.
     """
     start = time.monotonic()
-    schedules_seen = 0
-    swaps_checked = 0
-    for n in range(2, 6):
+    swaps, prefixes = _check_block_swaps(5, 6)
+    elapsed = time.monotonic() - start
+    _report("7", f"{swaps} distinct swaps over {prefixes} prefixes in {elapsed:.0f}s")
+
+
+def test_criterion_7_walk_matches_per_schedule_reference():
+    """The prefix walk checks exactly the swaps that a per-schedule scan finds,
+    counted once per (n, prefix up to the second block's end, split, m)."""
+    expected = set()
+    for n in range(2, 5):
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
         masks = {p: (1 << p[0]) | (1 << p[1]) for p in pairs}
-        init = tuple(1 << v for v in range(n))
-        for length in range(2, 7):
+        for length in range(2, 6):
             for seq in itertools.product(pairs, repeat=length):
-                schedules_seen += 1
-                states = [init]
-                know = list(init)
-                for a, b in seq:
-                    u = know[a] | know[b]
-                    know[a] = u
-                    know[b] = u
-                    states.append(tuple(know))
                 for split in range(length - 1):
                     om1 = 0
                     for m in range(1, length - split):
@@ -185,16 +232,7 @@ def test_criterion_7_block_swaps_preserve_outcome():
                             om2 |= masks[seq[split + m + l - 1]]
                             if om1 & om2:
                                 break  # no larger l can be disjoint either
-                            mid = list(states[split])
-                            for a, b in seq[split + m : split + m + l]:
-                                u = mid[a] | mid[b]
-                                mid[a] = u
-                                mid[b] = u
-                            for a, b in seq[split : split + m]:
-                                u = mid[a] | mid[b]
-                                mid[a] = u
-                                mid[b] = u
-                            swaps_checked += 1
-                            assert tuple(mid) == states[split + m + l], (n, seq, split, m, l)
-    elapsed = time.monotonic() - start
-    _report("7", f"{swaps_checked} swaps over {schedules_seen} schedules in {elapsed:.0f}s")
+                            expected.add((n, seq[: split + m + l], split, m))
+    facts = set()
+    assert _check_block_swaps(4, 5, facts)[0] == len(facts) == len(expected) == 2220
+    assert facts == expected

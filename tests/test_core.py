@@ -69,6 +69,12 @@ class TestCallAndSchedule:
         with pytest.raises(ValidationError):
             Schedule(3, [(0, 1), (1, 2)], prelim=prelim)
 
+    @pytest.mark.parametrize("prelim", [1.5, True])
+    def test_schedule_rejects_non_int_prelim(self, prelim):
+        # a float slice bound would fail later, in schedule_to_json and swap_blocks
+        with pytest.raises(ValidationError, match="prelim must be an int"):
+            Schedule(3, [(0, 1), (1, 2)], prelim=prelim)
+
     def test_call_is_a_validated_int_pair(self):
         c = Call(4, 2)
         a, b = c
@@ -197,7 +203,7 @@ class TestSimulate:
         assert awareness(simulate(hub_tree_8)) == [4] * 8
 
     def test_hub_tree_plus_one_exactly_five(self, hub_tree_8_plus_one):
-        assert awareness(apply_preliminary(hub_tree_8_plus_one)) == [5] * 8
+        assert awareness(simulate(hub_tree_8_plus_one)) == [5] * 8
 
     def test_wide_trees_exactly_four(self, wide_exact4_tree_12, wide_exact4_tree_10):
         assert awareness(simulate(wide_exact4_tree_12)) == [4] * 12
@@ -206,8 +212,8 @@ class TestSimulate:
     def test_wide_trees_plus_two_exactly_six(
         self, wide_exact4_tree_12_plus_two, wide_exact4_tree_10_plus_two
     ):
-        assert awareness(apply_preliminary(wide_exact4_tree_12_plus_two)) == [6] * 12
-        assert awareness(apply_preliminary(wide_exact4_tree_10_plus_two)) == [6] * 10
+        assert awareness(simulate(wide_exact4_tree_12_plus_two)) == [6] * 12
+        assert awareness(simulate(wide_exact4_tree_10_plus_two)) == [6] * 10
 
     def test_no_preliminary_matches_plain_simulation(self, hub_tree_8):
         aug = Schedule(hub_tree_8.n, hub_tree_8.calls, prelim=0)
@@ -280,7 +286,7 @@ def test_preliminary_gain_bounded_by_list_length(s, data):
     pairs = [(a, b) for a in range(s.n) for b in range(a + 1, s.n)]
     prelim = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3))
     before = awareness(simulate(s))
-    after = awareness(apply_preliminary(Schedule(s.n, [*prelim, *s.calls], prelim=len(prelim))))
+    after = awareness(simulate(Schedule(s.n, [*prelim, *s.calls], prelim=len(prelim))))
     assert all(b - a <= len(prelim) for a, b in zip(before, after))
 
 

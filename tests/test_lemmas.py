@@ -12,7 +12,6 @@ import pytest
 from partialgossip import (
     Schedule,
     ValidationError,
-    apply_preliminary,
     awareness,
     canonical_key,
     check_lemma,
@@ -220,7 +219,7 @@ def test_single_preliminary_gain_on_minimal_tree_is_exactly_one(hub_tree_8):
     gains = []
     for a in range(8):
         for b in range(a + 1, 8):
-            lifted = awareness(apply_preliminary(
+            lifted = awareness(simulate(
                 Schedule(8, [(a, b), *hub_tree_8.calls], prelim=1)))
             gains.append(max(y - x for x, y in zip(base, lifted)))
     assert max(gains) == 1
@@ -251,11 +250,11 @@ def test_two_preliminary_lift_needs_nine_vertices(
     cannot be lifted by 2 by any preliminary pair.
     """
     for aug in (wide_exact4_tree_12_plus_two, wide_exact4_tree_10_plus_two):
-        assert min(awareness(apply_preliminary(aug))) == 6
+        assert min(awareness(simulate(aug))) == 6
         assert aug.n >= 9
     pairs = [(a, b) for a in range(8) for b in range(a + 1, 8)]
     for prelim in itertools.combinations(pairs, 2):
-        lifted = awareness(apply_preliminary(
+        lifted = awareness(simulate(
             Schedule(8, [*prelim, *hub_tree_8.calls], prelim=len(prelim))))
         assert min(lifted) < 6
 

@@ -398,7 +398,7 @@ class TestMinCalls:
         a.stats["nodes"] = 1
         assert a != b and b.stats == {}
         stream = enumerate_tree_schemes(3)
-        assert repr(stream) == "SchemeStream(n=3, exhaustive=True, expected_count=6)"
+        assert repr(stream) == "SchemeStream(n=3)"
 
 
 def _assert_passes_add_up(r, depths):
@@ -812,8 +812,7 @@ class TestTreeEnumeration:
     def test_exhaustive_counts(self, n, count):
         stream = enumerate_tree_schemes(n)
         schemes = list(stream.schedules)
-        assert stream.exhaustive
-        assert stream.expected_count == count
+        assert stream.n == n
         assert len(schemes) == count
         assert len({tuple(s.calls) for s in schemes}) == count
 
