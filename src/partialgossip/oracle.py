@@ -71,9 +71,9 @@ only ``keys`` and ``canon_inexact``, which count the keys computed):
   (_FORM_CACHE): iterative deepening enters each keyed state again in the
   next pass, one ply deeper;
 * no-op masks passed down: a call changes only its two callers' rows, so
-  a child's calls between equal rows are its parent's, less those of the
-  two callers, plus the callers' own pair, unless a third person already
-  holds the merged row; only then is the mask rebuilt.
+  a child's calls between equal rows are its parent's, less those that
+  touch a caller, plus the callers' own pair and their calls with each
+  third person who already holds the merged row.
 
 The full goal skips the find pass in both regimes (a partial goal gets no
 candidate).  The closed form's construction builds a candidate:
@@ -430,17 +430,6 @@ def _pair_tables(n: int) -> tuple[list[tuple[int, int]], list[int]]:
     return pairs, touches
 
 
-def _noop_mask(state: tuple[int, ...], touches: list[int]) -> int:
-    """The pair bits of the calls between persons with equal rows."""
-    noop = 0
-    earlier: dict[int, int] = {}  # row -> the calls of the persons seen with it
-    for p, x in enumerate(state):
-        calls = earlier.get(x, 0)
-        noop |= touches[p] & calls
-        earlier[x] = calls | touches[p]
-    return noop
-
-
 def _orbit_duplicates(rep: list[int]) -> int:
     """Bitmask of the pair indices whose twin classes repeat an earlier pair's.
 
@@ -584,14 +573,15 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
         from this state; they are skipped, as are those in ``noop``, the
         calls between persons with equal rows.
 
-        Calls are taken in pair order, but only those that can pass the
-        bound are visited.  Once someone knows k gossips, ``slack = 2 *
-        (remaining - 1) - below`` (at least -2) decides that by the call's
-        class: at -2 only a call between two persons below k can pass, at
-        -1 only one that touches such a person, at 0 or more every call.
-        The no-op, asleep, orbit-cut and class-cut calls are counted by
-        popcount of their masks, up to the first call that finishes or all
-        of them, which gives the counters of a visit to every call.
+        Calls are taken in pair order, and every visited child is tested by
+        ``_bound``.  The class mask only narrows the visit: once someone
+        knows k gossips, ``slack = 2 * (remaining - 1) - below`` (at least
+        -2) rules out calls by class alone.  At -2 only a call between two
+        persons below k can pass, at -1 only one that touches such a
+        person, at 0 or more every call.  The no-op, asleep, orbit-cut and
+        class-cut calls are counted by popcount of their masks, up to the
+        first call that finishes or all of them, which gives the counters of
+        a visit to every call.
         """
         nonlocal nodes, memo_hits, memo_stores, memo_refused, lb_prunes
         nonlocal orbit_cuts, sleep_cuts, unkeyed, entries, next_clock_check
@@ -630,10 +620,9 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
         orbit = handled & duplicate
         expandable = handled & ~duplicate  # explored or bound-cut
         counts = [x.bit_count() for x in state]
-        informed = best >= k
         slack = 2 * (remaining - 1) - below
         eligible = expandable
-        if informed and slack < 0:
+        if best >= k and slack < 0:
             # at -1 a call must touch a person below k, at -2 it must touch
             # nobody informed
             touching = 0
@@ -656,21 +645,18 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
             else:
                 child_below = below - (counts[a] < k) - (counts[b] < k)
             child_best = best if best >= c else c
-            if informed:
-                cut = slack < 0 and c < k
-            else:
-                cut = _bound(child_below, child_best, k) >= remaining
-            if cut:
+            if _bound(child_below, child_best, k) >= remaining:
                 nodes += 1
                 lb_prunes += 1
                 continue
             child = state[:a] + (u,) + state[a + 1 : b] + (u,) + state[b + 1 :]
-            if state.count(u) == (state[a] == u) + (state[b] == u):
-                # nobody else holds the merged row: a and b now share a row
-                # with each other only
-                child_noop = noop & ~(touches[a] | touches[b]) | low
-            else:
-                child_noop = _noop_mask(child, touches)
+            # only a's and b's rows changed, both to u
+            ab = touches[a] | touches[b]
+            child_noop = noop & ~ab | low
+            if state.count(u) > (state[a] == u) + (state[b] == u):
+                for p, x in enumerate(state):
+                    if x == u and p != a and p != b:
+                        child_noop |= touches[p] & ab
             tail = dfs(child, remaining - 1, (sleep | (handled & (low - 1))) & commute[j],
                        child_below, child_best, child_noop)
             if tail is not None:

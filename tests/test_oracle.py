@@ -33,7 +33,8 @@ from partialgossip.oracle import (
 
 # (n, k, goal): min_calls, witness, refuted_depth, nodes, the stats counters
 # in _PINNED_STATS order, and per pass (depth, nodes, counters but find_nodes).
-# Band-regime refutations, find passes and partial goals.
+# Band-regime refutations, find passes and partial goals; (8,7) is k near n,
+# where a merged row often equals a third person's row.
 _PINNED_STATS = ("memo_hits", "memo_stores", "memo_refused", "lb_prunes", "unkeyed",
                  "orbit_cuts", "sleep_cuts", "keys", "canon_inexact", "find_nodes")
 _PINNED = {
@@ -85,6 +86,15 @@ _PINNED = {
          (7, 54, 2, 10, 0, 42, 0, 329, 54, 2, 0),
          (8, 29920, 21, 36, 0, 28630, 1233, 938, 22567, 19, 0),
          (9, 31868, 6, 20, 0, 30503, 1329, 510, 23226, 0, 0)]),
+    (8, 7, None): (11,
+        [(0, 3), (1, 3), (2, 3), (3, 4), (5, 6), (3, 5), (4, 6), (0, 3), (1, 3), (2, 3), (3, 7)],
+        10, 276631,
+        (802, 1088, 0, 254150, 20591, 5821, 213413, 577, 0, 0),
+        [(6, 4, 0, 2, 0, 2, 0, 52, 0, 0, 0),
+         (7, 39, 0, 7, 0, 32, 0, 130, 21, 0, 0),
+         (8, 239, 20, 32, 0, 187, 0, 424, 179, 19, 0),
+         (9, 3013, 103, 156, 0, 2649, 105, 1246, 2554, 70, 0),
+         (10, 273336, 679, 891, 0, 251280, 20486, 3969, 210659, 488, 0)]),
 }
 
 
@@ -247,12 +257,14 @@ class TestMinCalls:
         (9, 6), (10, 6), (10, 7),
         *((n, k) for n in range(2, 7) for k in range(2, n + 1)), (7, 3), (7, 4),
         (8, 5), (8, 6), (10, 5), (11, 4), (12, 3), (12, 4), (13, 4),
+        (7, 5), (7, 6), (7, 7), (8, 7), (8, 8),
     ])
     def test_doubling_certificate_settles_the_frontier(self, n, k):
         """Only refutations run, in both regimes: a find pass took most of a search.
 
         The instances are criterion 1's sweep, the benchmark's oracle
-        searches, and the first-regime (11,4), (12,3), (12,4) and (13,4).
+        searches, the first-regime (11,4), (12,3), (12,4) and (13,4), and
+        k near n up to (8,8), where merged rows often equal a third row.
         """
         r = min_calls_bruteforce(n, k)
         assert (r.status, r.min_calls) == (FOUND, p_min_calls(n, k))
