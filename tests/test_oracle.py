@@ -253,6 +253,22 @@ class TestMinCalls:
         assert (r.status, r.min_calls, r.witness.calls, r.refuted_depth, r.nodes, r.stats) == (
             FOUND, min_calls, tuple(calls), refuted, nodes, stats)
 
+    def test_search_identity_digest(self):
+        """Every result field of 56 searches, hashed: a change to the node step shows here.
+
+        The searches are each (n,k) with 2 <= k <= n <= 8 at goals n and
+        max(n-2, 1); the hash covers status, answer, refuted depth, nodes,
+        witness and the full stats, passes included.
+        """
+        h = hashlib.sha256()
+        for n in range(2, 9):
+            for k in range(2, n + 1):
+                for goal in (n, max(n - 2, 1)):
+                    r = min_calls_bruteforce(n, k, goal=goal)
+                    h.update(repr((n, k, goal, r.status, r.min_calls, r.refuted_depth,
+                                   r.nodes, r.witness.calls, r.stats)).encode())
+        assert h.hexdigest()[:16] == "ec59b5f3c5187457"
+
     @pytest.mark.parametrize("n,k", [
         (9, 6), (10, 6), (10, 7),
         *((n, k) for n in range(2, 7) for k in range(2, n + 1)), (7, 3), (7, 4),
