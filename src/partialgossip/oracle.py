@@ -19,8 +19,8 @@ relying on a goal invariant under relabeling that no extra call undoes:
   gets one deterministic relabeling instead (counted as canon_inexact);
 * an admissible lower bound on remaining calls (each call informs at most
   two of the persons the goal misses, and the maximum awareness can at
-  most double per call).  A child's bound follows from its parent's counts
-  and the two merged rows, so it is tested before the child state is built;
+  most double per call).  A child's bound follows from its parent's below-k
+  mask and the merged row, so it is tested before the child state is built;
 * orbit cuts (McKay, *Isomorph-free exhaustive generation*, J. Algorithms
   26, 1998): any permutation inside a twin class is an automorphism of the
   state, so two calls whose participants lie in the same unordered pair of
@@ -468,13 +468,9 @@ def _bound(below: int, best: int, k: int) -> int:
         return 0
     if best >= k:
         return (below + 1) // 2
-    # nobody informed yet: the maximum awareness at most doubles per call
-    rounds = 0
-    reach = best
-    while reach < k:
-        reach *= 2
-        rounds += 1
-    return rounds + max(0, (below - 2 + 1) // 2)
+    # nobody informed yet: the maximum awareness at most doubles per call, so
+    # it takes the least r with best * 2**r >= k
+    return ((k - 1) // best).bit_length() + (below - 1) // 2
 
 
 def _certificate(n: int, k: int) -> Schedule | None:
@@ -522,6 +518,7 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
     every = (1 << len(pairs)) - 1
     # commute[j]: the calls sharing no participant with call j
     commute = [every & ~(touches[a] | touches[b]) for a, b in pairs]
+    everyone = (1 << n) - 1
     initial = tuple(1 << p for p in range(n))
     # degree invariant -> (the one raw state refuted with it, its depth), or
     # -> () once a second raw state came and its states went to ``memo``
@@ -560,24 +557,25 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
         memo[key_of(raw, forms.get(raw))] = depth
         single[invariant] = ()
 
-    def dfs(state: tuple[int, ...], remaining: int, sleep: int, below: int,
+    def dfs(state: tuple[int, ...], remaining: int, sleep: int, weak: int,
             best: int, noop: int) -> list[tuple[int, int]] | None:
         """Suffix of calls completing the goal within ``remaining``, or None.
 
-        ``below`` is how many persons the goal still misses and ``best`` the
-        top awareness.  The caller has checked that the state's lower bound
-        is at most ``remaining``.  A child whose bound exceeds what is left
-        is cut before it is built; it still counts as one node and one
-        lower-bound prune, as if it had been entered.  ``sleep`` holds the
-        pair indices of calls known not to finish within ``remaining - 1``
-        from this state; they are skipped, as are those in ``noop``, the
-        calls between persons with equal rows.
+        ``weak`` is the mask of persons who know fewer than k gossips: less
+        ``spare``, its popcount is ``below``, how many the goal still misses.
+        ``best`` is the top awareness.  The caller has checked that the
+        state's lower bound is at most ``remaining``.  A child whose bound
+        exceeds what is left is cut before it is built; it still counts as
+        one node and one lower-bound prune, as if it had been entered.
+        ``sleep`` holds the pair indices of calls known not to finish within
+        ``remaining - 1`` from this state; they are skipped, as are those in
+        ``noop``, the calls between persons with equal rows.
 
         Calls are taken in pair order, and every visited child is tested by
         ``_bound``.  The class mask only narrows the visit: once someone
         knows k gossips, ``slack = 2 * (remaining - 1) - below`` (at least
         -2) rules out calls by class alone.  At -2 only a call between two
-        persons below k can pass, at -1 only one that touches such a
+        persons in ``weak`` can pass, at -1 only one that touches such a
         person, at 0 or more every call.  The no-op, asleep, orbit-cut and
         class-cut calls are counted by popcount of their masks, up to the
         first call that finishes or all of them, which gives the counters of
@@ -590,6 +588,7 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
             next_clock_check = nodes + 4096
             if time.monotonic() > deadline:
                 raise _BudgetExceeded
+        below = weak.bit_count() - spare
         if below <= 0:
             return []
         keyed = remaining > _UNKEYED_PLIES
@@ -619,16 +618,14 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
         handled = every & ~(noop | sleep)  # explored, bound-cut or orbit-cut
         orbit = handled & duplicate
         expandable = handled & ~duplicate  # explored or bound-cut
-        counts = [x.bit_count() for x in state]
         slack = 2 * (remaining - 1) - below
         eligible = expandable
         if best >= k and slack < 0:
             # at -1 a call must touch a person below k, at -2 it must touch
             # nobody informed
             touching = 0
-            for p, c in enumerate(counts):
-                if (c < k) == (slack == -1):
-                    touching |= touches[p]
+            for p in _bits(weak if slack == -1 else everyone & ~weak):
+                touching |= touches[p]
             eligible &= touching if slack == -1 else ~touching
         visited = every  # the calls a visit in pair order reaches
         found = None
@@ -640,12 +637,9 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
             a, b = pairs[j]
             u = state[a] | state[b]
             c = u.bit_count()
-            if c < k:
-                child_below = below
-            else:
-                child_below = below - (counts[a] < k) - (counts[b] < k)
+            child_weak = weak if c < k else weak & ~(1 << a | 1 << b)
             child_best = best if best >= c else c
-            if _bound(child_below, child_best, k) >= remaining:
+            if _bound(child_weak.bit_count() - spare, child_best, k) >= remaining:
                 nodes += 1
                 lb_prunes += 1
                 continue
@@ -658,7 +652,7 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
                     if x == u and p != a and p != b:
                         child_noop |= touches[p] & ab
             tail = dfs(child, remaining - 1, (sleep | (handled & (low - 1))) & commute[j],
-                       child_below, child_best, child_noop)
+                       child_weak, child_best, child_noop)
             if tail is not None:
                 visited = low - 1
                 found = [(a, b)] + tail
@@ -711,7 +705,7 @@ def min_calls_bruteforce(n: int, k: int, cfg: SearchConfig | None = None,
                 return result(FOUND, list(certificate.calls))
             before = counters()
             try:
-                found = dfs(initial, depth, 0, n - spare, 1, 0)  # everyone knows 1 < k
+                found = dfs(initial, depth, 0, everyone, 1, 0)  # everyone knows 1 < k
             finally:  # a pass cut by the budget reports its work too
                 passes.append({"depth": depth} | {
                     name: now - before[name] for name, now in counters().items()})

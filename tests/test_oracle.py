@@ -273,14 +273,15 @@ class TestMinCalls:
         (9, 6), (10, 6), (10, 7),
         *((n, k) for n in range(2, 7) for k in range(2, n + 1)), (7, 3), (7, 4),
         (8, 5), (8, 6), (10, 5), (11, 4), (12, 3), (12, 4), (13, 4),
-        (7, 5), (7, 6), (7, 7), (8, 7), (8, 8),
+        (7, 5), (7, 6), (7, 7), (8, 7), (8, 8), (9, 7),
     ])
     def test_doubling_certificate_settles_the_frontier(self, n, k):
         """Only refutations run, in both regimes: a find pass took most of a search.
 
         The instances are criterion 1's sweep, the benchmark's oracle
-        searches, the first-regime (11,4), (12,3), (12,4) and (13,4), and
-        k near n up to (8,8), where merged rows often equal a third row.
+        searches, the first-regime (11,4), (12,3), (12,4) and (13,4), k
+        near n up to (8,8), where merged rows often equal a third row, and
+        the band edge (9,7) = (t_2(7) - 1, 7), which refutes 11 calls.
         """
         r = min_calls_bruteforce(n, k)
         assert (r.status, r.min_calls) == (FOUND, p_min_calls(n, k))
@@ -524,6 +525,26 @@ class TestLowerBound:
     def test_zero_when_everyone_informed(self):
         state = (0b11, 0b11)
         assert _lower_bound(state, 2) == 0
+
+    def test_bound_closed_form_matches_doubling(self):
+        """Before anyone knows k: the doublings that first reach k, then a call per two."""
+        def doubling(below, best, k):
+            rounds, reach = 0, best
+            while reach < k:
+                reach *= 2
+                rounds += 1
+            return rounds + (below - 1) // 2
+
+        for k in range(2, 71):
+            for best in range(1, k):
+                for below in range(1, 21):
+                    assert oracle._bound(below, best, k) == doubling(below, best, k), (
+                        below, best, k)
+            for best in (1, k - 1, k, k + 5):
+                assert oracle._bound(0, best, k) == oracle._bound(-3, best, k) == 0
+            for best in (k, k + 1, 2 * k):
+                for below in range(1, 21):
+                    assert oracle._bound(below, best, k) == math.ceil(below / 2)
 
 
 def _random_state(rng: random.Random, n: int, max_calls: int = 5) -> tuple[int, ...]:
