@@ -26,10 +26,10 @@ from .constructions import (
 )
 from .core import (
     ValidationError,
+    _sweep,
     is_k_informing,
     schedule_from_json,
     schedule_to_json,
-    simulate,
 )
 from .formulas import REGIME_BAND, classify_regime, p_min_calls
 from .graph import classify_components, full_graph, to_dot
@@ -45,10 +45,12 @@ EXIT_VIOLATION = 2
 # limit: Python's default limit
 _MAX_DIGITS = 4300
 
-# Size caps on command-line input; the library takes any size.  Simulating
-# n persons holds n bitmasks of up to n bits, so memory grows as n^2:
-# verify of a schedule file with 2^15 persons and no call peaks at 86 MB
-# (Python 3.11).
+# Size caps on command-line input; the library takes any size.  synth's
+# self-check and verify hold a person's bitmask of up to n bits only from
+# their first call to their last (core._sweep): at 2^16 persons,
+# `synth doubling 65536 30 14 --out f` peaks at 35 MB and `verify f 30` at
+# 45 MB (Python 3.11).  A file in which all n persons call until the last
+# round still ends holding n^2 bits, 512 MiB at 2^16.
 MAX_PERSONS = 2**16  # synth's n and the n of verify's schedule file
 MAX_ROWS = 10**5  # rows of table
 
@@ -205,7 +207,7 @@ def _cmd_verify(args) -> int:
     _check_persons(s.n)
     if not 1 <= args.k <= s.n:
         raise ValidationError(f"k={args.k} out of range [1, n={s.n}]")
-    aw = simulate(s).awareness()
+    aw = _sweep(s.n, s.calls)[0]
     informing = min(aw) >= args.k
     exact = all(a == args.k for a in aw)
     components = [

@@ -8,8 +8,9 @@ sets; calls are strictly sequential and always exchange everything.
 from __future__ import annotations
 
 import json
+from itertools import chain, islice
 from operator import index, itemgetter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class ValidationError(ValueError):
@@ -141,8 +142,9 @@ class KnowledgeState(_Frozen):
 def run_calls(know: list[int], calls: Iterable[tuple[int, int]]) -> list[int]:
     """Apply (a, b) calls in order to a mutable bitmask vector (in place) and return it.
 
-    This is the one call-merge loop: every simulation of a schedule or of a
-    bare pair list goes through it.
+    Every simulation that returns a full state, of a schedule or of a bare
+    pair list, goes through it; ``_sweep`` is the pass for final awareness
+    alone, which drops each row after its person's last call.
     """
     for a, b in calls:
         u = know[a] | know[b]
@@ -151,12 +153,58 @@ def run_calls(know: list[int], calls: Iterable[tuple[int, int]]) -> list[int]:
     return know
 
 
+def _sweep(n: int, calls: Sequence[tuple[int, int]],
+           stop: int | None = None) -> tuple[list[int], list[int]]:
+    """Run ``calls[:stop]`` (all of them by default) from the initial state,
+    holding a person's row only from their first call to their last.
+
+    Returns ``(aw, rows)``.  ``aw[p]`` is p's final awareness for every p
+    with no call from ``stop`` on (1 for a person with no call at all), and
+    ``rows[p]`` is p's bitmask after ``calls[:stop]`` for every other p, 0
+    otherwise.  After a person's last call the row's popcount goes to ``aw``
+    and the row is dropped, so memory follows the persons still calling,
+    not all n.
+    """
+    if stop is None:
+        stop = len(calls)
+    # ends[2j] is 1 iff call j is the last of its first person, ends[2j + 1]
+    # iff of its second: a person's last position in the flattened calls.
+    # A person whose last call comes at or after stop is never dropped.
+    last = [-1] * n
+    for pos, p in enumerate(chain.from_iterable(calls)):
+        last[p] = pos
+    ends = bytearray(2 * len(calls))
+    for pos in last:
+        if pos >= 0:
+            ends[pos] = 1
+    del last  # frees an int per person before the rows are built
+    aw = [1] * n
+    rows = [0] * n
+    for (a, b), a_ends, b_ends in zip(calls, ends[: 2 * stop : 2], ends[1 : 2 * stop : 2]):
+        u = (rows[a] or 1 << a) | (rows[b] or 1 << b)
+        if a_ends:
+            aw[a] = u.bit_count()
+            rows[a] = 0
+        else:
+            rows[a] = u
+        if b_ends:
+            aw[b] = u.bit_count()
+            rows[b] = 0
+        else:
+            rows[b] = u
+    for p in chain.from_iterable(islice(calls, stop, None)):
+        rows[p] = rows[p] or 1 << p
+    return aw, rows
+
+
 def simulate(s: Schedule) -> KnowledgeState:
     """Run every call of the schedule, preliminary ones first, from the initial state.
 
     Deterministic: each call (a,b) replaces both participants' sets with
     their union.  A call between persons with identical knowledge is legal
-    and a no-op.
+    and a no-op.  It holds all n final rows; a caller that needs only the
+    awareness profile reads ``_sweep``, which drops each row after its
+    person's last call.
     """
     know = run_calls([1 << p for p in range(s.n)], s.calls)
     return KnowledgeState(s.n, tuple(know))
@@ -175,7 +223,7 @@ def awareness(ks: KnowledgeState) -> list[int]:
 
 def max_informing_level(s: Schedule) -> int:
     """Largest k for which the schedule is k-informing (min final awareness)."""
-    return min(simulate(s).awareness())
+    return min(_sweep(s.n, s.calls)[0])
 
 
 def _check_k(n: int, k: int) -> None:
@@ -186,13 +234,13 @@ def _check_k(n: int, k: int) -> None:
 def is_k_informing(s: Schedule, k: int) -> bool:
     """True iff after all calls every person knows at least k gossips."""
     _check_k(s.n, k)
-    return min(simulate(s).awareness()) >= k
+    return min(_sweep(s.n, s.calls)[0]) >= k
 
 
 def is_exact_k_informing(s: Schedule, k: int) -> bool:
     """True iff after all calls every person knows exactly k gossips."""
     _check_k(s.n, k)
-    return all(a == k for a in simulate(s).awareness())
+    return all(a == k for a in _sweep(s.n, s.calls)[0])
 
 
 # ---------------------------------------------------------------------------

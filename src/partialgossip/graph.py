@@ -7,7 +7,7 @@ from itertools import chain, compress, count, groupby
 from operator import ge, itemgetter, ne
 from typing import Iterable
 
-from .core import Call, Schedule, ValidationError, _Frozen, run_calls
+from .core import Call, Schedule, ValidationError, _Frozen, _sweep, run_calls
 
 
 class ComponentKind(enum.Enum):
@@ -155,11 +155,14 @@ def are_equivalent(s1: Schedule, s2: Schedule) -> bool:
 
     Only the window ``[lo, hi)`` between the first and the last position
     where the call sequences differ is compared: the shared prefix and
-    suffix add the same calls to both multisets, and the prefix is simulated
-    once, its state copied (a list of references to the same ints) and each
-    window run from it.  Equal states after the windows stay equal under the
-    same suffix, so the answer is True without running it; otherwise both
-    suffixes run, since states can reconverge, and two states are held.
+    suffix add the same calls to both multisets.  The prefix is run once by
+    ``core._sweep``, which keeps only the rows of persons with a call from
+    ``lo`` on: the same persons in both once the windows' multisets agree,
+    and everyone else ends with the same row in both.  That state is copied
+    (a list of references to the same ints) and each window run from it.
+    Equal states after the windows stay equal under the same suffix, so the
+    answer is True without running it; otherwise both suffixes run, since
+    states can reconverge, and two states are held.
     """
     if s1.n != s2.n:
         raise ValidationError(f"person counts differ: {s1.n} != {s2.n}")
@@ -172,7 +175,7 @@ def are_equivalent(s1: Schedule, s2: Schedule) -> bool:
     hi = len(c1) - next(compress(count(), map(ne, reversed(c1), reversed(c2))))
     if Counter(c1[lo:hi]) != Counter(c2[lo:hi]):
         return False
-    know1 = run_calls([1 << p for p in range(s1.n)], c1[:lo])
+    know1 = _sweep(s1.n, c1, lo)[1]
     know2 = run_calls(know1.copy(), c2[lo:hi])
     if run_calls(know1, c1[lo:hi]) == know2:
         return True

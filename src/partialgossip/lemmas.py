@@ -72,7 +72,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .constructions import minimal_informing_tree
-from .core import ValidationError, _Record, run_calls
+from .core import ValidationError, _Record, _sweep, run_calls
 from .formulas import lemma1b_bound, t_value
 from .oracle import SearchConfig, _pair_tables, informing_tree_classes, min_calls_bruteforce
 
@@ -228,10 +228,6 @@ def check_lemma(lemma_id: str, params: LemmaParams | None = None) -> LemmaReport
 # ---------------------------------------------------------------------------
 # shared machinery
 # ---------------------------------------------------------------------------
-
-def _aw(n: int, pairs) -> list[int]:
-    return [x.bit_count() for x in run_calls([1 << p for p in range(n)], pairs)]
-
 
 def _tree_classes(params: LemmaParams, lemma_id: str, k: int = 1, spare: int = 0,
                   cycles: int = 0):
@@ -433,7 +429,7 @@ def _check_size_bound(params: LemmaParams, lemma_id: str):
         sharp = map(minimal_informing_tree, range(past, SHARP_TREE_K + 1))
         schemes = itertools.chain(schemes, ((s.n, s.calls) for s in sharp))
     for n, pairs in schemes:
-        k = min(_aw(n, pairs))
+        k = min(_sweep(n, pairs)[0])
         bound = (1 << (k - 1 - cycles)) + params.bound_slack
         yield (n, k, 0), n < bound and Violation(_describe(n, pairs, k=k), bound, n)
 
@@ -441,7 +437,7 @@ def _check_size_bound(params: LemmaParams, lemma_id: str):
 def _check_l1b(params: LemmaParams):
     """Tree with one kp-informed person and the rest k-informed: size bound."""
     for n, pairs in _tree_classes(params, "L1b"):
-        aw = _aw(n, pairs)
+        aw = _sweep(n, pairs)[0]
         kp = min(aw)
         weakest = aw.index(kp)
         k = min(a for p, a in enumerate(aw) if p != weakest)
@@ -501,7 +497,7 @@ def _check_l2(params: LemmaParams):
 def _exact_k_trees(params: LemmaParams):
     """Exact k-informing trees (k >= 3, n > k), one per final-state class."""
     for n, pairs in _tree_classes(params, "L3"):
-        aw = _aw(n, pairs)
+        aw = _sweep(n, pairs)[0]
         k = aw[0]
         if k >= 3 and n > k and all(a == k for a in aw):
             yield n, k, pairs
@@ -596,7 +592,7 @@ def _check_l6s1(params: LemmaParams):
                     depth = m + i - 1 + slack
                     if result.min_calls is not None and result.min_calls <= depth:
                         calls, j = result.witness.calls, result.min_calls - i
-                        informed = sum(1 for a in _aw(n, calls) if a >= k)
+                        informed = sum(1 for a in _sweep(n, calls)[0] if a >= k)
                         yield (n, k, i), Violation(_describe(
                             n, calls, k=k, i=i, j=j, informed=informed), j - slack, informed)
                     else:

@@ -4,7 +4,10 @@ from __future__ import annotations
 import copy
 import json
 import pickle
+import random
+import tracemalloc
 from collections import Counter
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,9 +23,10 @@ from partialgossip import (
     schedule_from_json,
     schedule_to_json,
     simulate,
+    synth_doubling,
 )
 from partialgossip import graph, lemmas, oracle
-from partialgossip.core import KnowledgeState, _Frozen, _Record
+from partialgossip.core import KnowledgeState, _Frozen, _Record, _sweep, run_calls
 
 
 @st.composite
@@ -241,6 +245,64 @@ class TestInformingPredicates:
             is_k_informing(hub_tree_8, 0)
         with pytest.raises(ValidationError):
             is_k_informing(hub_tree_8, 9)
+
+
+def _check_sweep(s: Schedule) -> None:
+    """The sweep against full simulation, over the whole schedule and up to
+    its prelim split: kept rows are the prefix's, dropped ones read 0."""
+    final = simulate(s).awareness()
+    assert _sweep(s.n, s.calls)[0] == final
+    aw, rows = _sweep(s.n, s.calls, s.prelim)
+    prefix = run_calls([1 << p for p in range(s.n)], s.calls[: s.prelim])
+    later = set(chain.from_iterable(s.calls[s.prelim :]))
+    for p in range(s.n):
+        if p in later:
+            assert rows[p] == prefix[p]
+        else:
+            assert rows[p] == 0 and aw[p] == final[p]
+
+
+class TestFinalAwarenessPass:
+    def test_every_small_schedule_at_every_prelim_split(self):
+        """Every call sequence of up to 4 calls on up to 4 persons, every split."""
+        checked = 0
+        for n in range(1, 5):
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            for length in range(5 if pairs else 1):
+                for calls in product(pairs, repeat=length):
+                    for prelim in range(length + 1):
+                        _check_sweep(Schedule(n, calls, prelim))
+                        checked += 1
+        assert checked == 8028
+
+    def test_seeded_random_schedules(self):
+        """Repeated pairs, persons with no call and n = 1 among them."""
+        rng = random.Random(34)
+        seen = Counter()
+        for _ in range(1500):
+            n = rng.randint(1, 40)
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            calls = [rng.choice(pairs) for _ in range(rng.randint(0, 3 * n))] if pairs else []
+            s = Schedule(n, calls, rng.randint(0, len(calls)))
+            _check_sweep(s)
+            seen["n = 1"] += n == 1
+            seen["repeated pair"] += len(set(calls)) < len(calls)
+            seen["person with no call"] += len(set(chain.from_iterable(calls))) < n
+        assert all(seen[kind] for kind in ("n = 1", "repeated pair", "person with no call"))
+
+    def test_informing_check_holds_few_rows(self):
+        """Checking a doubling schedule on 4,096 persons holds a small share of its rows."""
+        s = synth_doubling(4096, 16, 3)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: is_k_informing(s, 16)) < peak(lambda: simulate(s)) / 4
 
 
 # ---------------------------------------------------------------------------

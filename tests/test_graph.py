@@ -294,6 +294,16 @@ def _edited(kind: str, calls: list, pairs: list, rng: random.Random) -> list | N
     return calls
 
 
+def _traced_peak(run) -> int:
+    """Peak bytes tracemalloc sees while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestAreEquivalent:
     def test_reflexive(self, hub_tree_8):
         assert are_equivalent(hub_tree_8, hub_tree_8)
@@ -355,16 +365,18 @@ class TestAreEquivalent:
         s = synth_doubling(2040, 14, 2)
         j = next(j for j in range(700, len(s) - 1) if set(s.calls[j]).isdisjoint(s.calls[j + 1]))
         swapped = swap_blocks(s, j, 1, 1)
+        full = _traced_peak(lambda: simulate(s))
+        assert _traced_peak(lambda: are_equivalent(s, swapped)) <= 1.25 * full
 
-        def peak(run):
-            tracemalloc.start()
-            try:
-                run()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(lambda: are_equivalent(s, swapped)) <= 1.25 * peak(lambda: simulate(s))
+    def test_late_swap_keeps_only_the_rows_still_called(self):
+        """The shared prefix drops the rows of persons with no call from the
+        first difference on: on 4,096 persons, a swap at the last disjoint
+        pair of calls peaks well below one full simulation."""
+        s = synth_doubling(4096, 16, 3)
+        j = max(j for j in range(len(s) - 1) if set(s.calls[j]).isdisjoint(s.calls[j + 1]))
+        swapped = swap_blocks(s, j, 1, 1)
+        full = _traced_peak(lambda: simulate(s))
+        assert _traced_peak(lambda: are_equivalent(s, swapped)) < 0.85 * full
 
 
 class TestDotExport:

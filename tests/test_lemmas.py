@@ -30,6 +30,12 @@ from partialgossip.lemmas import LEMMA_IDS
 FAST = dict(max_sampled_n=5, samples=40, max_prelim=2)
 
 
+def _aw(n, pairs):
+    """Final awareness by the plain call-merge loop, a reference that holds
+    every row (the suites read ``core._sweep``)."""
+    return [x.bit_count() for x in run_calls([1 << p for p in range(n)], pairs)]
+
+
 @pytest.mark.parametrize("lemma_id", LEMMA_IDS)
 def test_no_violations_on_valid_instances(lemma_id):
     report = check_lemma(lemma_id, LemmaParams(**FAST))
@@ -412,12 +418,12 @@ def test_suites_unchanged_by_tabled_matching_count(monkeypatch, lemma_id):
 
 
 def _reference_check_l2(params, lemma_id="L2"):
-    """L2 as it was before each base was simulated once: two _aw per candidate."""
+    """L2 as it was before each base was simulated once: two simulations per candidate."""
     rng = random.Random(params.seed)
 
     def judge(n, base, prelim):
-        before = lemmas._aw(n, base)
-        after = lemmas._aw(n, list(prelim) + list(base))
+        before = _aw(n, base)
+        after = _aw(n, list(prelim) + list(base))
         allowed = len(prelim) - params.bound_slack
         gain = max(b - a for a, b in zip(before, after))
         return None, gain > allowed and lemmas.Violation(
@@ -461,7 +467,7 @@ def _reference_check_tree_prelim(params, lemma_id):
         for n, k, base in lemmas._exact_k_trees(params):
             for ell in range(1, params.max_prelim + 1):
                 for prelim in lists(n, 0, ell, cap=math.inf):
-                    if min(lemmas._aw(n, list(prelim) + list(base))) < k + ell:
+                    if min(_aw(n, list(prelim) + list(base))) < k + ell:
                         yield None
                         continue
                     bound = (1 << (k - 1)) + ell - 1 + params.bound_slack
@@ -473,7 +479,7 @@ def _reference_check_tree_prelim(params, lemma_id):
         for o in range(0, outsiders + 1):
             for i in range(o, min(params.max_prelim, m + o - 4) + 1):
                 for prelim in lists(m + o, o, i):
-                    k = sorted(lemmas._aw(m + o, list(prelim) + list(tree))[:m])[spare]
+                    k = sorted(_aw(m + o, list(prelim) + list(tree))[:m])[spare]
                     if k < 4 or i > k - 4 or m + o < k:
                         yield None
                         continue
@@ -780,7 +786,7 @@ def test_prelim_outcomes_exact_at_every_goal(spare):
         for ell in ells:
             for x in itertools.chain(*lists(n, 0, ell, cap=math.inf)):
                 prelim = [pairs[j] for j in x]
-                k = sorted(lemmas._aw(n, prelim + path))[spare]
+                k = sorted(_aw(n, prelim + path))[spare]
                 want.append((ell, prelim, k) if k >= least + ell else (ell, None, None))
         assert got == want, least
 
