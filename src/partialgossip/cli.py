@@ -132,23 +132,34 @@ def _check_persons(n: int) -> None:
 def _write_all(files: dict[str, str]) -> None:
     """Write each text to its path, every one or none.
 
-    Each text goes to a temporary file beside its target, and the targets
-    are replaced only once every write has succeeded, so a command that
-    fails leaves no partial result.
+    A path that is a link keeps it: the text goes to the link's target.
+    Each text goes to a temporary file beside its resolved target, and the
+    targets are replaced only once every write has succeeded, so a command
+    that fails leaves no partial result.  An existing target that is not a
+    regular file, such as a FIFO or a device, cannot be replaced: it is
+    written directly, after every temporary file and before any replace.
     """
-    temps = []
+    temps = []  # (path, temporary file, resolved target)
+    direct = []  # (path, text) of the targets that are not regular files
     try:
         for path, text in files.items():
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            temp = f"{path}.{os.getpid()}.tmp"
+            if os.path.exists(path) and not os.path.isfile(path):
+                direct.append((path, text))
+                continue
+            target = os.path.realpath(path)
+            temp = f"{target}.{os.getpid()}.tmp"
             with open(temp, "w") as f:
-                temps.append(temp)
+                temps.append((path, temp, target))
                 f.write(text)
-        for temp, path in zip(temps, files):
-            os.replace(temp, path)
+        for path, text in direct:
+            with open(path, "w") as f:
+                f.write(text)
+        for path, temp, target in temps:
+            os.replace(temp, target)
     except OSError as e:
-        for temp in temps:
+        for _, temp, _ in temps:
             with contextlib.suppress(OSError):
                 os.remove(temp)
         raise ValidationError(f"cannot write {path}: {e.strerror or e}") from e

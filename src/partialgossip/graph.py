@@ -182,13 +182,13 @@ def are_equivalent(s1: Schedule, s2: Schedule) -> bool:
     return run_calls(know1, c1[hi:]) == run_calls(know2, c2[hi:])
 
 
-def to_dot(s: Schedule, name: str = "calls") -> str:
+def to_dot(s: Schedule) -> str:
     """Render a schedule as Graphviz DOT.
 
     Edges carry their 1-based chronological index (preliminary calls first);
     preliminary calls are drawn dashed, mirroring the usual diagrams.
     """
-    lines = [f"graph {name} {{", "  node [shape=circle];"]
+    lines = ["graph calls {", "  node [shape=circle];"]
     lines += [f"  {p};" for p in range(s.n)]
     for j, (a, b) in enumerate(s.calls):
         style = ", style=dashed" if j < s.prelim else ""

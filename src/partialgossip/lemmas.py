@@ -86,7 +86,8 @@ LEMMA_IDS = (
 # L3 needs an exact k-informing tree with 3 <= k < n (4 persons), a tree
 # leaving everyone 4-informed has at least 2^3 persons (L1a), one leaving all
 # but one person 4-informed at least 5, and L6s1 n >= k >= 4.  The largest
-# caps the cost: informing_tree_classes(10, 1, 0) takes about 6 s, L6s1 19 s.
+# caps the cost: informing_tree_classes(10, 1, 0) takes 2.3-2.6 s and L6s1
+# at 12 persons 6.4 s (fresh processes, 2-vCPU VM, Python 3.11.7).
 _SIZES = {
     "L1a": (2, 10, 8), "L1b": (2, 10, 8), "L3": (4, 10, 8),
     "L4a": (8, 11, 10), "L4b": (8, 11, 10), "L5a": (5, 11, 9),

@@ -12,7 +12,8 @@ relying on a goal invariant under relabeling that no extra call undoes:
   permutes person indices and gossip bits together.  States equal under
   such a relabeling have identical reachable awareness profiles, so failure
   depths are memoized per canonical form.  The form is the smallest
-  relabeling that keeps refined color cells in order.  Twins (two persons
+  relabeling that keeps refined color cells in order; the cells split by
+  color-multiset signatures and are ordered by them.  Twins (two persons
   whose transposition is an automorphism of the state) are interchangeable
   without changing the relabeled state, so only arrangements of twin
   classes are tried; a state with more than _CANON_PERM_CAP arrangements
@@ -95,7 +96,6 @@ the refutation got; it never yields a wrong number.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 import time
@@ -210,59 +210,48 @@ def _bits(x: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _refine_colors(
-    known: list[tuple[int, ...]], knowers: list[tuple[int, ...]], sigs: list[int]
-) -> list[int]:
-    """Partition persons by iterated structural signatures.
+def _refine_cells(
+    known: list[tuple[int, ...]], knowers: list[tuple[int, ...]], cells: list[list[int]]
+) -> list[list[int]]:
+    """Split ordered color cells of persons by iterated color-multiset signatures.
 
     ``known[p]`` lists the gossips p knows and ``knowers[p]`` the persons who
-    know p's gossip.  The first colors rank _degree_probe's signatures
-    ``sigs``: how much p knows, then how widely p's gossip is known.  Each
-    round then adds the colors of the gossips p knows and of the persons who
-    know p.  Signatures are converted to ranks by sorting, so the resulting
-    color vector is invariant under joint relabeling.  A round ranks persons
-    by their old color first, so a cell only splits and a person alone in
-    its cell keeps its place in the order: only persons in cells of two or
-    more get a signature.  Refinement stops once a round splits no cell or
-    every cell is a single person.
+    know p's gossip.  The first cells are _degree_probe's, in the order of
+    its signatures: how much p knows, then how widely p's gossip is known.
+    A person's color is the index of its cell.  Each round gives every
+    person in a shared cell the signature (colors of the gossips p knows,
+    colors of the persons who know p), both as multisets; it splits the
+    cell by signature and orders the parts by signature.  So a cell only
+    splits in place, each cell lists its persons in ascending order, and
+    the cells and their order are invariant under joint relabeling.  A
+    person alone in its cell keeps its place and gets no signature.
+    Refinement stops once a round splits no cell or every cell is a single
+    person.
     """
     n = len(known)
     width = n.bit_length()  # fits n, the most a signature counts of anything
-    ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
-    colors = [ranking[s] for s in sigs]
-    cells: list[list[int]] = [[] for _ in ranking]
-    for p, c in enumerate(colors):
-        cells[c].append(p)
     while len(cells) < n:
-        # a multiset of colors as one integer: equal exactly when the sorted
-        # color tuples are, which then order the cells that do split
-        weight = [1 << (width * c) for c in colors].__getitem__
+        # a multiset of colors as one integer, the count of color c at bit
+        # width * c: equal exactly when the multisets are
+        weight = [0] * n
+        for c, cell in enumerate(cells):
+            for p in cell:
+                weight[p] = 1 << (width * c)
+        weigh = weight.__getitem__
         split: list[list[int]] = []
         for cell in cells:
             if len(cell) == 1:
                 split.append(cell)
                 continue
-            groups: dict[tuple[int, int], list[int]] = {}
+            parts: dict[tuple[int, int], list[int]] = {}
             for p in cell:
-                sig = (sum(map(weight, known[p])), sum(map(weight, knowers[p])))
-                groups.setdefault(sig, []).append(p)
-            if len(groups) == 1:
-                split.append(cell)
-                continue
-            color = colors.__getitem__
-            order = sorted(
-                (tuple(sorted(map(color, known[group[0]]))),
-                 tuple(sorted(map(color, knowers[group[0]]))), group)
-                for group in groups.values()
-            )
-            split.extend(group for _, _, group in order)
+                sig = (sum(map(weigh, known[p])), sum(map(weigh, knowers[p])))
+                parts.setdefault(sig, []).append(p)
+            split.extend(parts[sig] for sig in sorted(parts))
         if len(split) == len(cells):
             break
         cells = split
-        for c, cell in enumerate(cells):
-            for p in cell:
-                colors[p] = c
-    return colors
+    return cells
 
 
 def _twin_classes(cell: list[int], state: tuple[int, ...], col: list[int]) -> list[list[int]]:
@@ -326,24 +315,21 @@ def canonical_form(state: tuple[int, ...], n: int) -> tuple[tuple[int, ...], lis
     """The canonical key, the twin map and whether the key is exact.
 
     The key is the lexicographic minimum over all relabelings that map each
-    refined color cell onto its block of positions.  Refinement starts from
-    _degree_probe's cells, and ``rep`` is the probe's twin map.  Twins share
+    refined color cell onto its block of positions.  _refine_cells splits
+    _degree_probe's cells by color-multiset signatures and orders the parts
+    by them; ``rep`` is the probe's twin map.  Twins share
     a color, so each cell is a union of twin classes, and only arrangements
     of those classes are tried: permuting twins gives the same state.  The
     key is exact whenever there are at most _CANON_PERM_CAP such
     arrangements; beyond that a single deterministic relabeling is used.
     """
-    _, rep, sigs, col = _degree_probe(state, n)
+    _, rep, cells, col = _degree_probe(state, n)
     known = [_bits(row) for row in state]
-    colors = _refine_colors(known, [_bits(c) for c in col], sigs)
-    cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
-    for p in range(n):
-        cells[colors[p]].append(p)
     perm = [0] * n
     free = []  # (twin classes, positions) of cells with more than one class
     arrangements = 1
     pos = 0
-    for cell in cells:
+    for cell in _refine_cells(known, [_bits(c) for c in col], cells):
         start = pos
         for p in cell:
             perm[p] = pos
@@ -377,16 +363,18 @@ def canonical_form(state: tuple[int, ...], n: int) -> tuple[tuple[int, ...], lis
 
 def _degree_probe(
     state: tuple[int, ...], n: int
-) -> tuple[tuple[int, ...], list[int], list[int], list[int]]:
-    """The degree invariant, the twin map, the degree signatures and the columns.
+) -> tuple[tuple[int, ...], list[int], list[list[int]], list[int]]:
+    """The degree invariant, the twin map, the cells of equal degrees and the columns.
 
-    ``sigs[p]`` packs how much p knows and how widely p's gossip is known
-    into one integer, ordered as that pair; ``col[g]`` is the bitmask of the
-    persons who know gossip g.  The invariant is the sorted signatures:
-    equal keys give equal invariants.  Twins share those degrees, so
-    splitting each cell of equal degrees into twin classes gives the whole
-    twin partition: ``rep[p]`` is the smallest member of p's twin class.
-    A search node uses the invariant and ``rep``; canonical_form all four.
+    A person's signature packs how much p knows and how widely p's gossip
+    is known into one integer, ordered as that pair; ``col[g]`` is the
+    bitmask of the persons who know gossip g.  The invariant is the sorted
+    signatures: equal keys give equal invariants.  ``cells`` holds the
+    persons of each signature in ascending order, the cells in signature
+    order.  Twins share those degrees, so splitting each cell into twin
+    classes gives the whole twin partition: ``rep[p]`` is the smallest
+    member of p's twin class.  A search node uses the invariant and
+    ``rep``; canonical_form all four.
     """
     col = [0] * n
     for p, row in enumerate(state):
@@ -395,17 +383,18 @@ def _degree_probe(
             col[g] |= bit
     width = n.bit_length()
     sigs = [row.bit_count() << width | c.bit_count() for row, c in zip(state, col)]
-    cells: dict[int, list[int]] = {}
+    by_sig: dict[int, list[int]] = {}
     for p, sig in enumerate(sigs):
-        cells.setdefault(sig, []).append(p)
+        by_sig.setdefault(sig, []).append(p)
+    cells = [by_sig[sig] for sig in sorted(by_sig)]
     rep = list(range(n))
     if len(cells) < n:
-        for cell in cells.values():
+        for cell in cells:
             if len(cell) > 1:
                 for cls in _twin_classes(cell, state, col):
                     for p in cls[1:]:
                         rep[p] = cls[0]
-    return tuple(sorted(sigs)), rep, sigs, col
+    return tuple(sorted(sigs)), rep, cells, col
 
 
 def canonical_key(state: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -746,17 +735,13 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     for x in seq:
         degree[x] += 1
     edges = []
-    leaf_heap = sorted(p for p in range(n) if degree[p] == 1)
-    heapq.heapify(leaf_heap)
     for x in seq:
-        leaf = heapq.heappop(leaf_heap)
+        leaf = degree.index(1)  # the smallest leaf
+        degree[leaf] = 0
         edges.append((min(leaf, x), max(leaf, x)))
         degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaf_heap, x)
-    u = heapq.heappop(leaf_heap)
-    v = heapq.heappop(leaf_heap)
-    edges.append((min(u, v), max(u, v)))
+    u = degree.index(1)
+    edges.append((u, degree.index(1, u + 1)))
     return edges
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 from unittest import mock
@@ -213,6 +214,34 @@ class TestSynthAndVerify:
         assert code == EXIT_VALIDATION
         assert err.splitlines() == [f"error: cannot write {tmp_path}: Is a directory"]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--dot"])
+    def test_write_through_a_link_keeps_the_link(self, capsys, tmp_path, flag):
+        real, link = tmp_path / "real", tmp_path / "link"
+        real.write_text("old")
+        link.symlink_to(real)
+        code, _, _ = run(capsys, "synth", "doubling", "10", "5", "0", flag, str(link))
+        assert code == EXIT_OK
+        assert link.is_symlink() and link.resolve() == real
+        assert real.read_text() == (
+            schedule_to_json(partialgossip.synth_doubling(10, 5, 0), indent=2) + "\n"
+            if flag == "--out" else partialgossip.to_dot(partialgossip.synth_doubling(10, 5, 0)))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+
+    def test_write_to_a_fifo_keeps_the_fifo(self, capsys, tmp_path):
+        """A FIFO cannot be replaced: it gets the text, read here without blocking."""
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, out, _ = run(capsys, "synth", "doubling", "10", "5", "0",
+                               "--format", "dot", "--dot", str(fifo))
+            assert code == EXIT_OK
+            assert os.read(reader, 1 << 16) == out.encode()
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
     @pytest.mark.parametrize("dot", ["P", "./P"])
     def test_out_and_dot_on_one_file_exit_one(self, capsys, tmp_path, monkeypatch, dot):

@@ -597,7 +597,7 @@ def _reachable_states(n: int, max_calls: int | None = None) -> set[tuple[int, ..
 # every permutation that maps each refined color cell onto its positions.
 
 
-def _reference_refine_colors(state: tuple[int, ...], n: int) -> list[int]:
+def _reference_refine_cells(state: tuple[int, ...], n: int) -> list[list[int]]:
     col = [0] * n
     for row in state:
         x = row
@@ -608,6 +608,8 @@ def _reference_refine_colors(state: tuple[int, ...], n: int) -> list[int]:
     ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
     colors = [ranking[s] for s in sigs]
     while True:
+        # a multiset of colors compares by its counts, from the highest color down
+        counts = range(len(ranking) - 1, -1, -1)
         sigs = []
         for p in range(n):
             known = []
@@ -616,22 +618,19 @@ def _reference_refine_colors(state: tuple[int, ...], n: int) -> list[int]:
                 known.append(colors[(x & -x).bit_length() - 1])
                 x &= x - 1
             knowers = [colors[q] for q in range(n) if (state[q] >> p) & 1]
-            sigs.append((colors[p], tuple(sorted(known)), tuple(sorted(knowers))))
-        ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        new = [ranking[s] for s in sigs]
-        if len(set(new)) == len(set(colors)):
-            return new
-        colors = new
+            sigs.append((colors[p], tuple(known.count(c) for c in counts),
+                         tuple(knowers.count(c) for c in counts)))
+        grown = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        if len(grown) == len(ranking):
+            return [[p for p in range(n) if colors[p] == c] for c in range(len(ranking))]
+        ranking = grown
+        colors = [ranking[s] for s in sigs]
 
 
 def _reference_key(state: tuple[int, ...], n: int) -> tuple[int, ...]:
-    colors = _reference_refine_colors(state, n)
-    groups: dict[int, list[int]] = {}
-    for p in range(n):
-        groups.setdefault(colors[p], []).append(p)
-    ordered = [groups[c] for c in sorted(groups)]
     best = None
-    for pieces in itertools.product(*(itertools.permutations(g) for g in ordered)):
+    for pieces in itertools.product(
+            *(itertools.permutations(cell) for cell in _reference_refine_cells(state, n))):
         perm = [p for piece in pieces for p in piece]
         inverse = [0] * n
         for pos, p in enumerate(perm):
@@ -642,15 +641,18 @@ def _reference_key(state: tuple[int, ...], n: int) -> tuple[int, ...]:
     return best
 
 
+def _refined_cells(state: tuple[int, ...], n: int) -> list[list[int]]:
+    """oracle._refine_cells from the degree probe's cells, as canonical_form runs it."""
+    known = [tuple(g for g in range(n) if (state[p] >> g) & 1) for p in range(n)]
+    knowers = [tuple(q for q in range(n) if (state[q] >> g) & 1) for g in range(n)]
+    return oracle._refine_cells(known, knowers, oracle._degree_probe(state, n)[2])
+
+
 def _twin_arrangements(state: tuple[int, ...], n: int) -> int:
     """Twin-class arrangements that canonical_key has to try for this state."""
-    known = [[g for g in range(n) if (state[p] >> g) & 1] for p in range(n)]
-    knowers = [[q for q in range(n) if (state[q] >> g) & 1] for g in range(n)]
-    col = [sum(1 << q for q in knowers[g]) for g in range(n)]
-    colors = oracle._refine_colors(known, knowers, oracle._degree_probe(state, n)[2])
+    col = [sum(1 << q for q in range(n) if (state[q] >> g) & 1) for g in range(n)]
     count = 1
-    for c in set(colors):
-        cell = [p for p in range(n) if colors[p] == c]
+    for cell in _refined_cells(state, n):
         count *= math.factorial(len(cell))
         for cls in oracle._twin_classes(cell, state, col):
             count //= math.factorial(len(cls))
@@ -694,11 +696,9 @@ class TestCanonicalKey:
         for _ in range(600):
             n = rng.randrange(7, 13)
             state = _random_state(rng, n, max_calls=2 * n)
-            known = [[g for g in range(n) if (state[p] >> g) & 1] for p in range(n)]
-            knowers = [[q for q in range(n) if (state[q] >> g) & 1] for g in range(n)]
-            colors = oracle._refine_colors(known, knowers, oracle._degree_probe(state, n)[2])
-            assert colors == _reference_refine_colors(state, n), state
-            sizes = {colors.count(c) for c in colors}
+            cells = _refined_cells(state, n)
+            assert cells == _reference_refine_cells(state, n), state
+            sizes = {len(cell) for cell in cells}
             mixed += 1 in sizes and len(sizes) > 1  # a lone person beside a shared cell
         assert mixed > 300
 
@@ -976,6 +976,18 @@ class TestInformingTreeClasses:
                 comps = classify_components(full_graph(Schedule(m, calls)))
                 assert comps == [(frozenset(range(m)), ComponentKind.TREE)]
                 assert _meets(_final_state(m, calls), 4, spare)
+
+    def test_class_lists_digest(self):
+        """Every call list, in order, at each (m, k, spare, cycles) the suites read by default.
+
+        The same classes with the same representatives: a change to the
+        keys, the twin map or the growth order shows here.
+        """
+        h = hashlib.sha256()
+        for args in [*((m, 1, 0, 0) for m in range(2, 9)), *((m, 4, 0, 0) for m in range(8, 11)),
+                     *((m, 4, 1, 0) for m in range(5, 10)), *((m, 4, 0, 1) for m in range(4, 9))]:
+            h.update(repr((args, informing_tree_classes(*args))).encode())
+        assert h.hexdigest()[:16] == "6382fd1fc8fa2a5d"
 
     def test_class_counts(self):
         assert [len(informing_tree_classes(m, 4, 0)) for m in range(2, 11)] == [
